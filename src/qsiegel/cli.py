@@ -157,6 +157,7 @@ def _gens_from_cache(prec, cache_dir):
         setattr(gens, form, members[form])
     gens.chi15_companion = None  # not reconstructible from records
     gens._pow_cache = {}
+    gens._deeper = None
     return gens
 
 

@@ -8,49 +8,59 @@ picture multiplies coefficients by the frequency vector, a fixed invertible
 linear image of (x, y, z); by multilinearity the coordinate-row determinant
 used here differs from the analytic bracket only by one fixed nonzero scalar,
 so divisibility, vanishing and span statements are unaffected.
+
+It is evaluated by Laplace expansion of the determinant along the column
+split (f1, f2) | (f3, f4).  Let W_r f scale each coefficient of f by the
+entry of row r: the weight k for row k (r = 0), the index coordinate x, y or
+z for rows 1, 2, 3.  The 2x2 minors
+
+    M_rs(f, g) = W_r f * W_s g - W_s f * W_r g     (r < s)
+
+are products of series, and the bracket is
+
+    sum over r < s of (-1)^(r+s+1) M_rs(f1, f2) * M_pq(f3, f4),
+
+with {p, q} the two rows other than r, s.  That is 30 integer convolutions
+on the `fourier` kernel.
 """
-from .fourier import FourierSeries
-from .lattice import ZERO, decompositions, enumerate_cone
+from itertools import combinations
+
+from .fourier import convolve, dense, from_dense
+from .lattice import ZERO, enumerate_cone
+
+ROWS = (0, 1, 2, 3)
 
 
-def _det3(u, v, w):
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - v[0] * (u[1] * w[2] - u[2] * w[1])
-            + w[0] * (u[1] * v[2] - u[2] * v[1]))
+def _weighted(f, X, idx):
+    """(den, [W_k f, W_x f, W_y f, W_z f]) as dense int vectors."""
+    den, vec = dense(f, X)
+    return den, [[f.weight * v for v in vec]] + [
+        [eta[c] * v for eta, v in zip(idx, vec)] for c in range(3)]
+
+
+def _minors(f, g, X, idx):
+    """(den, {(r, s): M_rs(f, g)}) for every row pair r < s."""
+    df, Wf = _weighted(f, X, idx)
+    dg, Wg = _weighted(g, X, idx)
+    out = {}
+    for r, s in combinations(ROWS, 2):
+        out[r, s] = [a - b for a, b in zip(convolve(Wf[r], Wg[s], 0, X),
+                                           convolve(Wf[s], Wg[r], 0, X))]
+    return df * dg, out
 
 
 def bracket(f1, f2, f3, f4):
     """Determinant bracket of four series; output weight sum(k_i) + 3, output
     precision the minimum input precision, constant term 0 by construction."""
     fs = (f1, f2, f3, f4)
-    ks = tuple(f.weight for f in fs)
     X = min(f.prec for f in fs)
-    cs = tuple(f.coeffs for f in fs)
-    out = {}
-    for eta in enumerate_cone(X):
-        acc = 0
-        for u, v in decompositions(eta):
-            du = decompositions(u)
-            dv = decompositions(v)
-            for e1, e2 in du:
-                c1 = cs[0].get(e1)
-                if not c1:
-                    continue
-                c2 = cs[1].get(e2)
-                if not c2:
-                    continue
-                c12 = c1 * c2
-                for e3, e4 in dv:
-                    c3 = cs[2].get(e3)
-                    if not c3:
-                        continue
-                    c4 = cs[3].get(e4)
-                    if not c4:
-                        continue
-                    d = (ks[0] * _det3(e2, e3, e4) - ks[1] * _det3(e1, e3, e4)
-                         + ks[2] * _det3(e1, e2, e4) - ks[3] * _det3(e1, e2, e3))
-                    if d:
-                        acc += c12 * c3 * c4 * d
-        if acc:
-            out[eta] = acc
-    return FourierSeries(sum(ks) + 3, X, out)
+    idx = (ZERO,) + enumerate_cone(X)
+    d12, left = _minors(f1, f2, X, idx)
+    d34, right = _minors(f3, f4, X, idx)
+    total = [0] * len(idx)
+    for (r, s), m in left.items():
+        p, q = (t for t in ROWS if t not in (r, s))
+        sign = -1 if (r + s) % 2 == 0 else 1
+        for n, v in enumerate(convolve(m, right[p, q], 0, X)):
+            total[n] += sign * v
+    return from_dense(sum(f.weight for f in fs) + 3, X, d12 * d34, total)

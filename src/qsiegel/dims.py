@@ -61,7 +61,8 @@ def dim_cusp(k, p):
     if not _is_odd_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
     val = _cusp_formula(k, p)
-    assert val.denominator == 1 and val >= 0, (k, p, val)
+    if val.denominator != 1 or val < 0:
+        raise ValueError("dimension formula gave %s at k=%d, p=%d" % (val, k, p))
     return int(val)
 
 

@@ -1,6 +1,8 @@
 """Exact rational arithmetic helpers: Bernoulli numbers, generalized Bernoulli
 numbers attached to Kronecker characters, the Kronecker symbol, and the
 fundamental-discriminant decomposition behind the quadratic-field invariants.
+Generalized Bernoulli numbers come from integer character power sums (see
+generalized_bernoulli).
 
 All values are `fractions.Fraction` (arbitrary precision, always reduced);
 nothing here ever rounds.
@@ -88,7 +90,9 @@ def fundamental_discriminant_split(N):
     if s % 4 == 1:
         return s, g
     # s = 2 or 3 mod 4: the discriminant is 4s, and N = 0 mod 4 forces g even
-    assert g % 2 == 0, (N, s, g)
+    if g % 2:
+        raise ValueError("N = %r: square part %r of a non-1-mod-4 core must be even"
+                         % (N, g))
     return 4 * s, g // 2
 
 
@@ -102,13 +106,26 @@ def generalized_bernoulli(m, d):
     of the negative fundamental discriminant d:
 
         B_{m,chi} = |d|^(m-1) * sum_{a=1}^{|d|} chi(a) B_m(a/|d|).
+
+    Expanding B_m(t) = sum_j C(m,j) B_j t^(m-j) gives
+
+        B_{m,chi} = |d|^(-1) * sum_j C(m,j) B_j |d|^j S_{m-j},
+
+    with the integer character power sums S_i = sum_a chi(a) a^i, so the sum
+    over a runs on Python ints and only m + 1 terms are rational.
     """
     if not is_fundamental_discriminant(d):
         raise ValueError("%r is not a negative fundamental discriminant" % (d,))
     D = abs(d)
-    return D ** (m - 1) * sum(
-        kronecker_symbol(d, a) * bernoulli_poly_value(m, Fraction(a, D))
-        for a in range(1, D + 1))
+    S = [0] * (m + 1)
+    for a in range(1, D + 1):
+        p = kronecker_symbol(d, a)
+        if p:
+            for i in range(m + 1):
+                S[i] += p
+                p *= a
+    return sum(comb(m, j) * bernoulli_number(j) * D ** j * S[m - j]
+               for j in range(m + 1)) / D
 
 
 def p_valuation(p, n):

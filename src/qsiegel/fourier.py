@@ -6,10 +6,23 @@ A series is truncated at a grade bound `prec`: every coefficient with grade
 <= prec is stored exactly (absent key = 0).  Because grade is additive and
 only the origin has grade 0, products of truncated series are again exact at
 every retained grade.
+
+Arithmetic runs on Python ints.  `dense` writes a series as a common
+denominator and one int per position of `lattice` (the origin, then
+`enumerate_cone` order), `convolve` sums products of two such int vectors
+over the per-grade convolution table `lattice.convolution_layer`, and
+`from_dense` turns the result back into `Fraction` coefficients once.  That
+one kernel serves `multiply`, `diffop.bracket`, the grade-by-grade solver
+behind `sqrt_monic` and `divide_exact`, and their re-expansion checks.
+Ranks and relation spaces use fraction-free Bareiss elimination (Bareiss,
+Math. Comp. 22, 1968) on integer rows.
 """
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .lattice import ZERO, enumerate_cone, decompositions, grade, index_key, is_positive
+from .lattice import (ZERO, convolution_layer, enumerate_cone, grade, index_key,
+                      is_positive, layer_positions, position_count)
 
 
 class FourierSeries:
@@ -102,23 +115,51 @@ def linear_combine(terms):
     return FourierSeries(weight, prec, out)
 
 
+def dense(f, X):
+    """f's coefficients of grade <= X as (den, vec): a positive common
+    denominator and one int numerator per position of grade <= X (zero
+    padded when X exceeds f.prec)."""
+    return _extend(1, [0] * position_count(X),
+                   {e: v for e, v in f.coeffs.items() if grade(e) <= X})
+
+
+def _extend(den, vec, coeffs):
+    """Write the Fraction coefficients into the dense vector (den, vec),
+    raising the common denominator (and rescaling vec) as needed."""
+    new = lcm(den, *(v.denominator for v in coeffs.values()))
+    if new != den:
+        scale = new // den
+        vec = [v * scale for v in vec]
+    for eta, v in coeffs.items():
+        vec[layer_positions(grade(eta))[eta]] = v.numerator * (new // v.denominator)
+    return new, vec
+
+
+def convolve(F, G, lo, hi):
+    """Integer convolution of the dense vectors F and G at every position of
+    grade lo..hi, in position order."""
+    out = []
+    for x in range(lo, hi + 1):
+        for A, B in convolution_layer(x):
+            out.append(sum(map(mul, map(F.__getitem__, A), map(G.__getitem__, B))))
+    return out
+
+
+def from_dense(weight, X, den, vec):
+    """The series of weight `weight` and precision X whose coefficient at the
+    n-th position is vec[n] / den."""
+    idx = (ZERO,) + enumerate_cone(X)
+    return FourierSeries(weight, X, {eta: Fraction(v, den)
+                                     for eta, v in zip(idx, vec) if v})
+
+
 def multiply(f, g):
     """Convolution product; the coefficient at eta is the sum of
     C_f(a) * C_g(b) over all decompositions a + b = eta."""
-    prec = min(f.prec, g.prec)
-    cf, cg = f.coeffs, g.coeffs
-    out = {}
-    for eta in (ZERO,) + enumerate_cone(prec):
-        acc = 0
-        for a, b in decompositions(eta):
-            va = cf.get(a)
-            if va:
-                vb = cg.get(b)
-                if vb:
-                    acc += va * vb
-        if acc:
-            out[eta] = acc
-    return FourierSeries(f.weight + g.weight, prec, out)
+    X = min(f.prec, g.prec)
+    df, F = dense(f, X)
+    dg, G = (df, F) if g is f else dense(g, X)
+    return from_dense(f.weight + g.weight, X, df * dg, convolve(F, G, 0, X))
 
 
 def power(f, n):
@@ -132,44 +173,44 @@ def power(f, n):
     return r
 
 
-def _slices(coeffs):
-    """Split a coefficient dict into per-grade dicts."""
-    out = {}
-    for eta, v in coeffs.items():
-        out.setdefault(grade(eta), {})[eta] = v
-    return out
+def _solve_slices(g, lead, pivot, first, h, partner, what):
+    """Complete the dense series h = (den, vec) grade by grade, from grade
+    `first` of g on, so that partner * h agrees with g; partner None means h
+    itself (a square root).
+
+    The new slice of h enters the grade-n slice of partner * h only as
+    `pivot` times that slice shifted by lead (pivot is the divisor's lead
+    coefficient, or 2 * sign for a square root).  The rest, the cross terms,
+    is the kernel's grade-n convolution of partner with the part of h known
+    so far, because the new slice is still zero there.  A residual off
+    lead + cone raises.
+    """
+    hden, hvec = h
+    for n in range(first, g.prec + 1):
+        pden, pvec = (hden, hvec) if partner is None else partner
+        den = pden * hden
+        new = {}
+        for (eta, _), c in zip(layer_positions(n).items(), convolve(pvec, hvec, n, n)):
+            r = g.coeffs.get(eta, 0)
+            if c:
+                r -= Fraction(c, den)
+            if r:
+                ep = (eta[0] - lead[0], eta[1] - lead[1], eta[2] - lead[2])
+                if not (ep == ZERO or is_positive(ep)):
+                    raise ValueError("%s: residual at %r lies outside lead + cone"
+                                     % (what, eta))
+                new[ep] = r / pivot
+        hden, hvec = _extend(hden, hvec, new)
+    return hden, hvec
 
 
-def _conv_slices(s1, s2):
-    out = {}
-    for a, va in s1.items():
-        for b, vb in s2.items():
-            eta = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-            out[eta] = out.get(eta, 0) + va * vb
-    return {e: v for e, v in out.items() if v}
-
-
-def _add_into(acc, d, sc=1):
-    for eta, v in d.items():
-        w = acc.get(eta, 0) + sc * v
-        if w:
-            acc[eta] = w
-        else:
-            acc.pop(eta, None)
-
-
-def _conv_bounded(cf, cg, X):
-    """Support-by-support convolution keeping only closed-cone indices of
-    grade <= X (used for a-posteriori verification of roots and quotients)."""
-    out = {}
-    for a, va in cf.items():
-        if grade(a) > X:
-            continue
-        for b, vb in cg.items():
-            eta = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-            if grade(eta) <= X and (eta == ZERO or is_positive(eta)):
-                out[eta] = out.get(eta, 0) + va * vb
-    return {e: v for e, v in out.items() if v}
+def _check_product(F, G, den, g, what):
+    """Raise unless the dense product F * G / den equals g at every grade
+    <= g.prec (factors are zero padded to that grade)."""
+    gden, gvec = dense(g, g.prec)
+    if any(c * gden != v * den
+           for c, v in zip(convolve(F, G, 0, g.prec), gvec)):
+        raise ValueError(what)
 
 
 def sqrt_monic(g, lead, sign):
@@ -188,37 +229,16 @@ def sqrt_monic(g, lead, sign):
     if not is_positive(lead):
         raise ValueError("leading index must be positive")
     g0 = grade(lead)
-    S = _slices(g.coeffs)
-    for n in range(0, 2 * g0):
-        if n in S:
-            raise ValueError("not a square: support below twice the leading grade")
+    if any(grade(e) < 2 * g0 for e in g.coeffs):
+        raise ValueError("not a square: support below twice the leading grade")
     lead2 = (2 * lead[0], 2 * lead[1], 2 * lead[2])
-    if S.get(2 * g0) != {lead2: Fraction(1)}:
+    if {e: v for e, v in g.coeffs.items() if grade(e) == 2 * g0} != {lead2: 1}:
         raise ValueError("leading slice is not a unit concentrated at 2*lead")
-    H = {g0: {lead: Fraction(sign)}}
-    for n in range(2 * g0 + 1, g.prec + 1):
-        m = n - g0  # grade of the new slice of h
-        r = dict(S.get(n, {}))
-        for m1 in range(g0 + 1, n // 2 + 1):
-            m2 = n - m1
-            if m2 >= m or m1 not in H or m2 not in H:
-                continue
-            _add_into(r, _conv_slices(H[m1], H[m2]), -(2 if m1 != m2 else 1))
-        hm = {}
-        for eta, v in r.items():
-            ep = (eta[0] - lead[0], eta[1] - lead[1], eta[2] - lead[2])
-            if not (is_positive(ep) and grade(ep) == m):
-                raise ValueError("not a square: residual at %r lies outside "
-                                 "lead + cone" % (eta,))
-            hm[ep] = v / (2 * sign)
-        if hm:
-            H[m] = hm
-    ch = {}
-    for sl in H.values():
-        ch.update(sl)
-    if _conv_bounded(ch, ch, g.prec) != g.coeffs:
-        raise ValueError("not a square: re-expansion residual is nonzero")
-    return FourierSeries(g.weight // 2, g.prec - g0, ch)
+    h = _extend(1, [0] * position_count(g.prec), {lead: Fraction(sign)})
+    hden, hvec = _solve_slices(g, lead, 2 * sign, 2 * g0 + 1, h, None, "not a square")
+    _check_product(hvec, hvec, hden * hden, g,
+                   "not a square: re-expansion residual is nonzero")
+    return from_dense(g.weight // 2, g.prec - g0, hden, hvec)
 
 
 def divide_exact(g, b, lead):
@@ -232,74 +252,52 @@ def divide_exact(g, b, lead):
     if b.prec < g.prec:
         raise ValueError("divisor must carry at least the dividend's precision")
     g0 = grade(lead)
-    B = _slices(b.coeffs)
-    for n in range(0, g0):
-        if n in B:
-            raise ValueError("divisor has support below its leading grade")
-    beta = B.get(g0, {}).get(lead)
-    if not beta or list(B[g0]) != [lead]:
+    if any(grade(e) < g0 for e in b.coeffs):
+        raise ValueError("divisor has support below its leading grade")
+    if [e for e in b.coeffs if grade(e) == g0] != [lead]:
         raise ValueError("divisor leading slice is not concentrated at %r" % (lead,))
-    S = _slices(g.coeffs)
-    for n in range(0, g0):
-        if n in S:
-            raise ValueError("not divisible: dividend support below the leading grade")
-    H = {}
-    maxb = max(B)
-    for n in range(g0, g.prec + 1):
-        m = n - g0
-        r = dict(S.get(n, {}))
-        for j in range(g0 + 1, min(n, maxb) + 1):
-            mp = n - j
-            if mp >= m or j not in B or mp not in H:
-                continue
-            _add_into(r, _conv_slices(B[j], H[mp]), -1)
-        hm = {}
-        for eta, v in r.items():
-            ep = (eta[0] - lead[0], eta[1] - lead[1], eta[2] - lead[2])
-            if not ((ep == ZERO or is_positive(ep)) and grade(ep) == m):
-                raise ValueError("not divisible at %r" % (eta,))
-            hm[ep] = v / beta
-        if hm:
-            H[m] = hm
-    ch = {}
-    for sl in H.values():
-        ch.update(sl)
-    if _conv_bounded(b.coeffs, ch, g.prec) != g.coeffs:
-        raise ValueError("not divisible: re-multiplication residual is nonzero")
-    return FourierSeries(g.weight - b.weight, g.prec - g0, ch)
+    if any(grade(e) < g0 for e in g.coeffs):
+        raise ValueError("not divisible: dividend support below the leading grade")
+    bden, bvec = dense(b, g.prec)
+    h = (1, [0] * len(bvec))
+    hden, hvec = _solve_slices(g, lead, b.coeffs[lead], g0, h, (bden, bvec),
+                               "not divisible")
+    _check_product(bvec, hvec, bden * hden, g,
+                   "not divisible: re-multiplication residual is nonzero")
+    return from_dense(g.weight - b.weight, g.prec - g0, hden, hvec)
 
 
-def _coefficient_rows(forms):
+def _check_shared(forms):
     if len({s.weight for s in forms}) > 1:
         raise ValueError("forms must share one weight")
     if len({s.prec for s in forms}) > 1:
         raise ValueError("forms must share one precision")
-    idx = (ZERO,) + enumerate_cone(forms[0].prec)
-    return [[s.coeffs.get(eta, Fraction(0)) for eta in idx] for s in forms]
 
 
-def _eliminate(rows, ncols):
-    """In-place Gauss-Jordan over the rationals; returns the pivot columns."""
+def _bareiss(rows, ncols):
+    """In-place fraction-free elimination (Bareiss 1968) of integer rows to
+    echelon form; returns the pivot columns, pivot r in row r.
+
+    Every entry stays an integer: after k pivots each remaining entry is a
+    (k+1)-minor of the input, so the division by the previous pivot is exact.
+    """
     pivots = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                sel = i
-                break
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                fac = rows[i][c]
-                rows[i] = [v - fac * w for v, w in zip(rows[i], rows[r])]
+        piv = rows[r][c:]
+        p = piv[0]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], piv)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
     return pivots
 
@@ -309,23 +307,30 @@ def rank_of_span(forms):
     by exact elimination on their coefficient vectors."""
     if not forms:
         return 0
-    rows = _coefficient_rows(forms)
-    return len(_eliminate(rows, len(rows[0])))
+    _check_shared(forms)
+    rows = [dense(s, s.prec)[1] for s in forms]
+    return len(_bareiss(rows, len(rows[0])))
 
 
 def relation_nullspace(forms):
     """Basis of all rational vectors v with sum(v_i * forms_i) = 0 to the
-    shared precision."""
-    cols = _coefficient_rows(forms)
+    shared precision: one vector per free column, 1 there and 0 at the
+    other free columns."""
+    _check_shared(forms)
     nf = len(forms)
-    rows = [[cols[j][i] for j in range(nf)] for i in range(len(cols[0]))]
-    pivots = _eliminate(rows, nf)
-    free = [c for c in range(nf) if c not in pivots]
+    rows = []
+    for eta in (ZERO,) + enumerate_cone(forms[0].prec):
+        row = [s.coeffs.get(eta, Fraction(0)) for s in forms]
+        if any(row):
+            den = lcm(*(v.denominator for v in row))
+            rows.append([v.numerator * (den // v.denominator) for v in row])
+    pivots = _bareiss(rows, nf)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(nf) if c not in pivots):
         v = [Fraction(0)] * nf
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for r in reversed(range(len(pivots))):
+            pc = pivots[r]
+            v[pc] = -sum(rows[r][j] * v[j] for j in range(pc + 1, nf)) / rows[r][pc]
         basis.append(tuple(v))
     return basis

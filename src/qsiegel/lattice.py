@@ -6,7 +6,16 @@ decompositions (convolution support), and the quadratic-field invariants
 The "grade" of an index is its x-coordinate.  It is additive under index
 addition and zero only at the origin, which is what makes it the right
 truncation parameter for series products.
+
+Positions number the indices of grade <= X as (ZERO,) + enumerate_cone(X);
+the numbering for X is a prefix of the one for any X' > X, so a position never
+depends on the truncation.  The convolution table of grade x lists, for each
+index eta of that grade, the positions (i, j) of every decomposition a + b =
+eta as two compact unsigned-short arrays; `fourier`'s integer kernel sums
+over it.  Positions fit an unsigned short through grade 82; a deeper table
+raises OverflowError.
 """
+from array import array
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
@@ -56,7 +65,9 @@ def layer(x):
         ylo = -((ty - x) // 5)
         for y in range(ylo, (x + ty) // 5 + 1):
             eta = (x, y, z)
-            assert is_positive(eta), eta
+            if not is_positive(eta):
+                raise ValueError("layer scan produced the non-positive index %r"
+                                 % (eta,))
             pts.append(eta)
     pts.sort(key=index_key)
     return tuple(pts)
@@ -83,6 +94,46 @@ def decompositions(eta):
             if is_positive(b):
                 out.append((a, b))
     return tuple(out)
+
+
+def position_count(X):
+    """Number of positions of grade <= X."""
+    return 1 + len(enumerate_cone(X))
+
+
+@lru_cache(maxsize=None)
+def layer_positions(x):
+    """{eta: position} for the indices of grade x (x = 0 is the origin)."""
+    if x == 0:
+        return {ZERO: 0}
+    start = position_count(x - 1)
+    return {eta: start + i for i, eta in enumerate(layer(x))}
+
+
+@lru_cache(maxsize=None)
+def convolution_layer(x):
+    """For each index eta of grade x, in position order, a pair (A, B) of
+    position arrays with position A[n] + position B[n] = eta over all
+    decompositions of eta.
+
+    Built pair by pair from the layers below: the cone is convex, so the sum
+    of two positive indices is positive and every pair of grades x1 + x2 = x
+    lands on a target.
+    """
+    if x == 0:
+        return ((array("H", [0]), array("H", [0])),)
+    pos = layer_positions(x)
+    start = position_count(x - 1)
+    A = [[0, t] for t in pos.values()]
+    B = [[t, 0] for t in pos.values()]
+    for x1 in range(1, x):
+        right = layer_positions(x - x1).items()
+        for a, i in layer_positions(x1).items():
+            for b, j in right:
+                t = pos[(a[0] + b[0], a[1] + b[1], a[2] + b[2])] - start
+                A[t].append(i)
+                B[t].append(j)
+    return tuple((array("H", a), array("H", b)) for a, b in zip(A, B))
 
 
 def quad_invariants(eta):

@@ -1,0 +1,135 @@
+"""Reference implementations the integer kernels are checked against.
+
+These are the straightforward `Fraction` versions of the library's exact
+arithmetic: the product as a sum over `decompositions`, the bracket as the
+4-fold sum of 4x4 determinants, rank and relation space by Gauss-Jordan
+elimination, and generalized Bernoulli numbers as a sum of Bernoulli
+polynomial values over the residues.  They are slow and obviously correct;
+tests compare the library with them on random inputs.
+"""
+from fractions import Fraction
+
+from qsiegel.exactnum import (bernoulli_poly_value, is_fundamental_discriminant,
+                              kronecker_symbol)
+from qsiegel.fourier import FourierSeries
+from qsiegel.lattice import ZERO, decompositions, enumerate_cone
+
+
+def multiply(f, g):
+    """Convolution product; the coefficient at eta is the sum of
+    C_f(a) * C_g(b) over all decompositions a + b = eta."""
+    prec = min(f.prec, g.prec)
+    cf, cg = f.coeffs, g.coeffs
+    out = {}
+    for eta in (ZERO,) + enumerate_cone(prec):
+        acc = 0
+        for a, b in decompositions(eta):
+            va = cf.get(a)
+            if va:
+                vb = cg.get(b)
+                if vb:
+                    acc += va * vb
+        if acc:
+            out[eta] = acc
+    return FourierSeries(f.weight + g.weight, prec, out)
+
+
+def _det3(u, v, w):
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - v[0] * (u[1] * w[2] - u[2] * w[1])
+            + w[0] * (u[1] * v[2] - u[2] * v[1]))
+
+
+def bracket(f1, f2, f3, f4):
+    """Determinant bracket as the sum over 4-part decompositions of the
+    target, each term weighted by the 4x4 determinant with rows (k1..k4),
+    (x1..x4), (y1..y4), (z1..z4), expanded along the weight row."""
+    fs = (f1, f2, f3, f4)
+    ks = tuple(f.weight for f in fs)
+    X = min(f.prec for f in fs)
+    cs = tuple(f.coeffs for f in fs)
+    out = {}
+    for eta in enumerate_cone(X):
+        acc = 0
+        for u, v in decompositions(eta):
+            for e1, e2 in decompositions(u):
+                c1 = cs[0].get(e1)
+                c2 = cs[1].get(e2)
+                if not c1 or not c2:
+                    continue
+                for e3, e4 in decompositions(v):
+                    c3 = cs[2].get(e3)
+                    c4 = cs[3].get(e4)
+                    if not c3 or not c4:
+                        continue
+                    d = (ks[0] * _det3(e2, e3, e4) - ks[1] * _det3(e1, e3, e4)
+                         + ks[2] * _det3(e1, e2, e4) - ks[3] * _det3(e1, e2, e3))
+                    acc += c1 * c2 * c3 * c4 * d
+        if acc:
+            out[eta] = acc
+    return FourierSeries(sum(ks) + 3, X, out)
+
+
+def _coefficient_rows(forms):
+    idx = (ZERO,) + enumerate_cone(forms[0].prec)
+    return [[s.coeffs.get(eta, Fraction(0)) for eta in idx] for s in forms]
+
+
+def eliminate(rows, ncols):
+    """In-place Gauss-Jordan over the rationals; returns the pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                fac = rows[i][c]
+                rows[i] = [v - fac * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def rank_of_span(forms):
+    if not forms:
+        return 0
+    rows = _coefficient_rows(forms)
+    return len(eliminate(rows, len(rows[0])))
+
+
+def relation_nullspace(forms):
+    """Basis of the relation space from the reduced row echelon form: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    cols = _coefficient_rows(forms)
+    nf = len(forms)
+    rows = [[cols[j][i] for j in range(nf)] for i in range(len(cols[0]))]
+    pivots = eliminate(rows, nf)
+    basis = []
+    for fc in (c for c in range(nf) if c not in pivots):
+        v = [Fraction(0)] * nf
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def generalized_bernoulli(m, d):
+    """B_{m,chi} = |d|^(m-1) * sum_{a=1}^{|d|} chi(a) B_m(a/|d|)."""
+    if not is_fundamental_discriminant(d):
+        raise ValueError("%r is not a negative fundamental discriminant" % (d,))
+    D = abs(d)
+    chi = ((a, kronecker_symbol(d, a)) for a in range(1, D + 1))
+    return D ** (m - 1) * sum(c * bernoulli_poly_value(m, Fraction(a, D))
+                              for a, c in chi if c)

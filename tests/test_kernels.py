@@ -1,0 +1,153 @@
+"""Differential tests: the integer kernels against the Fraction oracles in
+oracles.py, on random sparse series, random rank-deficient matrices and every
+small discriminant."""
+from fractions import Fraction as Fr
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from qsiegel.diffop import bracket
+from qsiegel.exactnum import generalized_bernoulli, is_fundamental_discriminant
+from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine, multiply,
+                             rank_of_span, relation_nullspace, sqrt_monic)
+from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive
+
+rationals = st.builds(Fr, st.integers(-9, 9), st.integers(1, 6))
+LEADS = ((2, 0, -1), (2, 1, -1))
+
+
+@st.composite
+def series(draw, prec=None, weight=None, min_grade=0, max_size=6):
+    """A sparse series with rational coefficients on indices of grade >=
+    min_grade."""
+    prec = draw(st.integers(4, 6)) if prec is None else prec
+    weight = draw(st.integers(0, 6)) if weight is None else weight
+    idx = [e for e in (ZERO,) + enumerate_cone(prec) if grade(e) >= min_grade]
+    support = draw(st.sets(st.sampled_from(idx), max_size=max_size))
+    return FourierSeries(weight, prec, {e: draw(rationals) for e in support})
+
+
+def off_cone_targets(lead, lo, hi):
+    """Indices of grade lo..hi that are not lead plus a zero-or-positive
+    index: a nonzero residual there has no preimage."""
+    out = []
+    for eta in enumerate_cone(hi):
+        ep = (eta[0] - lead[0], eta[1] - lead[1], eta[2] - lead[2])
+        if grade(eta) >= lo and not (ep == ZERO or is_positive(ep)):
+            out.append(eta)
+    return out
+
+
+@given(series(), series())
+@settings(max_examples=60, deadline=None)
+def test_multiply_matches_oracle(f, g):
+    assert multiply(f, g) == oracles.multiply(f, g)
+    assert multiply(f, f) == oracles.multiply(f, f)
+
+
+@given(series(prec=5), series(prec=5), series(prec=6), series(prec=5))
+@settings(max_examples=30, deadline=None)
+def test_bracket_matches_oracle(f1, f2, f3, f4):
+    assert bracket(f1, f2, f3, f4) == oracles.bracket(f1, f2, f3, f4)
+
+
+def test_bracket_of_eisenstein_series_matches_oracle(gens12):
+    e2, e4, e6 = (s.truncate(7) for s in (gens12.e2, gens12.e4, gens12.e6))
+    chi = gens12.chi5a.truncate(7)
+    assert bracket(e2, e4, chi, e6) == oracles.bracket(e2, e4, chi, e6)
+
+
+@st.composite
+def monic_root(draw):
+    """(lead, sign, h) with h = sign at lead plus terms of higher grade."""
+    lead = draw(st.sampled_from(LEADS))
+    sign = draw(st.sampled_from((1, -1)))
+    rest = draw(series(prec=draw(st.integers(6, 8)), weight=4,
+                       min_grade=grade(lead) + 1))
+    coeffs = dict(rest.coeffs)
+    coeffs[lead] = Fr(sign)
+    return lead, sign, FourierSeries(4, rest.prec, coeffs)
+
+
+@given(monic_root())
+@settings(max_examples=40, deadline=None)
+def test_sqrt_of_square_recovers_root(case):
+    lead, sign, h = case
+    g = multiply(h, h)
+    assert sqrt_monic(g, lead, sign) == h.truncate(g.prec - grade(lead))
+
+
+@given(monic_root(), st.data(), rationals.filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_sqrt_rejects_perturbed_square(case, data, bump):
+    lead, sign, h = case
+    g = multiply(h, h)
+    eta = data.draw(st.sampled_from(
+        off_cone_targets(lead, 2 * grade(lead) + 1, g.prec)))
+    bad = linear_combine([(1, g), (bump, FourierSeries(g.weight, g.prec, {eta: 1}))])
+    with pytest.raises(ValueError):
+        sqrt_monic(bad, lead, sign)
+
+
+@st.composite
+def divisor_and_quotient(draw):
+    lead = draw(st.sampled_from(LEADS))
+    prec = draw(st.integers(5, 8))
+    rest = draw(series(prec=prec, weight=5, min_grade=grade(lead) + 1))
+    coeffs = dict(rest.coeffs)
+    coeffs[lead] = draw(rationals.filter(bool))
+    h = draw(series(prec=prec, weight=draw(st.integers(0, 6))))
+    return lead, FourierSeries(5, prec, coeffs), h
+
+
+@given(divisor_and_quotient())
+@settings(max_examples=40, deadline=None)
+def test_divide_of_product_recovers_quotient(case):
+    lead, b, h = case
+    g = multiply(b, h)
+    assert divide_exact(g, b, lead) == h.truncate(g.prec - grade(lead))
+
+
+@given(divisor_and_quotient(), st.data(), rationals.filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_divide_rejects_perturbed_product(case, data, bump):
+    lead, b, h = case
+    g = multiply(b, h)
+    eta = data.draw(st.sampled_from(off_cone_targets(lead, grade(lead), g.prec)))
+    bad = linear_combine([(1, g), (bump, FourierSeries(g.weight, g.prec, {eta: 1}))])
+    with pytest.raises(ValueError):
+        divide_exact(bad, b, lead)
+
+
+@st.composite
+def deficient_span(draw):
+    """Series that are rational combinations of fewer basis series than
+    there are rows, so their span is rank deficient."""
+    k = draw(st.integers(1, 4))
+    basis = [draw(series(prec=4, weight=0, max_size=8)) for _ in range(k)]
+    rows = []
+    for _ in range(draw(st.integers(k + 1, k + 4))):
+        rows.append(linear_combine([(draw(rationals), s) for s in basis]))
+    return rows
+
+
+@given(deficient_span())
+@settings(max_examples=60, deadline=None)
+def test_rank_and_nullspace_match_oracle(forms):
+    assert rank_of_span(forms) == oracles.rank_of_span(forms)
+    null = relation_nullspace(forms)
+    assert null == oracles.relation_nullspace(forms)
+    assert len(null) == len(forms) - rank_of_span(forms)
+    for v in null:
+        assert not linear_combine(list(zip(v, forms))).coeffs
+
+
+@pytest.mark.deep
+def test_generalized_bernoulli_matches_oracle():
+    discriminants = [d for d in range(-200, 0) if is_fundamental_discriminant(d)]
+    assert len(discriminants) == 62
+    for d in discriminants:
+        for m in range(21):
+            assert generalized_bernoulli(m, d) == oracles.generalized_bernoulli(m, d), (m, d)

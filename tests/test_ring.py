@@ -7,10 +7,11 @@ import pytest
 from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import FourierSeries, linear_combine, rank_of_span
 from qsiegel.lattice import grade
-from qsiegel.ring import (GeneratorSet, build_chi5, build_phi_forms,
+from qsiegel import ring
+from qsiegel.ring import (CHI5A_LEAD, GeneratorSet, build_chi5, build_phi_forms,
                           five_generator_exponents, monomial_basis,
                           monomial_exponents, verify_chi5_square_relations,
-                          verify_polynomial_relations)
+                          verify_polynomial_relations, verify_structure)
 
 ATTRS = ("e2", "e4", "e6", "e8", "e10", "phi2", "phi4", "phi6", "phi8",
          "phi10", "chi5a", "chi5b", "chi15", "chi15_companion",
@@ -123,3 +124,24 @@ def test_weight6_span(gens12):
     e2cubed = gens12.gen_power("e2", 3)
     e2e4 = gens12.monomial((1, 1, 0, 0, 0, 0))
     assert rank_of_span([e2cubed, e2e4, gens12.e6]) == 3
+
+
+def test_build_rejects_companion_mismatch(monkeypatch):
+    exact = ring.divide_exact
+
+    def perturbed(g, b, lead):
+        q = exact(g, b, lead)
+        if lead == CHI5A_LEAD:  # the companion quotient delta20b / chi5a
+            q = linear_combine([(1, q), (1, FourierSeries(q.weight, q.prec,
+                                                          {(4, 1, -2): 1}))])
+        return q
+
+    monkeypatch.setattr(ring, "divide_exact", perturbed)
+    with pytest.raises(ValueError, match="companion"):
+        GeneratorSet.build(6)
+
+
+def test_structure_at_prec_8_escalates_to_a_pass():
+    report = verify_structure(20, GeneratorSet.build(8))
+    assert report.augmentations["w20_five_generators"] == (26, 26)
+    assert report.ok
