@@ -32,5 +32,5 @@ print("normalizations:")
 print("   chi5a(2,0,-1) =", gens.chi5a.coeff((2, 0, -1)))
 print("   chi5b(2,1,-1) =", gens.chi5b.coeff((2, 1, -1)))
 print("   chi15(5,1,-2) =", gens.chi15.coeff((5, 1, -2)))
-print("   chi15 equals its companion quotient:",
-      gens.chi15 == gens.chi15_companion)
+print("   chi15 equals its companion quotient delta20b / chi5a: checked by build,"
+      " which raises if they differ")

@@ -2,8 +2,9 @@
 relations, span structure, and the dimension formula.
 
 Run after installing the package:  python3 demos/verify_everything.py
-(takes on the order of ten seconds)
+(takes a few seconds)
 """
+import sys
 import time
 
 from qsiegel.cli import verify_tables
@@ -20,7 +21,8 @@ print("[tables]     %d tabulated values, %d mismatches" % (checked, len(failures
 gens = GeneratorSet.build(PREC)
 print("[build]      all generators to grade %d  (%.1fs)" % (PREC, time.time() - t0))
 
-for rep in verify_chi5_square_relations(gens) + verify_polynomial_relations(gens):
+relations = verify_chi5_square_relations(gens) + verify_polynomial_relations(gens)
+for rep in relations:
     print("[relations]  %-26s %s" % (rep.name, "ok" if rep.ok else "FAIL"))
 
 structure = verify_structure(20, gens)
@@ -34,6 +36,7 @@ bad = [row for row in dims.rows if not row[4]]
 print("[dims]       dimension vs generating function, k <= 100: %d mismatches"
       % len(bad))
 
-ok = (not failures and structure.ok and dims.ok)
+ok = (not failures and all(rep.ok for rep in relations) and structure.ok and dims.ok)
 print("\neverything verified" if ok else "\nTHERE WERE FAILURES")
 print("total %.1fs" % (time.time() - t0))
+sys.exit(0 if ok else 1)

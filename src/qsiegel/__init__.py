@@ -12,8 +12,7 @@ from .fourier import (FourierSeries, divide_exact, from_function, linear_combine
                       multiply, one, power, rank_of_span, relation_nullspace,
                       sqrt_monic)
 from .lattice import enumerate_cone, grade, is_positive, layer, norm_m, quad_invariants
-from .ring import (GeneratorSet, build_chi5, build_chi15, build_phi_forms,
-                   monomial_basis, verify_chi5_square_relations,
+from .ring import (GeneratorSet, monomial_basis, verify_chi5_square_relations,
                    verify_polynomial_relations, verify_structure)
 
 __version__ = "0.1.0"

@@ -9,7 +9,13 @@ CSV: a leading comment line `# form=<id> weight=<w> prec=<X>`, a header
 with `coeff` as an exact `num/den` (or plain integer) string.  JSON carries
 the same fields as an object.  Cached records use the JSON form, one file per
 (form, precision), written atomically; a cached record at precision X serves
-any request up to X by truncation.
+any request up to X by truncation.  A record that does not parse, or whose
+form, weight or prec disagrees with its file name and form, is a miss: the
+form is recomputed and the record replaced.
+
+Forms are computed in batches: `expand` builds the GeneratorSet stage that
+makes the form (see ring.FORMS) and caches every member of it; `verify`
+builds, or reads back from the cache, the full set.
 """
 import argparse
 import json
@@ -19,18 +25,13 @@ import tempfile
 from fractions import Fraction
 
 from .dims import dim_cusp, dim_modular, dimension_report, _is_odd_prime
-from .fourier import FourierSeries, multiply, power
+from .fourier import FourierSeries
 from .lattice import grade, norm_m
-from .ring import (GeneratorSet, _eisenstein_family, _phi_from_eisenstein,
-                   build_chi5, verify_chi5_square_relations,
+from .ring import (FORMS, GeneratorSet, verify_chi5_square_relations,
                    verify_polynomial_relations, verify_structure)
 
 CACHE_ENV = "QSIEGEL_CACHE_DIR"
-EISENSTEIN_IDS = ("E2", "E4", "E6", "E8", "E10")
-PHI_IDS = ("phi2", "phi4", "phi6", "phi8", "phi10")
-CHI5_IDS = ("chi5a", "chi5b")
-DEEP_IDS = ("chi15", "delta20a", "delta20b")
-FORM_IDS = EISENSTEIN_IDS + PHI_IDS + CHI5_IDS + DEEP_IDS
+FORM_IDS = tuple(FORMS)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -84,20 +85,20 @@ def _cache_path(cache_dir, form, prec):
 
 
 def cache_store(cache_dir, form, s):
+    """Write the form's record atomically, replacing any record at its path."""
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, form, s.prec)
-    if os.path.exists(path):
-        return
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
         fh.write(emit_json(record_from_series(form, s)))
-    os.replace(tmp, path)
+    os.replace(tmp, _cache_path(cache_dir, form, s.prec))
 
 
 def cache_lookup(cache_dir, form, prec):
-    """Best cached series for the form at precision >= prec, truncated."""
+    """Best cached series for the form at precision >= prec, truncated; None
+    on a miss.  A record that does not parse, or whose form, weight or prec
+    disagrees with its file name and form, is a miss."""
     if not cache_dir or not os.path.isdir(cache_dir):
         return None
     best = None
@@ -112,63 +113,37 @@ def cache_lookup(cache_dir, form, prec):
                 best = p
     if best is None:
         return None
-    with open(_cache_path(cache_dir, form, best)) as fh:
-        return series_from_record(parse_json(fh.read())).truncate(prec)
+    try:
+        with open(_cache_path(cache_dir, form, best)) as fh:
+            rec = parse_json(fh.read())
+        if (rec["form"], rec["weight"], rec["prec"]) != (form, FORMS[form][1], best):
+            return None
+        return series_from_record(rec).truncate(prec)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
-def _compute_forms(form, prec):
-    """Compute a batch of series containing `form` at precision prec; batching
-    amortizes the construction over everything produced along the way."""
-    if form in EISENSTEIN_IDS or form in PHI_IDS:
-        E = _eisenstein_family(prec)
-        phis = _phi_from_eisenstein(E)
-        out = {name: E[int(name[1:])] for name in EISENSTEIN_IDS}
-        out.update(zip(PHI_IDS, phis))
-        return out
-    if form in CHI5_IDS:
-        chi5a, chi5b = build_chi5(prec)
-        return {"chi5a": chi5a, "chi5b": chi5b}
-    return GeneratorSet.build(prec).as_dict()
+def _build_and_store(prec, stage, cache_dir):
+    gens = GeneratorSet.build(prec, stage)
+    for form, s in gens.members().items():
+        cache_store(cache_dir, form, s)
+    return gens
 
 
 def get_series(form, prec, cache_dir):
     s = cache_lookup(cache_dir, form, prec)
     if s is not None:
         return s
-    computed = _compute_forms(form, prec)
-    for name, series in computed.items():
-        cache_store(cache_dir, name, series)
-    return computed[form]
-
-
-def _gens_from_cache(prec, cache_dir):
-    members = {}
-    for form in FORM_IDS:
-        s = cache_lookup(cache_dir, form, prec)
-        if s is None:
-            return None
-        members[form] = s
-    gens = GeneratorSet.__new__(GeneratorSet)
-    gens.prec = prec
-    for attr, form in (("e2", "E2"), ("e4", "E4"), ("e6", "E6"), ("e8", "E8"),
-                       ("e10", "E10")):
-        setattr(gens, attr, members[form])
-    for form in PHI_IDS + CHI5_IDS + DEEP_IDS:
-        setattr(gens, form, members[form])
-    gens.chi15_companion = None  # not reconstructible from records
-    gens._pow_cache = {}
-    gens._deeper = None
-    return gens
+    return _build_and_store(prec, FORMS[form][0], cache_dir).members()[form]
 
 
 def _get_gens(prec, cache_dir):
-    gens = _gens_from_cache(prec, cache_dir)
-    if gens is not None:
-        return gens
-    gens = GeneratorSet.build(prec)
-    for name, s in gens.as_dict().items():
-        cache_store(cache_dir, name, s)
-    return gens
+    forms = {}
+    for form in FORM_IDS:
+        forms[form] = cache_lookup(cache_dir, form, prec)
+        if forms[form] is None:
+            return _build_and_store(prec, "chi15", cache_dir)
+    return GeneratorSet.from_records(prec, forms)
 
 
 # ---------------------------------------------------------------- expand
@@ -194,15 +169,10 @@ def cmd_expand(args):
 
 # ---------------------------------------------------------------- verify
 
-def _monomial_from_descriptor(desc, forms):
-    """Expand a descriptor like 'phi2^2*phi4' over named base series."""
-    parts = desc.split("*")
-    result = None
-    for part in parts:
-        name, _, exp = part.partition("^")
-        s = power(forms[name], int(exp)) if exp else forms[name]
-        result = s if result is None else multiply(result, s)
-    return result
+def _descriptor_powers(desc):
+    """(form id, exponent) pairs of a fixture column like 'phi2^2*phi4'."""
+    return tuple((name, int(exp or 1))
+                 for name, _, exp in (part.partition("^") for part in desc.split("*")))
 
 
 def _load_fixture_tables():
@@ -224,12 +194,11 @@ def verify_tables(prec, cache_dir):
     every tabulated index of grade <= prec (explicit zeros included)."""
     failures = []
     checked = 0
-    base = {form: get_series(form, prec, cache_dir)
-            for form in ("E2", "E4", "E6", "chi5a", "chi5b", "chi15")}
-    phis = {form: get_series(form, prec, cache_dir) for form in PHI_IDS}
+    gens = _get_gens(prec, cache_dir)
+    members = gens.members()
     for kind, name, table in _load_fixture_tables():
         if kind == "csv":
-            s = base[table["form"]]
+            s = members[table["form"]]
             for x, y, z, _m, c in table["rows"]:
                 if x > prec:
                     continue
@@ -238,7 +207,7 @@ def verify_tables(prec, cache_dir):
                 if got != Fraction(c):
                     failures.append((name, (x, y, z), str(got), c))
         else:
-            cols = [_monomial_from_descriptor(d, phis) for d in table["columns"]]
+            cols = [gens.monomial(_descriptor_powers(d)) for d in table["columns"]]
             for row in table["rows"]:
                 eta = tuple(row["eta"])
                 if grade(eta) > prec:

@@ -1,22 +1,20 @@
 """Exact Fourier coefficients of the even-weight Eisenstein series via the
-explicit local-factor formula, instantiated for the group parameters
-(D1, D2) = (1, 6).
+explicit local-factor formula for the group parameters (D1, D2) = (1, 6).
 
 Each coefficient is a rational number
 
     C(eta) = sign * (4k * B_{k-1,chi_d} / (B_k * B_{2k-2}))
-             * prod_{p | D1} (1 - chi(p) p^(k-1))(1 - chi(p) p^(k-2)) / (p^(2k-2) - 1)
              * prod_{p | D2} 1 / (p^(k-1) - 1)
              * prod_p F_p(eta, k)
 
 with (a, d, f) = quad_invariants(eta), chi = kronecker_symbol(d, .), and
-F_p = 1 for every prime outside {p : p | a*f*D1*D2}, so the product is finite.
+F_p = 1 for every prime outside {p : p | a*f*D2}, so the product is finite.
+(With D1 = 1 the formula's factors at the primes dividing D1 are empty.)
 The global sign is calibrated once so that the weight-2 series has
 coefficient 48 at (2,1,-1); every other table value then serves as a check.
 """
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .exactnum import (bernoulli_number, generalized_bernoulli, kronecker_symbol,
                        p_valuation, prime_divisors)
@@ -24,41 +22,26 @@ from .fourier import from_function
 from .lattice import ZERO, is_positive, quad_invariants
 
 SIGN = -1
+D2 = 6
 
 
 class EisensteinParams:
-    """Weight and group parameters (k even >= 2; D2 squarefree, coprime to D1).
+    """The weight k (even, >= 2) of an Eisenstein series for (D1, D2) = (1, 6),
+    the only group parameters calibrated against reference tables."""
 
-    Only (D1, D2) = (1, 6) is calibrated against reference tables; other
-    parameter pairs evaluate the same formula but carry no guarantee.
-    """
+    __slots__ = ("k",)
 
-    __slots__ = ("k", "d1", "d2")
-
-    def __init__(self, k, d1=1, d2=6):
+    def __init__(self, k):
         if k < 2 or k % 2:
             raise ValueError("weight must be an even integer >= 2")
-        if gcd(d1, d2) != 1 or any(e > 1 for e in _factor_exponents(d2)):
-            raise ValueError("need D1, D2 coprime with D2 squarefree")
         self.k = k
-        self.d1 = d1
-        self.d2 = d2
-
-
-def _factor_exponents(n):
-    from .exactnum import factorize
-    return factorize(n).values() if n > 1 else ()
 
 
 @lru_cache(maxsize=None)
-def _prefactor(k, d, d1, d2):
+def _prefactor(k, d):
     pref = Fraction(4 * k) * generalized_bernoulli(k - 1, d) \
         / (bernoulli_number(k) * bernoulli_number(2 * k - 2))
-    for p in prime_divisors(d1):
-        c = kronecker_symbol(d, p)
-        pref *= Fraction((1 - c * p ** (k - 1)) * (1 - c * p ** (k - 2)),
-                         p ** (2 * k - 2) - 1)
-    for p in prime_divisors(d2):
+    for p in prime_divisors(D2):
         pref *= Fraction(1, p ** (k - 1) - 1)
     return pref
 
@@ -68,16 +51,13 @@ def eisenstein_coefficient(params, eta):
     handled by eisenstein_series)."""
     if not is_positive(eta):
         raise ValueError("eisenstein_coefficient needs a positive index")
-    k, d1, d2 = params.k, params.d1, params.d2
+    k = params.k
     a, d, f = quad_invariants(eta)
-    val = _prefactor(k, d, d1, d2)
-    for p in prime_divisors(a * f * d1 * d2):
+    val = _prefactor(k, d)
+    for p in prime_divisors(a * f * D2):
         ap = p_valuation(p, a)
         c = kronecker_symbol(d, p)
-        if d1 % p == 0:
-            Fp = sum(p ** ((2 * k - 3) * t) for t in range(ap + 1)) \
-                + (1 + c) * sum(p ** ((2 * k - 3) * t + k - 1) for t in range(ap))
-        elif d2 % p == 0:
+        if D2 % p == 0:
             Fp = sum(p ** ((2 * k - 3) * t) for t in range(ap + 1)) \
                 - c * sum(p ** ((2 * k - 3) * t + k - 2) for t in range(ap))
         else:

@@ -4,6 +4,13 @@ chi5a, chi5b obtained as formal square roots, and the weight-15 form chi15
 obtained as an exact bracket quotient — together with mechanical verification
 of the expansion tables, polynomial relations, and span dimensions they
 satisfy.
+
+`GeneratorSet.build(prec, upto)` runs the construction in three stages
+("phi", "chi5", "chi15"), each on top of the ones before it;
+`GeneratorSet.from_records` makes the same object from finished series (the
+CLI's cache path), and `GeneratorSet.monomial` is the one way to form a
+product of powers of its members.  The polynomial identities are data,
+(name, lhs_scale, lhs, [(coefficient, powers)]), checked by one function.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -11,8 +18,8 @@ from fractions import Fraction
 from .diffop import bracket
 from .dims import genfun_coeff
 from .eisenstein import EisensteinParams, eisenstein_series
-from .fourier import (FourierSeries, divide_exact, linear_combine, multiply, one,
-                      power, rank_of_span, sqrt_monic)
+from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
+                      sqrt_monic)
 from .lattice import index_key
 
 Report = namedtuple("Report", "name ok mismatches")
@@ -24,13 +31,32 @@ CHI5A_LEAD = (2, 0, -1)
 CHI5B_LEAD = (2, 1, -1)
 CHI15_UNIT_INDEX = (5, 1, -2)
 
-# E8 as a polynomial in E2, E4, E6: coefficients of E2^4, E2^2*E4, E2*E6, E4^2.
+# Form id -> (stage, weight), in output order.  GeneratorSet.build(prec,
+# upto=stage) makes the forms of that stage and of every stage before it.
+STAGES = ("phi", "chi5", "chi15")
+FORMS = {"E2": ("phi", 2), "E4": ("phi", 4), "E6": ("phi", 6), "E8": ("phi", 8),
+         "E10": ("phi", 10), "phi2": ("phi", 2), "phi4": ("phi", 4),
+         "phi6": ("phi", 6), "phi8": ("phi", 8), "phi10": ("phi", 10),
+         "chi5a": ("chi5", 5), "chi5b": ("chi5", 5), "chi15": ("chi15", 15),
+         "delta20a": ("chi15", 20), "delta20b": ("chi15", 20)}
+
+# Monomials are tuples of (form id, exponent) pairs.
+E8_MONOMIALS = ((("E2", 4),), (("E2", 2), ("E4", 1)), (("E2", 1), ("E6", 1)),
+                (("E4", 2),))
+W10_MONOMIALS = ((("E10", 1),), (("E2", 5),), (("E2", 3), ("E4", 1)),
+                 (("E2", 2), ("E6", 1)), (("E2", 1), ("E4", 2)),
+                 (("E4", 1), ("E6", 1)))
+# Exponent tuples of monomial_exponents and five_generator_exponents.
+SIX_GENERATORS = ("E2", "E4", "chi5a", "E6", "chi5b", "chi15")
+FIVE_GENERATORS = ("E2", "E4", "chi5a", "chi5b", "E6")
+
+# E8 as a polynomial in E2, E4, E6: coefficients of E8_MONOMIALS.
 E8_IN_LOWER = (Fraction(48860325, 18184241), Fraction(-107719950, 18184241),
                Fraction(26257000, 18184241), Fraction(387686, 138811))
 
-# chi5a^2 and chi5b^2 as combinations of E10, E2^5, E2^3*E4, E2^2*E6,
-# E2*E4^2, E4*E6 (the uniqueness-up-to-sign characterization of the two
-# weight-5 forms).
+# chi5a^2 and chi5b^2 as combinations of W10_MONOMIALS: E10, E2^5, E2^3*E4,
+# E2^2*E6, E2*E4^2, E4*E6 (the uniqueness-up-to-sign characterization of the
+# two weight-5 forms).
 CHI5A_SQ_EXPANSION = (
     Fraction(31513745731, 416023384089600),
     Fraction(-126433528597, 311423218947072),
@@ -58,8 +84,8 @@ CHI5_QUINTIC = (Fraction(5005, 8149248), Fraction(-15587, 16298496),
 # E2, E4, E6, chi5a: entries (coefficient, a, b, c, e) standing for
 # coefficient * E2^a * E4^b * E6^c * chi5a^e.  As tabulated, the right-hand
 # side equals CHI15_SQ_SCALE * chi15^2, not chi15^2 itself; dividing every
-# coefficient by CHI15_SQ_SCALE gives the unique exact identity (see
-# verify_polynomial_relations, which checks both statements).
+# coefficient by CHI15_SQ_SCALE gives the unique exact identity (_relations
+# states both).
 CHI15_SQ_TABULATED = (
     (Fraction(7193626131746618585, 222607917767232721152), 15, 0, 0, 0),
     (Fraction(-307986483294442487, 1426973831841235392), 13, 1, 0, 0),
@@ -113,107 +139,104 @@ CHI15_SQ_TABULATED = (
 CHI15_SQ_SCALE = Fraction(13118072684544, 19651489)
 
 
-def _eisenstein_family(prec):
-    return {k: eisenstein_series(EisensteinParams(k), prec) for k in (2, 4, 6, 8, 10)}
-
-
-def _phi_from_eisenstein(E):
-    phi2 = E[2]
-    phi4 = linear_combine([(Fraction(-13, 288), E[4]),
-                           (Fraction(13, 288), power(phi2, 2))])
-    phi6 = linear_combine([(Fraction(-341, 113184), E[6]),
-                           (Fraction(341, 113184), power(phi2, 3)),
-                           (Fraction(-109, 262), multiply(phi2, phi4))])
-    phi8 = linear_combine([(Fraction(138811), E[8])])
-    phi10 = linear_combine([
-        (Fraction(31513745731, 416023384089600),
-         linear_combine([(1, E[10]), (-1, power(phi2, 5))])),
-        (Fraction(52522796831, 2889051278400), multiply(power(phi2, 3), phi4)),
-        (Fraction(21884309761, 481508546400), multiply(power(phi2, 2), phi6)),
-        (Fraction(-829232949, 1671904675), multiply(phi2, power(phi4, 2))),
-        (Fraction(318067693, 1671904675), multiply(phi4, phi6)),
-    ])
-    return phi2, phi4, phi6, phi8, phi10
-
-
-def build_phi_forms(prec):
-    """The renormalized generators phi2, phi4, phi6, phi8, phi10 at the given
-    precision."""
-    if prec < 4:
-        raise ValueError("need prec >= 4")
-    return _phi_from_eisenstein(_eisenstein_family(prec))
-
-
-def _chi5_squares(phi2, phi4, phi6, phi10):
-    sq_a = linear_combine([(1, phi10), (-1, multiply(phi4, phi6))])
-    sq_b = linear_combine([(1, multiply(phi2, power(phi4, 2))),
-                           (1, multiply(phi4, phi6)), (1, phi10)])
-    return sq_a, sq_b
-
-
-def build_chi5(prec):
-    """The two weight-5 cusp forms at the given precision, as the formal
-    square roots of phi10 - phi4*phi6 and phi2*phi4^2 + phi4*phi6 + phi10
-    with unit leading coefficients at (2,0,-1) and (2,1,-1)."""
-    phi2, phi4, phi6, _, phi10 = build_phi_forms(prec + 2)
-    sq_a, sq_b = _chi5_squares(phi2, phi4, phi6, phi10)
-    chi5a = sqrt_monic(sq_a, CHI5A_LEAD, 1)
-    chi5b = sqrt_monic(sq_b, CHI5B_LEAD, 1)
-    return chi5a, chi5b
+def _stage_forms(stage):
+    """Form ids of the members of a set built up to `stage`."""
+    last = STAGES.index(stage)
+    return tuple(f for f, (st, _) in FORMS.items() if STAGES.index(st) <= last)
 
 
 class GeneratorSet:
-    """All constructed forms at one common precision.
+    """Constructed forms at one common precision, up to one stage.
 
-    Build order: Eisenstein series (grade prec+4) -> phi forms -> chi5a/chi5b
-    as formal square roots (prec+2) -> the weight-20 brackets delta20a,
-    delta20b (prec+2) -> chi15 as the exact quotient delta20a / chi5b,
-    rescaled to have coefficient 1 at (5,1,-2) (prec).  Everything is then
-    truncated to the common precision.
+    GeneratorSet.build(prec, upto) runs the stages in order, each computing
+    the Eisenstein layer 2 grades deeper than the one before, so that every
+    member comes out exact at prec:
 
-    chi15_companion is the independently normalized quotient
-    delta20b / chi5a; build raises ValueError unless it equals chi15 exactly.
+    - "phi": Eisenstein series E2..E10 (grade prec) -> phi2..phi10;
+    - "chi5": the same from grade prec+2 -> chi5a/chi5b as formal square
+      roots of phi10 - phi4*phi6 and phi2*phi4^2 + phi4*phi6 + phi10, with
+      unit leading coefficients at (2,0,-1) and (2,1,-1);
+    - "chi15": the same from grade prec+4 -> the weight-20 brackets delta20a,
+      delta20b (prec+2) -> chi15 as the exact quotient delta20a / chi5b,
+      rescaled to have coefficient 1 at (5,1,-2).  The companion quotient
+      delta20b / chi5a, normalized the same way, is computed independently
+      and build raises ValueError unless it equals chi15 exactly.
+
+    Each member is the attribute named by its form id in lower case.
     """
 
-    __slots__ = ("prec", "e2", "e4", "e6", "e8", "e10",
-                 "phi2", "phi4", "phi6", "phi8", "phi10",
-                 "chi5a", "chi5b", "chi15", "chi15_companion",
-                 "delta20a", "delta20b", "_pow_cache", "_deeper")
+    __slots__ = ("prec", "stage", "_pow_cache", "_deeper") + tuple(
+        form.lower() for form in FORMS)
 
     @classmethod
-    def build(cls, prec):
-        if prec < 5:
+    def build(cls, prec, upto="chi15"):
+        if upto not in STAGES:
+            raise ValueError("unknown stage %r; known: %s" % (upto, " ".join(STAGES)))
+        if upto == "chi15" and prec < 5:
             raise ValueError("need prec >= 5 (below that chi15 has no rows)")
+        if prec < 4:
+            raise ValueError("need prec >= 4")
+        X = prec + 2 * STAGES.index(upto)
+        E = {k: eisenstein_series(EisensteinParams(k), X) for k in (2, 4, 6, 8, 10)}
+        phi2 = E[2]
+        phi2_2 = multiply(phi2, phi2)
+        phi2_3 = multiply(phi2_2, phi2)
+        phi4 = linear_combine([(Fraction(-13, 288), E[4]), (Fraction(13, 288), phi2_2)])
+        phi6 = linear_combine([(Fraction(-341, 113184), E[6]),
+                               (Fraction(341, 113184), phi2_3),
+                               (Fraction(-109, 262), multiply(phi2, phi4))])
+        phi4_phi6 = multiply(phi4, phi6)
+        phi2_phi4_2 = multiply(phi2, multiply(phi4, phi4))
+        c10 = Fraction(31513745731, 416023384089600)
+        phi10 = linear_combine([
+            (c10, E[10]), (-c10, multiply(phi2_3, phi2_2)),
+            (Fraction(52522796831, 2889051278400), multiply(phi2_3, phi4)),
+            (Fraction(21884309761, 481508546400), multiply(phi2_2, phi6)),
+            (Fraction(-829232949, 1671904675), phi2_phi4_2),
+            (Fraction(318067693, 1671904675), phi4_phi6),
+        ])
+        forms = {"E%d" % k: s for k, s in E.items()}
+        forms.update(phi2=phi2, phi4=phi4, phi6=phi6, phi10=phi10,
+                     phi8=linear_combine([(Fraction(138811), E[8])]))
+        if upto != "phi":
+            chi5a = forms["chi5a"] = sqrt_monic(
+                linear_combine([(1, phi10), (-1, phi4_phi6)]), CHI5A_LEAD, 1)
+            chi5b = forms["chi5b"] = sqrt_monic(
+                linear_combine([(1, phi2_phi4_2), (1, phi4_phi6), (1, phi10)]),
+                CHI5B_LEAD, 1)
+        if upto == "chi15":  # chi5a, chi5b at prec + 2
+            e2, e4, e6 = (E[k].truncate(prec + 2) for k in (2, 4, 6))
+            delta20a = forms["delta20a"] = bracket(e2, e4, chi5a, e6)  # prec + 2
+            delta20b = forms["delta20b"] = bracket(e2, e4, chi5b, e6)
+            q_a = divide_exact(delta20a, chi5b, CHI5B_LEAD)  # prec
+            q_b = divide_exact(delta20b, chi5a, CHI5A_LEAD)
+            unit_a = q_a.coeff(CHI15_UNIT_INDEX)
+            unit_b = q_b.coeff(CHI15_UNIT_INDEX)
+            if not unit_a or not unit_b:
+                raise ValueError("bracket quotient vanishes at the unit index")
+            forms["chi15"] = linear_combine([(1 / unit_a, q_a)])
+            if forms["chi15"] != linear_combine([(1 / unit_b, q_b)]):
+                raise ValueError("chi15 differs from its companion quotient "
+                                 "delta20b / chi5a")
+        return cls.from_records(prec, {f: s.truncate(prec) for f, s in forms.items()})
+
+    @classmethod
+    def from_records(cls, prec, forms):
+        """The set whose members are the given {form id: series}.  Raises
+        ValueError unless the ids are exactly the members of one stage and
+        every series has its form's weight and precision prec."""
+        stage = next((st for st in STAGES if set(forms) == set(_stage_forms(st))), None)
+        if stage is None:
+            raise ValueError("forms %s are not the members of one stage"
+                             % " ".join(sorted(forms)))
         self = cls.__new__(cls)
-        self.prec = prec
-        E = _eisenstein_family(prec + 4)
-        phis = _phi_from_eisenstein(E)
-        phi2, phi4, phi6, phi8, phi10 = phis
-        sq_a, sq_b = _chi5_squares(phi2, phi4, phi6, phi10)
-        chi5a = sqrt_monic(sq_a, CHI5A_LEAD, 1)   # prec + 2
-        chi5b = sqrt_monic(sq_b, CHI5B_LEAD, 1)
-        e2t = E[2].truncate(prec + 2)
-        e4t = E[4].truncate(prec + 2)
-        e6t = E[6].truncate(prec + 2)
-        delta20a = bracket(e2t, e4t, chi5a, e6t)  # prec + 2
-        delta20b = bracket(e2t, e4t, chi5b, e6t)
-        q_a = divide_exact(delta20a, chi5b, CHI5B_LEAD)  # prec
-        q_b = divide_exact(delta20b, chi5a, CHI5A_LEAD)
-        unit_a = q_a.coeff(CHI15_UNIT_INDEX)
-        unit_b = q_b.coeff(CHI15_UNIT_INDEX)
-        if not unit_a or not unit_b:
-            raise ValueError("bracket quotient vanishes at the unit index")
-        self.chi15 = linear_combine([(1 / unit_a, q_a)])
-        self.chi15_companion = linear_combine([(1 / unit_b, q_b)])
-        if self.chi15 != self.chi15_companion:
-            raise ValueError("chi15 differs from its companion quotient "
-                             "delta20b / chi5a")
-        self.e2, self.e4, self.e6 = (E[k].truncate(prec) for k in (2, 4, 6))
-        self.e8, self.e10 = E[8].truncate(prec), E[10].truncate(prec)
-        self.phi2, self.phi4, self.phi6, self.phi8, self.phi10 = (
-            s.truncate(prec) for s in phis)
-        self.chi5a, self.chi5b = chi5a.truncate(prec), chi5b.truncate(prec)
-        self.delta20a, self.delta20b = delta20a.truncate(prec), delta20b.truncate(prec)
+        self.prec, self.stage = prec, stage
+        for form, s in forms.items():
+            if (s.weight, s.prec) != (FORMS[form][1], prec):
+                raise ValueError("%s has weight %d at prec %d, want weight %d "
+                                 "at prec %d" % (form, s.weight, s.prec,
+                                                 FORMS[form][1], prec))
+            setattr(self, form.lower(), s)
         self._pow_cache = {}
         self._deeper = None
         return self
@@ -222,69 +245,73 @@ class GeneratorSet:
         """The generator set two grades deeper, built at most once per set, so
         a chain of escalations builds each precision once."""
         if self._deeper is None:
-            self._deeper = GeneratorSet.build(self.prec + 2)
+            self._deeper = GeneratorSet.build(self.prec + 2, self.stage)
         return self._deeper
 
-    def as_dict(self):
-        return {"E2": self.e2, "E4": self.e4, "E6": self.e6, "E8": self.e8,
-                "E10": self.e10, "phi2": self.phi2, "phi4": self.phi4,
-                "phi6": self.phi6, "phi8": self.phi8, "phi10": self.phi10,
-                "chi5a": self.chi5a, "chi5b": self.chi5b, "chi15": self.chi15,
-                "delta20a": self.delta20a, "delta20b": self.delta20b}
+    def members(self):
+        """{form id: series} of every member."""
+        return {form: getattr(self, form.lower()) for form in _stage_forms(self.stage)}
 
-    def gen_power(self, name, n):
-        """Cached n-th power of a named generator at the common precision."""
-        if n == 0:
-            return one(self.prec)
-        key = (name, n)
+    def gen_power(self, form, n):
+        """Cached n-th power (n >= 1) of the member with the given form id."""
+        key = (form, n)
         if key not in self._pow_cache:
-            base = getattr(self, name)
+            base = getattr(self, form.lower())
             self._pow_cache[key] = (base if n == 1
-                                    else multiply(self.gen_power(name, n - 1), base))
+                                    else multiply(self.gen_power(form, n - 1), base))
         return self._pow_cache[key]
 
-    def monomial(self, expo):
-        """E2^a E4^b chi5a^c E6^d chi5b^eps chi15^delta for the exponent tuple
-        (a, b, c, d, eps, delta)."""
-        a, b, c, d, eps, delta = expo
-        mon = self.gen_power("e2", a)
-        for name, n in (("e4", b), ("chi5a", c), ("e6", d),
-                        ("chi5b", eps), ("chi15", delta)):
+    def monomial(self, powers):
+        """The product of the members' powers for (form id, exponent) pairs;
+        one(prec) when every exponent is 0."""
+        mon = None
+        for form, n in powers:
             if n:
-                mon = multiply(mon, self.gen_power(name, n))
-        return mon
+                p = self.gen_power(form, n)
+                mon = p if mon is None else multiply(mon, p)
+        return one(self.prec) if mon is None else mon
 
 
-def build_chi15(prec):
-    """chi15 alone, at the given precision (builds the full pipeline)."""
-    return GeneratorSet.build(prec).chi15
+def _relations():
+    """The six identities as (name, lhs_scale, lhs, [(coefficient, powers)]),
+    in report order; each states sum(coefficient * monomial) = lhs_scale * lhs."""
+    chi15_sq = [(coeff, (("E2", a), ("E4", b), ("E6", c), ("chi5a", e)))
+                for coeff, a, b, c, e in CHI15_SQ_TABULATED]
+    return (
+        ("chi5a_sq_expansion", 1, (("chi5a", 2),),
+         list(zip(CHI5A_SQ_EXPANSION, W10_MONOMIALS))),
+        ("chi5b_sq_expansion", 1, (("chi5b", 2),),
+         list(zip(CHI5B_SQ_EXPANSION, W10_MONOMIALS))),
+        ("e8_in_lower_generators", 1, (("E8", 1),),
+         list(zip(E8_IN_LOWER, E8_MONOMIALS))),
+        ("chi5_quintic", 1, (("chi5b", 2),),
+         list(zip(CHI5_QUINTIC, W10_MONOMIALS[1:])) + [(1, (("chi5a", 2),))]),
+        ("chi15_sq_identity", 1, (("chi15", 2),),
+         [(coeff / CHI15_SQ_SCALE, powers) for coeff, powers in chi15_sq]),
+        ("chi15_sq_tabulated_scale", CHI15_SQ_SCALE, (("chi15", 2),), chi15_sq),
+    )
 
 
-def _relation_mismatches(lhs, terms):
-    """Indices where lhs differs from sum(scalar * series)."""
-    residual = linear_combine([(Fraction(-1), lhs)] + list(terms))
-    return sorted(residual.coeffs.items(), key=lambda kv: index_key(kv[0]))
-
-
-def _chi5_sq_monomials(gens):
-    e2_5 = gens.gen_power("e2", 5)
-    e2_3e4 = multiply(gens.gen_power("e2", 3), gens.e4)
-    e2_2e6 = multiply(gens.gen_power("e2", 2), gens.e6)
-    e2e4_2 = multiply(gens.e2, gens.gen_power("e4", 2))
-    e4e6 = multiply(gens.e4, gens.e6)
-    return (gens.e10, e2_5, e2_3e4, e2_2e6, e2e4_2, e4e6)
+def _check_relations(gens, relations):
+    """One Report per relation, its mismatches the nonzero coefficients of
+    sum(terms) - lhs_scale * lhs.  Each distinct monomial is evaluated once."""
+    mons = {}
+    reports = []
+    for name, scale, lhs, terms in relations:
+        parts = [(-scale, lhs)] + terms
+        for _, powers in parts:
+            if powers not in mons:
+                mons[powers] = gens.monomial(powers)
+        residual = linear_combine([(c, mons[powers]) for c, powers in parts])
+        bad = sorted(residual.coeffs.items(), key=lambda kv: index_key(kv[0]))
+        reports.append(Report(name, not bad, bad))
+    return reports
 
 
 def verify_chi5_square_relations(gens):
     """Check both weight-10 expansions: chi5a^2 and chi5b^2 as explicit
     combinations of E10, E2^5, E2^3*E4, E2^2*E6, E2*E4^2, E4*E6."""
-    mons = _chi5_sq_monomials(gens)
-    reports = []
-    for name, chi, coeffs in (("chi5a_sq_expansion", gens.chi5a, CHI5A_SQ_EXPANSION),
-                              ("chi5b_sq_expansion", gens.chi5b, CHI5B_SQ_EXPANSION)):
-        bad = _relation_mismatches(multiply(chi, chi), list(zip(coeffs, mons)))
-        reports.append(Report(name, not bad, bad))
-    return reports
+    return _check_relations(gens, _relations()[:2])
 
 
 def verify_polynomial_relations(gens):
@@ -297,78 +324,31 @@ def verify_polynomial_relations(gens):
       and the statement that the as-tabulated right-hand side equals exactly
       CHI15_SQ_SCALE * chi15^2.
     """
-    reports = []
+    return _check_relations(gens, _relations()[2:])
 
-    e8_terms = list(zip(E8_IN_LOWER, (gens.gen_power("e2", 4),
-                                      multiply(gens.gen_power("e2", 2), gens.e4),
-                                      multiply(gens.e2, gens.e6),
-                                      gens.gen_power("e4", 2))))
-    bad = _relation_mismatches(gens.e8, e8_terms)
-    reports.append(Report("e8_in_lower_generators", not bad, bad))
 
-    mons = _chi5_sq_monomials(gens)[1:]  # E2^5 .. E4*E6
-    quintic_terms = list(zip(CHI5_QUINTIC, mons))
-    quintic_terms.append((Fraction(1), multiply(gens.chi5a, gens.chi5a)))
-    bad = _relation_mismatches(multiply(gens.chi5b, gens.chi5b), quintic_terms)
-    reports.append(Report("chi5_quintic", not bad, bad))
-
-    chi15_sq = multiply(gens.chi15, gens.chi15)
-    table_terms = []
-    for coeff, a, b, c, e in CHI15_SQ_TABULATED:
-        mon = gens.gen_power("e2", a)
-        for name, n in (("e4", b), ("e6", c), ("chi5a", e)):
-            if n:
-                mon = multiply(mon, gens.gen_power(name, n))
-        table_terms.append((coeff, mon))
-    exact_terms = [(coeff / CHI15_SQ_SCALE, mon) for coeff, mon in table_terms]
-    bad = _relation_mismatches(chi15_sq, exact_terms)
-    reports.append(Report("chi15_sq_identity", not bad, bad))
-    scaled = linear_combine([(CHI15_SQ_SCALE, chi15_sq)])
-    bad = _relation_mismatches(scaled, table_terms)
-    reports.append(Report("chi15_sq_tabulated_scale", not bad, bad))
-    return reports
+def _exponents(weight, generators, caps=None):
+    """All exponent tuples of the named generators whose monomial has the
+    given weight; caps maps a generator to its largest exponent."""
+    if not generators:
+        return [()] if weight == 0 else []
+    form, rest = generators[0], generators[1:]
+    top = min(weight // FORMS[form][1], (caps or {}).get(form, weight))
+    return [(n,) + tail for n in range(top + 1)
+            for tail in _exponents(weight - n * FORMS[form][1], rest, caps)]
 
 
 def monomial_exponents(weight):
     """All (a, b, c, d, eps, delta) with 2a+4b+5c+6d+5*eps+15*delta = weight
-    and eps, delta in {0, 1}: exponents of E2, E4, chi5a, E6, chi5b, chi15.
-    The count equals genfun_coeff(weight)."""
-    out = []
-    for delta in (0, 1):
-        for eps in (0, 1):
-            w = weight - 5 * eps - 15 * delta
-            if w < 0:
-                continue
-            for c in range(w // 5 + 1):
-                for b in range((w - 5 * c) // 4 + 1):
-                    for d in range((w - 5 * c - 4 * b) // 6 + 1):
-                        rem = w - 5 * c - 4 * b - 6 * d
-                        if rem % 2 == 0:
-                            out.append((rem // 2, b, c, d, eps, delta))
-    return out
+    and eps, delta in {0, 1}: exponents of SIX_GENERATORS, E2, E4, chi5a, E6,
+    chi5b, chi15.  The count equals genfun_coeff(weight)."""
+    return _exponents(weight, SIX_GENERATORS, {"chi5b": 1, "chi15": 1})
 
 
 def five_generator_exponents(weight):
     """All (a, b, c, d, e) with 2a+4b+5c+5d+6e = weight: exponents of
-    E2, E4, chi5a, chi5b, E6 without any chi15 factor."""
-    out = []
-    for a in range(weight // 2 + 1):
-        for b in range((weight - 2 * a) // 4 + 1):
-            for c in range((weight - 2 * a - 4 * b) // 5 + 1):
-                for d in range((weight - 2 * a - 4 * b - 5 * c) // 5 + 1):
-                    rem = weight - 2 * a - 4 * b - 5 * c - 5 * d
-                    if rem >= 0 and rem % 6 == 0:
-                        out.append((a, b, c, d, rem // 6))
-    return out
-
-
-def _five_generator_monomial(gens, expo):
-    a, b, c, d, e = expo
-    mon = gens.gen_power("e2", a)
-    for name, n in (("e4", b), ("chi5a", c), ("chi5b", d), ("e6", e)):
-        if n:
-            mon = multiply(mon, gens.gen_power(name, n))
-    return mon
+    FIVE_GENERATORS, E2, E4, chi5a, chi5b, E6, without any chi15 factor."""
+    return _exponents(weight, FIVE_GENERATORS)
 
 
 def monomial_basis(weight, gens, max_escalations=2):
@@ -382,11 +362,12 @@ def monomial_basis(weight, gens, max_escalations=2):
     """
     expos = monomial_exponents(weight)
     expected = genfun_coeff(weight)
-    rank = rank_of_span([gens.monomial(t) for t in expos])
+    rank = rank_of_span([gens.monomial(zip(SIX_GENERATORS, t)) for t in expos])
     prec = gens.prec
     while rank < expected and max_escalations > 0:
         deeper = gens.deeper()
-        new_rank = rank_of_span([deeper.monomial(t) for t in expos])
+        new_rank = rank_of_span([deeper.monomial(zip(SIX_GENERATORS, t))
+                                  for t in expos])
         if new_rank == rank:
             break
         rank, prec, gens = new_rank, deeper.prec, deeper
@@ -396,20 +377,16 @@ def monomial_basis(weight, gens, max_escalations=2):
 
 def _augmentations(gens):
     """name -> (rank, expected rank) of the span augmentation checks."""
-    v10 = [gens.gen_power("e2", 5),
-           multiply(gens.gen_power("e2", 3), gens.e4),
-           multiply(gens.gen_power("e2", 2), gens.e6),
-           multiply(gens.e2, gens.gen_power("e4", 2)),
-           multiply(gens.e4, gens.e6), gens.e10]
+    v10 = [gens.monomial(powers) for powers in W10_MONOMIALS]
     aug = {"w10_products": (rank_of_span(v10), 6)}
     aug["w10_with_chi5ab"] = (
-        rank_of_span(v10 + [multiply(gens.chi5a, gens.chi5b)]), 7)
+        rank_of_span(v10 + [gens.monomial((("chi5a", 1), ("chi5b", 1)))]), 7)
 
-    u15 = [_five_generator_monomial(gens, t) for t in five_generator_exponents(15)]
+    u15 = [gens.monomial(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(15)]
     aug["w15_five_generators"] = (rank_of_span(u15), 12)
     aug["w15_with_chi15"] = (rank_of_span(u15 + [gens.chi15]), 13)
 
-    v20 = [_five_generator_monomial(gens, t) for t in five_generator_exponents(20)]
+    v20 = [gens.monomial(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(20)]
     aug["w20_five_generators"] = (rank_of_span(v20), 26)
     aug["w20_with_deltas"] = (
         rank_of_span(v20 + [gens.delta20a, gens.delta20b]), 28)

@@ -6,14 +6,15 @@ import json
 import os
 from fractions import Fraction as Fr
 
-from qsiegel.cli import (FIXTURE_DIR, _monomial_from_descriptor, cache_lookup,
+from qsiegel.cli import (FIXTURE_DIR, _descriptor_powers, cache_lookup,
                          cache_store, emit_csv, emit_json, parse_csv,
                          parse_json, record_from_series, series_from_record)
 from qsiegel.diffop import bracket
 from qsiegel.dims import dim_cusp, dim_modular, dimension_report
 from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine,
                              multiply, rank_of_span, sqrt_monic)
-from qsiegel.ring import (five_generator_exponents, verify_chi5_square_relations,
+from qsiegel.ring import (CHI5A_LEAD, five_generator_exponents,
+                          verify_chi5_square_relations,
                           verify_polynomial_relations, verify_structure)
 
 
@@ -42,11 +43,10 @@ def test_criterion_1_eisenstein_and_product_tables(gens12):
     checked += _diff_csv_against(gens12.e2, "table_E2.csv", 12)
     checked += _diff_csv_against(gens12.e4, "table_E4.csv", 12)
     checked += _diff_csv_against(gens12.e6, "table_E6.csv", 12)
-    phis = {"phi%d" % k: getattr(gens12, "phi%d" % k) for k in (2, 4, 6, 8, 10)}
     for name in ("products_weight246.json", "products_weight8.json",
                  "products_weight10.json"):
         table = _json_table(name)
-        cols = [_monomial_from_descriptor(d, phis) for d in table["columns"]]
+        cols = [gens12.monomial(_descriptor_powers(d)) for d in table["columns"]]
         for row in table["rows"]:
             eta = tuple(row["eta"])
             for col, want in zip(cols, row["values"]):
@@ -71,7 +71,9 @@ def test_criterion_3_chi15_construction_and_companion(gens12):
     assert _diff_csv_against(gens12.chi15, "table_chi15.csv", 12) == 7
     # the quotient by the other weight-5 root, normalized the same way,
     # is exactly the same series
-    assert gens12.chi15_companion == gens12.chi15
+    companion = divide_exact(gens12.delta20b, gens12.chi5a, CHI5A_LEAD)
+    companion = linear_combine([(1 / companion.coeff((5, 1, -2)), companion)])
+    assert companion == gens12.chi15.truncate(10)
 
 
 def test_criterion_4_polynomial_relations(gens12):
@@ -111,7 +113,7 @@ def test_criterion_7_properties_and_cache_round_trip(gens12, tmp_path):
     # serialization and cache round trips
     cache = str(tmp_path / "cache")
     for form in ("E2", "chi5a", "chi15"):
-        s = gens12.as_dict()[form]
+        s = gens12.members()[form]
         rec = record_from_series(form, s)
         assert parse_json(emit_json(rec)) == rec
         assert parse_csv(emit_csv(rec)) == rec

@@ -96,6 +96,39 @@ def test_expand_populates_and_reuses_cache(tmp_path, capsys):
     assert rows[(2, 0, -1)] == "1"
 
 
+def _expand_e2(capsys, prec, *cache):
+    return run(capsys, *cache, "expand", "--form", "E2", "--prec", str(prec))
+
+
+def test_truncated_cache_record_is_recomputed(tmp_path, capsys):
+    cache = str(tmp_path / "c")
+    _, want, _ = _expand_e2(capsys, 6)
+    _expand_e2(capsys, 6, "--cache-dir", cache)
+    path = os.path.join(cache, "E2.p6.json")
+    with open(path, "r+") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+    assert cache_lookup(cache, "E2", 6) is None
+    assert _expand_e2(capsys, 6, "--cache-dir", cache)[:2] == (0, want)
+    assert cache_lookup(cache, "E2", 6) is not None  # the record was replaced
+
+
+def test_mislabelled_cache_record_is_a_miss(tmp_path, capsys):
+    cache = str(tmp_path / "c")
+    _, want, _ = _expand_e2(capsys, 8)
+    _expand_e2(capsys, 4, "--cache-dir", cache)
+    os.replace(os.path.join(cache, "E2.p4.json"), os.path.join(cache, "E2.p8.json"))
+    assert cache_lookup(cache, "E2", 8) is None
+    assert _expand_e2(capsys, 8, "--cache-dir", cache)[:2] == (0, want)
+    assert cache_lookup(cache, "E2", 8).prec == 8
+
+
+def test_cache_record_of_another_form_is_a_miss(tmp_path):
+    cache = str(tmp_path / "c")
+    cache_store(cache, "E4", eisenstein_series(EisensteinParams(4), 6))
+    os.replace(os.path.join(cache, "E4.p6.json"), os.path.join(cache, "E2.p6.json"))
+    assert cache_lookup(cache, "E2", 6) is None
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "envcache")
     monkeypatch.setenv("QSIEGEL_CACHE_DIR", cache)

@@ -89,10 +89,6 @@ class ValidationTest(unittest.TestCase):
         self.assertRaises(ValueError, EisensteinParams, 3)
         self.assertRaises(ValueError, EisensteinParams, 0)
 
-    def test_level_parameters_validated(self):
-        self.assertRaises(ValueError, EisensteinParams, 4, 2, 6)  # not coprime
-        self.assertRaises(ValueError, EisensteinParams, 4, 1, 12)  # not squarefree
-
     def test_non_positive_index_rejected(self):
         params = EisensteinParams(2)
         self.assertRaises(ValueError, eisenstein_coefficient, params, ZERO)

@@ -11,7 +11,7 @@ from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine,
                              multiply, one, power, rank_of_span,
                              relation_nullspace, sqrt_monic)
 from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive
-from qsiegel.ring import build_chi5
+from qsiegel.ring import GeneratorSet
 
 
 def mult_brute(f, g):
@@ -35,7 +35,7 @@ def test_multiply_matches_brute_force():
 
 
 def test_square_of_weight_two(gens12):
-    sq = gens12.gen_power("e2", 2)
+    sq = gens12.gen_power("E2", 2)
     assert sq.coeff(ZERO) == 1
     assert sq.coeff((2, 1, -1)) == 96
     assert sq.coeff((4, 2, -2)) == 2688
@@ -139,7 +139,8 @@ def test_divide_recovers_handmade_factor():
 
 
 def test_divide_rejects_non_multiple():
-    chi5a, chi5b = build_chi5(8)
+    chi5 = GeneratorSet.build(8, upto="chi5")
+    chi5a, chi5b = chi5.chi5a, chi5.chi5b
     with pytest.raises(ValueError):
         divide_exact(chi5a, chi5b, (2, 1, -1))
     with pytest.raises(ValueError):

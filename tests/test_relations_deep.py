@@ -31,20 +31,11 @@ def gens14():
     return GeneratorSet.build(14)
 
 
-def pure_monomial(gens, expo):
-    a, b, c, e = expo
-    mon = gens.gen_power("e2", a)
-    for name, n in (("e4", b), ("e6", c), ("chi5a", e)):
-        if n:
-            mon = multiply(mon, gens.gen_power(name, n))
-    return mon
-
-
 def test_chi15_square_expansion_is_unique(gens14):
     expos = pure_exponents(30)
     assert len(expos) == 47
 
-    mons = [pure_monomial(gens14, t) for t in expos]
+    mons = [gens14.monomial(zip(("E2", "E4", "E6", "chi5a"), t)) for t in expos]
     assert rank_of_span(mons) == 47
 
     chi15_sq = multiply(gens14.chi15, gens14.chi15)

@@ -8,29 +8,23 @@ from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import FourierSeries, linear_combine, rank_of_span
 from qsiegel.lattice import grade
 from qsiegel import ring
-from qsiegel.ring import (CHI5A_LEAD, GeneratorSet, build_chi5, build_phi_forms,
-                          five_generator_exponents, monomial_basis,
-                          monomial_exponents, verify_chi5_square_relations,
+from qsiegel.ring import (CHI5A_LEAD, GeneratorSet, five_generator_exponents,
+                          monomial_basis, monomial_exponents,
+                          verify_chi5_square_relations,
                           verify_polynomial_relations, verify_structure)
 
 ATTRS = ("e2", "e4", "e6", "e8", "e10", "phi2", "phi4", "phi6", "phi8",
-         "phi10", "chi5a", "chi5b", "chi15", "chi15_companion",
-         "delta20a", "delta20b")
+         "phi10", "chi5a", "chi5b", "chi15", "delta20a", "delta20b")
 
 
 def forged(gens, **replacements):
-    g = GeneratorSet.__new__(GeneratorSet)
-    g.prec = gens.prec
-    for name in ATTRS:
-        setattr(g, name, getattr(gens, name))
-    for name, series in replacements.items():
-        setattr(g, name, series)
-    g._pow_cache = {}
-    return g
+    return GeneratorSet.from_records(gens.prec, {**gens.members(), **replacements})
 
 
 def test_phi_normalizations():
-    phi2, phi4, phi6, phi8, phi10 = build_phi_forms(6)
+    phis = GeneratorSet.build(6, upto="phi")
+    phi2, phi4, phi6, phi8, phi10 = (phis.phi2, phis.phi4, phis.phi6,
+                                     phis.phi8, phis.phi10)
     assert phi2.coeff((0, 0, 0)) == 1
     assert phi4.coeff((2, 1, -1)) == 1 and phi4.coeff((0, 0, 0)) == 0
     assert phi6.coeff((2, 0, -1)) == 1 and phi6.coeff((2, 1, -1)) == 0
@@ -41,13 +35,14 @@ def test_phi_normalizations():
 
 def test_phi_prec_validation():
     with pytest.raises(ValueError):
-        build_phi_forms(3)
+        GeneratorSet.build(3, upto="phi")
     with pytest.raises(ValueError):
         GeneratorSet.build(4)
 
 
 def test_chi5_normalization_and_low_grades():
-    chi5a, chi5b = build_chi5(6)
+    chi5 = GeneratorSet.build(6, upto="chi5")
+    chi5a, chi5b = chi5.chi5a, chi5.chi5b
     assert chi5a.weight == 5 and chi5b.weight == 5
     assert chi5a.is_cusp() and chi5b.is_cusp()
     assert chi5a.coeff((2, 0, -1)) == 1 and chi5a.coeff((2, 1, -1)) == 0
@@ -64,7 +59,7 @@ def test_generator_set_members(gens12):
     for name in ATTRS:
         s = getattr(gens12, name)
         assert s.prec == 12 and all(grade(e) <= 12 for e in s.coeffs)
-    d = gens12.as_dict()
+    d = gens12.members()
     assert len(d) == 15 and d["E2"] is gens12.e2
     assert gens12.delta20a.weight == 20 and gens12.chi15.weight == 15
 
@@ -73,7 +68,6 @@ def test_chi15_normalization(gens12):
     assert gens12.chi15.coeff((5, 1, -2)) == 1
     assert gens12.chi15.coeff((2, 1, -1)) == 0
     assert gens12.chi15.is_cusp()
-    assert gens12.chi15 == gens12.chi15_companion
 
 
 def test_verification_reports_pass(gens12):
@@ -121,8 +115,8 @@ def test_monomial_basis_small_weights(gens12):
 
 
 def test_weight6_span(gens12):
-    e2cubed = gens12.gen_power("e2", 3)
-    e2e4 = gens12.monomial((1, 1, 0, 0, 0, 0))
+    e2cubed = gens12.gen_power("E2", 3)
+    e2e4 = gens12.monomial((("E2", 1), ("E4", 1)))
     assert rank_of_span([e2cubed, e2e4, gens12.e6]) == 3
 
 
@@ -145,3 +139,30 @@ def test_structure_at_prec_8_escalates_to_a_pass():
     report = verify_structure(20, GeneratorSet.build(8))
     assert report.augmentations["w20_five_generators"] == (26, 26)
     assert report.ok
+
+
+def test_stages_build_on_each_other(gens12):
+    chi5 = GeneratorSet.build(12, upto="chi5")
+    assert chi5.stage == "chi5" and len(chi5.members()) == 12
+    assert chi5.members() == {f: s for f, s in gens12.members().items()
+                              if f in chi5.members()}
+    with pytest.raises(ValueError, match="stage"):
+        GeneratorSet.build(8, upto="chi7")
+
+
+def test_from_records_validates(gens12):
+    forms = gens12.members()
+    assert GeneratorSet.from_records(12, forms).members() == forms
+    del forms["delta20b"]
+    with pytest.raises(ValueError, match="one stage"):
+        GeneratorSet.from_records(12, forms)
+    with pytest.raises(ValueError, match="prec"):
+        forged(gens12, chi15=gens12.chi15.truncate(10))
+    with pytest.raises(ValueError, match="weight"):
+        forged(gens12, E4=gens12.e6)
+
+
+def test_monomial_skips_zero_exponents(gens12):
+    assert gens12.monomial((("E2", 0), ("E4", 0))) == gens12.monomial(()) \
+        == FourierSeries(0, 12, {(0, 0, 0): 1})
+    assert gens12.monomial((("E2", 0), ("E4", 2))) is gens12.gen_power("E4", 2)
