@@ -8,9 +8,8 @@ from .eisenstein import EisensteinParams, eisenstein_coefficient, eisenstein_ser
 from .exactnum import (bernoulli_number, fundamental_discriminant_split,
                        generalized_bernoulli, kronecker_symbol)
 from .diffop import bracket
-from .fourier import (FourierSeries, divide_exact, from_function, linear_combine,
-                      multiply, one, power, rank_of_span, relation_nullspace,
-                      sqrt_monic)
+from .fourier import (FourierSeries, divide_exact, linear_combine, multiply, one,
+                      power, rank_of_span, relation_nullspace, sqrt_monic)
 from .lattice import enumerate_cone, grade, is_positive, layer, norm_m, quad_invariants
 from .ring import (GeneratorSet, monomial_basis, verify_chi5_square_relations,
                    verify_polynomial_relations, verify_structure)

@@ -7,11 +7,12 @@ Record formats
 CSV: a leading comment line `# form=<id> weight=<w> prec=<X>`, a header
 `x,y,z,m,coeff`, then one row per nonzero coefficient in canonical order,
 with `coeff` as an exact `num/den` (or plain integer) string.  JSON carries
-the same fields as an object.  Cached records use the JSON form, one file per
-(form, precision), written atomically; a cached record at precision X serves
-any request up to X by truncation.  A record that does not parse, or whose
-form, weight or prec disagrees with its file name and form, is a miss: the
-form is recomputed and the record replaced.
+the same fields as an object.  Cached records use the JSON form plus
+`version` and `crc32` (zlib.crc32 of the rows' JSON), one file per (form,
+precision), written atomically; a cached record at precision X serves any
+request up to X by truncation.  A record that cannot be read or turned into a
+series, or whose version, checksum, form, weight or prec is wrong, is a miss:
+the form is recomputed and the record replaced.  A failed write only warns.
 
 Forms are computed in batches: `expand` builds the GeneratorSet stage that
 makes the form (see ring.FORMS) and caches every member of it; `verify`
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+import zlib
 from fractions import Fraction
 
 from .dims import dim_cusp, dim_modular, dimension_report, _is_odd_prime
@@ -31,6 +33,7 @@ from .ring import (FORMS, GeneratorSet, verify_chi5_square_relations,
                    verify_polynomial_relations, verify_structure)
 
 CACHE_ENV = "QSIEGEL_CACHE_DIR"
+CACHE_VERSION = 1
 FORM_IDS = tuple(FORMS)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -45,7 +48,7 @@ def record_from_series(form, s):
 
 
 def series_from_record(rec):
-    coeffs = {(x, y, z): Fraction(c) for x, y, z, _m, c in rec["rows"]}
+    coeffs = {(x, y, z): c for x, y, z, _m, c in rec["rows"]}
     return FourierSeries(rec["weight"], rec["prec"], coeffs)
 
 
@@ -84,21 +87,34 @@ def _cache_path(cache_dir, form, prec):
     return os.path.join(cache_dir, "%s.p%d.json" % (form, prec))
 
 
+def _rows_crc(rows):
+    return zlib.crc32(json.dumps(rows).encode())
+
+
 def cache_store(cache_dir, form, s):
-    """Write the form's record atomically, replacing any record at its path."""
+    """Write the form's record atomically, replacing any record at its path;
+    on an OSError, warn on stderr and remove the temporary file."""
     if not cache_dir:
         return
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(emit_json(record_from_series(form, s)))
-    os.replace(tmp, _cache_path(cache_dir, form, s.prec))
+    rec = record_from_series(form, s)
+    rec.update(version=CACHE_VERSION, crc32=_rows_crc(rec["rows"]))
+    tmp = None
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(emit_json(rec))
+        os.replace(tmp, _cache_path(cache_dir, form, s.prec))
+    except OSError as exc:
+        print("warning: %s not cached: %s" % (form, exc), file=sys.stderr)
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def cache_lookup(cache_dir, form, prec):
     """Best cached series for the form at precision >= prec, truncated; None
-    on a miss.  A record that does not parse, or whose form, weight or prec
-    disagrees with its file name and form, is a miss."""
+    on a miss.  Every record that cannot be read or turned into a series, or
+    whose version, checksum, form, weight or prec is wrong, is a miss."""
     if not cache_dir or not os.path.isdir(cache_dir):
         return None
     best = None
@@ -116,10 +132,13 @@ def cache_lookup(cache_dir, form, prec):
     try:
         with open(_cache_path(cache_dir, form, best)) as fh:
             rec = parse_json(fh.read())
-        if (rec["form"], rec["weight"], rec["prec"]) != (form, FORMS[form][1], best):
+        if ((rec["version"], rec["crc32"], rec["form"], rec["weight"], rec["prec"])
+                != (CACHE_VERSION, _rows_crc(rec["rows"]), form, FORMS[form][1], best)):
             return None
         return series_from_record(rec).truncate(prec)
-    except (OSError, ValueError, KeyError, TypeError):
+    # A nested record exhausts the parser's recursion; "1/0" divides by zero.
+    except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
+            RecursionError):
         return None
 
 

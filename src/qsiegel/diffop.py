@@ -21,32 +21,30 @@ are products of series, and the bracket is
     sum over r < s of (-1)^(r+s+1) M_rs(f1, f2) * M_pq(f3, f4),
 
 with {p, q} the two rows other than r, s.  That is 30 integer convolutions
-on the `fourier` kernel.
+on the `fourier` kernel, over the product of the inputs' denominators.
 """
 from itertools import combinations
 
-from .fourier import convolve, dense, from_dense
+from .fourier import FourierSeries, convolve
 from .lattice import ZERO, enumerate_cone
 
 ROWS = (0, 1, 2, 3)
 
 
-def _weighted(f, X, idx):
-    """(den, [W_k f, W_x f, W_y f, W_z f]) as dense int vectors."""
-    den, vec = dense(f, X)
-    return den, [[f.weight * v for v in vec]] + [
-        [eta[c] * v for eta, v in zip(idx, vec)] for c in range(3)]
+def _weighted(f, idx):
+    """[W_k f, W_x f, W_y f, W_z f] as numerator vectors over f.den."""
+    return [[f.weight * v for v in f.vec]] + [
+        [eta[c] * v for eta, v in zip(idx, f.vec)] for c in range(3)]
 
 
 def _minors(f, g, X, idx):
-    """(den, {(r, s): M_rs(f, g)}) for every row pair r < s."""
-    df, Wf = _weighted(f, X, idx)
-    dg, Wg = _weighted(g, X, idx)
+    """{(r, s): M_rs(f, g)} for every row pair r < s, over f.den * g.den."""
+    Wf, Wg = _weighted(f, idx), _weighted(g, idx)
     out = {}
     for r, s in combinations(ROWS, 2):
         out[r, s] = [a - b for a, b in zip(convolve(Wf[r], Wg[s], 0, X),
                                            convolve(Wf[s], Wg[r], 0, X))]
-    return df * dg, out
+    return out
 
 
 def bracket(f1, f2, f3, f4):
@@ -55,12 +53,13 @@ def bracket(f1, f2, f3, f4):
     fs = (f1, f2, f3, f4)
     X = min(f.prec for f in fs)
     idx = (ZERO,) + enumerate_cone(X)
-    d12, left = _minors(f1, f2, X, idx)
-    d34, right = _minors(f3, f4, X, idx)
+    left = _minors(f1, f2, X, idx)
+    right = _minors(f3, f4, X, idx)
     total = [0] * len(idx)
     for (r, s), m in left.items():
         p, q = (t for t in ROWS if t not in (r, s))
         sign = -1 if (r + s) % 2 == 0 else 1
         for n, v in enumerate(convolve(m, right[p, q], 0, X)):
             total[n] += sign * v
-    return from_dense(sum(f.weight for f in fs) + 3, X, d12 * d34, total)
+    return FourierSeries.from_vector(sum(f.weight for f in fs) + 3, X,
+                                     f1.den * f2.den * f3.den * f4.den, total)

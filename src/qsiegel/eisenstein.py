@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from .exactnum import (bernoulli_number, generalized_bernoulli, kronecker_symbol,
                        p_valuation, prime_divisors)
-from .fourier import from_function
-from .lattice import ZERO, is_positive, quad_invariants
+from .fourier import FourierSeries
+from .lattice import ZERO, enumerate_cone, is_positive, quad_invariants
 
 SIGN = -1
 D2 = 6
@@ -75,6 +75,5 @@ def eisenstein_coefficient(params, eta):
 def eisenstein_series(params, X):
     """The weight-k Eisenstein series to grade X: constant term 1, all other
     coefficients from eisenstein_coefficient."""
-    return from_function(
-        params.k, X,
-        lambda eta: Fraction(1) if eta == ZERO else eisenstein_coefficient(params, eta))
+    coeffs = {eta: eisenstein_coefficient(params, eta) for eta in enumerate_cone(X)}
+    return FourierSeries(params.k, X, {ZERO: 1, **coeffs})

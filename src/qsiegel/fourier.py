@@ -3,92 +3,104 @@ coefficients: linear combinations, convolution products, formal square roots,
 exact division, and exact linear algebra on coefficient vectors.
 
 A series is truncated at a grade bound `prec`: every coefficient with grade
-<= prec is stored exactly (absent key = 0).  Because grade is additive and
-only the origin has grade 0, products of truncated series are again exact at
-every retained grade.
+<= prec is stored exactly.  Because grade is additive and only the origin has
+grade 0, products of truncated series are again exact at every retained grade.
 
-Arithmetic runs on Python ints.  `dense` writes a series as a common
-denominator and one int per position of `lattice` (the origin, then
-`enumerate_cone` order), `convolve` sums products of two such int vectors
-over the per-grade convolution table `lattice.convolution_layer`, and
-`from_dense` turns the result back into `Fraction` coefficients once.  That
-one kernel serves `multiply`, `diffop.bracket`, the grade-by-grade solver
-behind `sqrt_monic` and `divide_exact`, and their re-expansion checks.
-Ranks and relation spaces use fraction-free Bareiss elimination (Bareiss,
-Math. Comp. 22, 1968) on integer rows.
+A series is a denominator `den` and one int `vec[n]` per position n of
+`lattice` of grade <= prec, the coefficient there being vec[n] / den, in
+lowest terms (den > 0, gcd(den, *vec) == 1) so that equal series have equal
+fields.  One kernel, `convolve` over `lattice.convolution_layer`, serves
+`multiply`, `diffop.bracket`, the solver behind `sqrt_monic` and
+`divide_exact`, and their re-expansion checks; ranks and relation spaces use
+fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) on integer
+rows.  `Fraction` appears only in the validating constructor, `coeff`,
+`coeffs` and `sorted_items`.
 """
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
-from .lattice import (ZERO, convolution_layer, enumerate_cone, grade, index_key,
-                      is_positive, layer_positions, position_count)
+from .lattice import (ZERO, convolution_layer, enumerate_cone, grade, is_positive,
+                      layer_positions, position_count)
 
 
 class FourierSeries:
-    """Weight-tagged, precision-tagged finite coefficient table."""
+    """Weight-tagged, precision-tagged coefficient vector over a common
+    denominator; FourierSeries(weight, prec, {eta: rational}) validates its
+    input, FourierSeries.from_vector takes the arithmetic's own output."""
 
-    __slots__ = ("weight", "prec", "coeffs")
+    __slots__ = ("weight", "prec", "den", "vec")
 
     def __init__(self, weight, prec, coeffs):
         if prec < 1:
             raise ValueError("prec must be >= 1")
-        clean = {}
+        vec = [0] * position_count(prec)
         for eta, v in coeffs.items():
+            v = Fraction(v)
             if not v:
                 continue
             if eta != ZERO and not is_positive(eta):
                 raise ValueError("index %r outside the closed cone" % (eta,))
             if grade(eta) > prec:
                 raise ValueError("index %r beyond prec %d" % (eta, prec))
-            clean[eta] = Fraction(v)
-        self.weight = weight
-        self.prec = prec
-        self.coeffs = clean
+            vec[layer_positions(grade(eta))[eta]] = v
+        # The lcm of reduced denominators shares no factor with every numerator.
+        den = lcm(*(v.denominator for v in vec))
+        self.weight, self.prec = weight, prec
+        self.den, self.vec = den, [v.numerator * (den // v.denominator) for v in vec]
+
+    @classmethod
+    def from_vector(cls, weight, prec, den, vec):
+        """The series with coefficient vec[n] / den (den > 0) at each position
+        n of grade <= prec, reduced to lowest terms; vec may run longer."""
+        if prec < 1:
+            raise ValueError("prec must be >= 1")
+        vec = vec[:position_count(prec)]
+        k = gcd(den, *vec)
+        self = cls.__new__(cls)
+        self.weight, self.prec = weight, prec
+        self.den, self.vec = den // k, [v // k for v in vec]
+        return self
 
     def coeff(self, eta):
-        return self.coeffs.get(eta, Fraction(0))
+        x = grade(eta)
+        n = layer_positions(x).get(eta) if 0 <= x <= self.prec else None
+        return Fraction(0 if n is None else self.vec[n], self.den)
+
+    @property
+    def coeffs(self):
+        """A new {eta: Fraction} of the nonzero coefficients."""
+        return dict(self.sorted_items())
 
     def is_cusp(self):
-        return ZERO not in self.coeffs
+        return not self.vec[0]
 
     def truncate(self, X):
         if X >= self.prec:
             return self
-        return FourierSeries(self.weight, X,
-                             {e: v for e, v in self.coeffs.items() if grade(e) <= X})
+        return FourierSeries.from_vector(self.weight, X, self.den, self.vec)
 
     def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: index_key(kv[0]))
+        """(eta, coefficient) pairs of the nonzero coefficients, in position
+        order, which is index_key order."""
+        return [(eta, Fraction(v, self.den))
+                for eta, v in zip((ZERO,) + enumerate_cone(self.prec), self.vec) if v]
 
     def __eq__(self, other):
         return (isinstance(other, FourierSeries)
-                and (self.weight, self.prec, self.coeffs)
-                == (other.weight, other.prec, other.coeffs))
+                and (self.weight, self.prec, self.den, self.vec)
+                == (other.weight, other.prec, other.den, other.vec))
 
     __hash__ = None
 
     def __repr__(self):
         return "FourierSeries(weight=%r, prec=%r, %d coefficients)" % (
-            self.weight, self.prec, len(self.coeffs))
+            self.weight, self.prec, sum(map(bool, self.vec)))
 
 
 def one(prec):
     """The multiplicative unit: weight 0, constant term 1."""
-    return FourierSeries(0, prec, {ZERO: Fraction(1)})
-
-
-def from_function(weight, prec, coeff_fn):
-    """Series whose coefficient at each closed-cone index of grade <= prec is
-    coeff_fn(eta)."""
-    c = {ZERO: coeff_fn(ZERO)}
-    for eta in enumerate_cone(prec):
-        v = coeff_fn(eta)
-        if v:
-            c[eta] = v
-    if not c[ZERO]:
-        del c[ZERO]
-    return FourierSeries(weight, prec, c)
+    return FourierSeries(0, prec, {ZERO: 1})
 
 
 def linear_combine(terms):
@@ -98,46 +110,21 @@ def linear_combine(terms):
         raise ValueError("empty linear combination")
     weight = terms[0][1].weight
     prec = min(s.prec for _, s in terms)
-    out = {}
-    for sc, s in terms:
+    for _, s in terms:
         if s.weight != weight:
             raise ValueError("mixed weights %r and %r" % (weight, s.weight))
-        if not sc:
-            continue
-        for eta, v in s.coeffs.items():
-            if grade(eta) > prec:
-                continue
-            w = out.get(eta, 0) + sc * v
-            if w:
-                out[eta] = w
-            else:
-                out.pop(eta, None)
-    return FourierSeries(weight, prec, out)
-
-
-def dense(f, X):
-    """f's coefficients of grade <= X as (den, vec): a positive common
-    denominator and one int numerator per position of grade <= X (zero
-    padded when X exceeds f.prec)."""
-    return _extend(1, [0] * position_count(X),
-                   {e: v for e, v in f.coeffs.items() if grade(e) <= X})
-
-
-def _extend(den, vec, coeffs):
-    """Write the Fraction coefficients into the dense vector (den, vec),
-    raising the common denominator (and rescaling vec) as needed."""
-    new = lcm(den, *(v.denominator for v in coeffs.values()))
-    if new != den:
-        scale = new // den
-        vec = [v * scale for v in vec]
-    for eta, v in coeffs.items():
-        vec[layer_positions(grade(eta))[eta]] = v.numerator * (new // v.denominator)
-    return new, vec
+    scaled = [(Fraction(sc), s) for sc, s in terms if sc]
+    den = lcm(*(sc.denominator * s.den for sc, s in scaled))
+    out = [0] * position_count(prec)
+    for sc, s in scaled:
+        m = sc.numerator * (den // (sc.denominator * s.den))
+        out = [a + m * b for a, b in zip(out, s.vec)]
+    return FourierSeries.from_vector(weight, prec, den, out)
 
 
 def convolve(F, G, lo, hi):
-    """Integer convolution of the dense vectors F and G at every position of
-    grade lo..hi, in position order."""
+    """Integer convolution of the vectors F and G at every position of grade
+    lo..hi, in position order."""
     out = []
     for x in range(lo, hi + 1):
         for A, B in convolution_layer(x):
@@ -145,21 +132,12 @@ def convolve(F, G, lo, hi):
     return out
 
 
-def from_dense(weight, X, den, vec):
-    """The series of weight `weight` and precision X whose coefficient at the
-    n-th position is vec[n] / den."""
-    idx = (ZERO,) + enumerate_cone(X)
-    return FourierSeries(weight, X, {eta: Fraction(v, den)
-                                     for eta, v in zip(idx, vec) if v})
-
-
 def multiply(f, g):
     """Convolution product; the coefficient at eta is the sum of
     C_f(a) * C_g(b) over all decompositions a + b = eta."""
     X = min(f.prec, g.prec)
-    df, F = dense(f, X)
-    dg, G = (df, F) if g is f else dense(g, X)
-    return from_dense(f.weight + g.weight, X, df * dg, convolve(F, G, 0, X))
+    return FourierSeries.from_vector(f.weight + g.weight, X, f.den * g.den,
+                                     convolve(f.vec, g.vec, 0, X))
 
 
 def power(f, n):
@@ -174,8 +152,8 @@ def power(f, n):
 
 
 def _solve_slices(g, lead, pivot, first, h, partner, what):
-    """Complete the dense series h = (den, vec) grade by grade, from grade
-    `first` of g on, so that partner * h agrees with g; partner None means h
+    """Complete h = (den, vec) grade by grade, from grade `first` of g on, so
+    that partner * h agrees with g; partner, a (den, vec) pair, None means h
     itself (a square root).
 
     The new slice of h enters the grade-n slice of partner * h only as
@@ -188,28 +166,30 @@ def _solve_slices(g, lead, pivot, first, h, partner, what):
     hden, hvec = h
     for n in range(first, g.prec + 1):
         pden, pvec = (hden, hvec) if partner is None else partner
-        den = pden * hden
+        den = lcm(g.den, pden * hden)
+        gs, cs = den // g.den, den // (pden * hden)
         new = {}
-        for (eta, _), c in zip(layer_positions(n).items(), convolve(pvec, hvec, n, n)):
-            r = g.coeffs.get(eta, 0)
-            if c:
-                r -= Fraction(c, den)
+        for (eta, i), c in zip(layer_positions(n).items(), convolve(pvec, hvec, n, n)):
+            r = g.vec[i] * gs - c * cs
             if r:
                 ep = (eta[0] - lead[0], eta[1] - lead[1], eta[2] - lead[2])
                 if not (ep == ZERO or is_positive(ep)):
                     raise ValueError("%s: residual at %r lies outside lead + cone"
                                      % (what, eta))
-                new[ep] = r / pivot
-        hden, hvec = _extend(hden, hvec, new)
+                new[layer_positions(grade(ep))[ep]] = Fraction(r, den) / pivot
+        top = lcm(hden, *(v.denominator for v in new.values()))
+        hvec = [v * (top // hden) for v in hvec]
+        for p, v in new.items():
+            hvec[p] = v.numerator * (top // v.denominator)
+        hden = top
     return hden, hvec
 
 
 def _check_product(F, G, den, g, what):
-    """Raise unless the dense product F * G / den equals g at every grade
-    <= g.prec (factors are zero padded to that grade)."""
-    gden, gvec = dense(g, g.prec)
-    if any(c * gden != v * den
-           for c, v in zip(convolve(F, G, 0, g.prec), gvec)):
+    """Raise unless the product F * G / den equals g at every grade <= g.prec
+    (F and G reach at least that grade)."""
+    if any(c * g.den != v * den
+           for c, v in zip(convolve(F, G, 0, g.prec), g.vec)):
         raise ValueError(what)
 
 
@@ -229,16 +209,20 @@ def sqrt_monic(g, lead, sign):
     if not is_positive(lead):
         raise ValueError("leading index must be positive")
     g0 = grade(lead)
-    if any(grade(e) < 2 * g0 for e in g.coeffs):
+    lo, hi = position_count(2 * g0 - 1), position_count(2 * g0)
+    if any(g.vec[:lo]):
         raise ValueError("not a square: support below twice the leading grade")
     lead2 = (2 * lead[0], 2 * lead[1], 2 * lead[2])
-    if {e: v for e, v in g.coeffs.items() if grade(e) == 2 * g0} != {lead2: 1}:
+    if ({n: v for n, v in enumerate(g.vec[lo:hi], lo) if v}
+            != {layer_positions(2 * g0)[lead2]: g.den}):
         raise ValueError("leading slice is not a unit concentrated at 2*lead")
-    h = _extend(1, [0] * position_count(g.prec), {lead: Fraction(sign)})
-    hden, hvec = _solve_slices(g, lead, 2 * sign, 2 * g0 + 1, h, None, "not a square")
+    hvec = [0] * position_count(g.prec)
+    hvec[layer_positions(g0)[lead]] = sign
+    hden, hvec = _solve_slices(g, lead, 2 * sign, 2 * g0 + 1, (1, hvec), None,
+                               "not a square")
     _check_product(hvec, hvec, hden * hden, g,
                    "not a square: re-expansion residual is nonzero")
-    return from_dense(g.weight // 2, g.prec - g0, hden, hvec)
+    return FourierSeries.from_vector(g.weight // 2, g.prec - g0, hden, hvec)
 
 
 def divide_exact(g, b, lead):
@@ -252,19 +236,20 @@ def divide_exact(g, b, lead):
     if b.prec < g.prec:
         raise ValueError("divisor must carry at least the dividend's precision")
     g0 = grade(lead)
-    if any(grade(e) < g0 for e in b.coeffs):
+    lo, hi = position_count(g0 - 1), position_count(g0)
+    if any(b.vec[:lo]):
         raise ValueError("divisor has support below its leading grade")
-    if [e for e in b.coeffs if grade(e) == g0] != [lead]:
+    n = layer_positions(g0).get(lead)
+    if [i for i, v in enumerate(b.vec[lo:hi], lo) if v] != [n]:
         raise ValueError("divisor leading slice is not concentrated at %r" % (lead,))
-    if any(grade(e) < g0 for e in g.coeffs):
+    if any(g.vec[:lo]):
         raise ValueError("not divisible: dividend support below the leading grade")
-    bden, bvec = dense(b, g.prec)
-    h = (1, [0] * len(bvec))
-    hden, hvec = _solve_slices(g, lead, b.coeffs[lead], g0, h, (bden, bvec),
+    hden, hvec = _solve_slices(g, lead, Fraction(b.vec[n], b.den), g0,
+                               (1, [0] * position_count(g.prec)), (b.den, b.vec),
                                "not divisible")
-    _check_product(bvec, hvec, bden * hden, g,
+    _check_product(b.vec, hvec, b.den * hden, g,
                    "not divisible: re-multiplication residual is nonzero")
-    return from_dense(g.weight - b.weight, g.prec - g0, hden, hvec)
+    return FourierSeries.from_vector(g.weight - b.weight, g.prec - g0, hden, hvec)
 
 
 def _check_shared(forms):
@@ -308,7 +293,7 @@ def rank_of_span(forms):
     if not forms:
         return 0
     _check_shared(forms)
-    rows = [dense(s, s.prec)[1] for s in forms]
+    rows = [s.vec[:] for s in forms]
     return len(_bareiss(rows, len(rows[0])))
 
 
@@ -318,12 +303,9 @@ def relation_nullspace(forms):
     other free columns."""
     _check_shared(forms)
     nf = len(forms)
-    rows = []
-    for eta in (ZERO,) + enumerate_cone(forms[0].prec):
-        row = [s.coeffs.get(eta, Fraction(0)) for s in forms]
-        if any(row):
-            den = lcm(*(v.denominator for v in row))
-            rows.append([v.numerator * (den // v.denominator) for v in row])
+    den = lcm(*(s.den for s in forms))
+    cols = [[v * (den // s.den) for v in s.vec] for s in forms]
+    rows = [list(row) for row in zip(*cols) if any(row)]
     pivots = _bareiss(rows, nf)
     basis = []
     for fc in (c for c in range(nf) if c not in pivots):

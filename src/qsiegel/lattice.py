@@ -98,7 +98,7 @@ def decompositions(eta):
 
 def position_count(X):
     """Number of positions of grade <= X."""
-    return 1 + len(enumerate_cone(X))
+    return 1 + len(enumerate_cone(X)) if X >= 0 else 0
 
 
 @lru_cache(maxsize=None)

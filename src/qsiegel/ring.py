@@ -20,7 +20,6 @@ from .dims import genfun_coeff
 from .eisenstein import EisensteinParams, eisenstein_series
 from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
                       sqrt_monic)
-from .lattice import index_key
 
 Report = namedtuple("Report", "name ok mismatches")
 MonomialBasisReport = namedtuple("MonomialBasisReport",
@@ -30,6 +29,8 @@ StructureReport = namedtuple("StructureReport", "rows augmentations ok")
 CHI5A_LEAD = (2, 0, -1)
 CHI5B_LEAD = (2, 1, -1)
 CHI15_UNIT_INDEX = (5, 1, -2)
+# Deeper rebuilds allowed to a span check whose rank falls short.
+MAX_ESCALATIONS = 2
 
 # Form id -> (stage, weight), in output order.  GeneratorSet.build(prec,
 # upto=stage) makes the forms of that stage and of every stage before it.
@@ -303,7 +304,7 @@ def _check_relations(gens, relations):
             if powers not in mons:
                 mons[powers] = gens.monomial(powers)
         residual = linear_combine([(c, mons[powers]) for c, powers in parts])
-        bad = sorted(residual.coeffs.items(), key=lambda kv: index_key(kv[0]))
+        bad = residual.sorted_items()
         reports.append(Report(name, not bad, bad))
     return reports
 
@@ -351,28 +352,27 @@ def five_generator_exponents(weight):
     return _exponents(weight, FIVE_GENERATORS)
 
 
-def monomial_basis(weight, gens, max_escalations=2):
+def monomial_basis(weight, gens):
     """Span rank of all weight-homogeneous monomials in the six generators,
     compared with the generating-function coefficient.
 
     Truncation can only lose rank, never create it, so a computed rank equal
     to the expected dimension is conclusive.  If the rank falls short, the
-    generators are rebuilt 2 grades deeper (at most max_escalations times, or
+    generators are rebuilt 2 grades deeper (at most MAX_ESCALATIONS times, or
     until the rank stops moving) before reporting.
     """
     expos = monomial_exponents(weight)
     expected = genfun_coeff(weight)
     rank = rank_of_span([gens.monomial(zip(SIX_GENERATORS, t)) for t in expos])
-    prec = gens.prec
-    while rank < expected and max_escalations > 0:
-        deeper = gens.deeper()
-        new_rank = rank_of_span([deeper.monomial(zip(SIX_GENERATORS, t))
-                                  for t in expos])
+    for _ in range(MAX_ESCALATIONS):
+        if rank >= expected:
+            break
+        new_rank = rank_of_span([gens.deeper().monomial(zip(SIX_GENERATORS, t))
+                                 for t in expos])
         if new_rank == rank:
             break
-        rank, prec, gens = new_rank, deeper.prec, deeper
-        max_escalations -= 1
-    return MonomialBasisReport(weight, expos, rank, expected, prec, rank == expected)
+        rank, gens = new_rank, gens.deeper()
+    return MonomialBasisReport(weight, expos, rank, expected, gens.prec, rank == expected)
 
 
 def _augmentations(gens):
@@ -401,11 +401,12 @@ def verify_structure(k_max, gens):
     weight 20 (delta20a, delta20b the last two).
 
     Augmentation ranks that fall short escalate like monomial_basis: along
-    the same gens.deeper() chain, at most twice, until no short rank moves.
+    the same gens.deeper() chain, at most MAX_ESCALATIONS times, until no
+    short rank moves.
     """
     rows = [monomial_basis(k, gens) for k in range(k_max + 1)]
     aug = _augmentations(gens)
-    for _ in range(2):
+    for _ in range(MAX_ESCALATIONS):
         short = [name for name, (got, want) in aug.items() if got < want]
         if not short:
             break

@@ -1,10 +1,16 @@
 """Command-line surface: expansion output, serialization round trips, the
 expansion cache, dimension tables, and the verify suites."""
+import io
 import json
 import os
+import tempfile
+import zlib
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsiegel.cli import (cache_lookup, cache_store, emit_csv, emit_json, main,
                          parse_csv, parse_json, record_from_series,
@@ -127,6 +133,110 @@ def test_cache_record_of_another_form_is_a_miss(tmp_path):
     cache_store(cache, "E4", eisenstein_series(EisensteinParams(4), 6))
     os.replace(os.path.join(cache, "E4.p6.json"), os.path.join(cache, "E2.p6.json"))
     assert cache_lookup(cache, "E2", 6) is None
+
+
+def _seal(rec):
+    """rec with a checksum that matches its rows, as cache_store writes it."""
+    return dict(rec, crc32=zlib.crc32(json.dumps(rec["rows"]).encode()))
+
+
+def _edit_e2_record(rec, edit):
+    if edit == "coefficient":
+        next(r for r in rec["rows"] if r[:3] == [2, 1, -1])[4] = "12345"
+    elif edit == "version":
+        rec["version"] += 1
+        return _seal(rec)
+    elif edit == "checksum":
+        rec["crc32"] ^= 1
+    else:  # a record without the version and checksum fields
+        del rec["version"], rec["crc32"]
+    return rec
+
+
+@pytest.mark.parametrize("edit", ["coefficient", "version", "checksum", "unsealed"])
+def test_cache_record_failing_its_seal_is_recomputed(tmp_path, capsys, edit):
+    cache = str(tmp_path / "c")
+    _, want, _ = _expand_e2(capsys, 6)
+    _expand_e2(capsys, 6, "--cache-dir", cache)
+    path = os.path.join(cache, "E2.p6.json")
+    with open(path) as fh:
+        rec = _edit_e2_record(json.load(fh), edit)
+    with open(path, "w") as fh:
+        json.dump(rec, fh)
+    assert cache_lookup(cache, "E2", 6) is None
+    assert _expand_e2(capsys, 6, "--cache-dir", cache)[:2] == (0, want)
+    assert cache_lookup(cache, "E2", 6) is not None  # the record was replaced
+
+
+def _expand_in_process(cache=None):
+    """(exit code, stdout) of `expand --form E2 --prec 6`, outside capsys so
+    that hypothesis can call it once per example."""
+    out = io.StringIO()
+    argv = (["--cache-dir", cache] if cache else []) + [
+        "expand", "--form", "E2", "--prec", "6"]
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def e2_record():
+    """The bytes of the cached E2 record at prec 6, and the uncached stdout."""
+    with tempfile.TemporaryDirectory() as cache:
+        _expand_in_process(cache)
+        with open(os.path.join(cache, "E2.p6.json"), "rb") as fh:
+            text = fh.read()
+    return text, _expand_in_process()
+
+
+# Coefficients no parse accepts: the string ones fail Fraction(), inf
+# (written as Infinity) overflows it, the rest are not numbers.
+BAD_COEFFICIENTS = ("1/0", "0/0", "", "x", "1/", "/2", "1//2", "1/2/3", "nan",
+                    float("inf"), None, [], {})
+
+
+@given(kind=st.sampled_from(("truncate", "flip", "coefficient")),
+       at=st.integers(0, 10 ** 6), byte=st.integers(1, 255),
+       bad=st.sampled_from(BAD_COEFFICIENTS), reseal=st.booleans())
+@example(kind="coefficient", at=1, byte=1, bad="1/0", reseal=True)
+@settings(max_examples=60, deadline=None)
+def test_mutated_cache_record_is_recomputed(e2_record, kind, at, byte, bad, reseal):
+    """Truncation, a flipped byte, or an unparseable coefficient (under a
+    matching checksum when reseal) never reaches the output."""
+    text, want = e2_record
+    i = at % len(text)
+    if kind == "truncate":
+        record = text[:i]
+    elif kind == "flip":
+        record = text[:i] + bytes([text[i] ^ byte]) + text[i + 1:]
+    else:
+        rec = json.loads(text)
+        rec["rows"][i % len(rec["rows"])][4] = bad
+        record = json.dumps(_seal(rec) if reseal else rec).encode()
+    with tempfile.TemporaryDirectory() as cache:
+        with open(os.path.join(cache, "E2.p6.json"), "wb") as fh:
+            fh.write(record)
+        assert _expand_in_process(cache) == want
+
+
+def test_deeply_nested_cache_record_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "c"
+    cache.mkdir()
+    (cache / "E2.p6.json").write_text("[" * 100000)
+    _, want, _ = _expand_e2(capsys, 6)
+    assert _expand_e2(capsys, 6, "--cache-dir", str(cache))[:2] == (0, want)
+
+
+def test_unwritable_cache_record_does_not_fail_expand(tmp_path, capsys):
+    cache = tmp_path / "c"
+    (cache / "E4.p6.json").mkdir(parents=True)
+    argv = ("expand", "--form", "E4", "--prec", "6")
+    _, want, _ = run(capsys, *argv)
+    rc, out, err = run(capsys, "--cache-dir", str(cache), *argv)
+    assert (rc, out) == (0, want)
+    assert "warning: E4 not cached" in err
+    assert not list(cache.glob("*.tmp"))
+    assert (cache / "E2.p6.json").is_file()  # the stage's other members are cached
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Series arithmetic: products against a brute-force convolution, ring axioms,
 formal square roots, exact division, and the rational linear algebra."""
 from fractions import Fraction as Fr
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine,
                              multiply, one, power, rank_of_span,
                              relation_nullspace, sqrt_monic)
-from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive
+from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive, position_count
 from qsiegel.ring import GeneratorSet
 
 
@@ -166,3 +167,44 @@ def test_nullspace_finds_known_relation():
     scale = v[0]
     assert scale and [c / scale for c in v] == [1, -1, -1]
     assert relation_nullspace([e2sq, e4]) == []
+
+
+def test_truncation_reduces_to_lowest_terms():
+    s = FourierSeries(3, 4, {ZERO: Fr(1, 2), (4, 1, -2): Fr(1, 3)})
+    assert s.den == 6
+    t = s.truncate(2)
+    assert t == FourierSeries(3, 2, {ZERO: Fr(1, 2)}) and t.den == 2
+
+
+def test_cancelling_combination_is_zero_over_one():
+    s = FourierSeries(3, 4, {ZERO: Fr(1, 2), (4, 1, -2): Fr(1, 3)})
+    z = linear_combine([(Fr(2, 7), s), (Fr(-2, 7), s)])
+    assert not any(z.vec) and z.den == 1 and len(z.vec) == position_count(4)
+    assert z == FourierSeries(3, 4, {})
+
+
+rationals = st.builds(Fr, small, st.integers(1, 6))
+
+
+@st.composite
+def rational_series(draw):
+    eta_set = draw(st.sets(st.sampled_from((ZERO,) + support), max_size=5))
+    return FourierSeries(0, 4, {eta: draw(rationals) for eta in eta_set})
+
+
+def lowest_terms(s):
+    """The representation invariant: a positive denominator with no factor
+    common to every numerator, one numerator per position, and the fields
+    the validating constructor gives for the same coefficients."""
+    return (s.den > 0 and gcd(s.den, *s.vec) == 1
+            and len(s.vec) == position_count(s.prec)
+            and FourierSeries(s.weight, s.prec, s.coeffs) == s)
+
+
+@given(rational_series(), rational_series(), rationals)
+@settings(max_examples=60, deadline=None)
+def test_results_stay_in_lowest_terms(f, g, c):
+    fg = multiply(f, g)
+    for s in (f, fg, fg.truncate(3), linear_combine([(c, f), (1, g), (-c, f)]),
+              linear_combine([(c, f), (c, g)]).truncate(2)):
+        assert lowest_terms(s)
