@@ -30,10 +30,12 @@ print("[structure]  weights 0..20 ranks vs dimensions: %s"
       % ("all equal" if all(r.ok for r in structure.rows) else "MISMATCH"))
 for name, (got, want) in sorted(structure.augmentations.items()):
     print("[structure]  %-22s rank %2d / %2d" % (name, got, want))
+print("[structure]  E2 E4 chi5a E6 independent: delta20a %s at grade %d"
+      % ("!= 0" if structure.independence[1] else "= 0", structure.independence[0]))
 
-dims = dimension_report(100)
+dims = dimension_report(244)
 bad = [row for row in dims.rows if not row[4]]
-print("[dims]       dimension vs generating function, k <= 100: %d mismatches"
+print("[dims]       dimension vs generating function, k <= 244: %d mismatches"
       % len(bad))
 
 ok = (not failures and all(rep.ok for rep in relations) and structure.ok and dims.ok)

@@ -266,9 +266,16 @@ def cmd_verify(args):
         for name, (got, want) in sorted(report.augmentations.items()):
             print("%s: rank %d expected %d %s"
                   % (name, got, want, "ok" if got == want else "FAIL"))
+        at, nonzero = report.independence
+        print("e2_e4_chi5a_e6_independent (Jacobian criterion): delta20a %s %d %s"
+              % ("!= 0 at grade" if nonzero else "= 0 to grade", at,
+                 "ok" if nonzero else "FAIL"))
         ok = report.ok
     elif args.suite == "dims":
-        report = dimension_report(100)
+        # For k >= 5 both sides are quasi-polynomials of degree 3 in k with
+        # period dividing 60, so agreement at 4 consecutive k in every
+        # residue class mod 60, i.e. for 5 <= k <= 244, proves it for all k.
+        report = dimension_report(244)
         bad = [row for row in report.rows if not row[4]]
         print("dims: %d weights compared, %d mismatches" % (len(report.rows), len(bad)))
         for k, _ds, dm, gf, _m in bad:

@@ -1,15 +1,18 @@
 """Exact rational arithmetic helpers: Bernoulli numbers, generalized Bernoulli
 numbers attached to Kronecker characters, the Kronecker symbol, and the
 fundamental-discriminant decomposition behind the quadratic-field invariants.
-Generalized Bernoulli numbers come from integer character power sums (see
-generalized_bernoulli).
+Generalized Bernoulli numbers come from integer character power sums
+S_i(d) = sum_a chi_d(a) a^i: the support of chi_d is tabulated once per
+discriminant d and each S_i(d) is cached per (d, i), so B_{m,chi_d} for
+m = 1, 3, 5, 7, 9 (the Eisenstein weights 2..10) share the ten sums
+S_0(d)..S_9(d).
 
 All values are `fractions.Fraction` (arbitrary precision, always reduced);
 nothing here ever rounds.
 """
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 _BERNOULLI = [Fraction(1)]
 
@@ -101,6 +104,18 @@ def is_fundamental_discriminant(d):
 
 
 @lru_cache(maxsize=None)
+def _character_support(d):
+    """(a, chi_d(a)) for the residues 1 <= a <= |d| with chi_d(a) != 0."""
+    return tuple((a, c) for a in range(1, abs(d) + 1) if (c := kronecker_symbol(d, a)))
+
+
+@lru_cache(maxsize=None)
+def _power_sum(d, i):
+    """The character power sum S_i(d) = sum_{a=1}^{|d|} chi_d(a) a^i."""
+    return sum(c * a ** i for a, c in _character_support(d))
+
+
+@lru_cache(maxsize=None)
 def generalized_bernoulli(m, d):
     """Generalized Bernoulli number B_{m,chi} for the Kronecker character chi
     of the negative fundamental discriminant d:
@@ -109,23 +124,19 @@ def generalized_bernoulli(m, d):
 
     Expanding B_m(t) = sum_j C(m,j) B_j t^(m-j) gives
 
-        B_{m,chi} = |d|^(-1) * sum_j C(m,j) B_j |d|^j S_{m-j},
+        B_{m,chi} = |d|^(-1) * sum_j C(m,j) B_j |d|^j S_{m-j}(d),
 
-    with the integer character power sums S_i = sum_a chi(a) a^i, so the sum
-    over a runs on Python ints and only m + 1 terms are rational.
+    with the integer character power sums S_i(d) (_power_sum), shared by
+    every m for the same d.  The sum runs in integers over the lcm L of the
+    Bernoulli denominators, so one Fraction is formed at the end.
     """
     if not is_fundamental_discriminant(d):
         raise ValueError("%r is not a negative fundamental discriminant" % (d,))
     D = abs(d)
-    S = [0] * (m + 1)
-    for a in range(1, D + 1):
-        p = kronecker_symbol(d, a)
-        if p:
-            for i in range(m + 1):
-                S[i] += p
-                p *= a
-    return sum(comb(m, j) * bernoulli_number(j) * D ** j * S[m - j]
-               for j in range(m + 1)) / D
+    B = [bernoulli_number(j) for j in range(m + 1)]
+    L = lcm(*(b.denominator for b in B))
+    return Fraction(sum(comb(m, j) * b.numerator * (L // b.denominator) * D ** j
+                        * _power_sum(d, m - j) for j, b in enumerate(B) if b), L * D)
 
 
 def p_valuation(p, n):

@@ -24,7 +24,8 @@ from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
 Report = namedtuple("Report", "name ok mismatches")
 MonomialBasisReport = namedtuple("MonomialBasisReport",
                                  "weight exponents rank expected prec ok")
-StructureReport = namedtuple("StructureReport", "rows augmentations ok")
+StructureReport = namedtuple("StructureReport", "rows augmentations independence ok")
+# independence: (grade, nonzero) of the delta20a check in verify_structure
 
 CHI5A_LEAD = (2, 0, -1)
 CHI5B_LEAD = (2, 1, -1)
@@ -393,6 +394,17 @@ def _augmentations(gens):
     return aug
 
 
+def _independence(gens):
+    """(grade, nonzero) for delta20a = {E2, E4, chi5a, E6}.  delta20a has no
+    coefficient below grade 7, so a vanishing truncation escalates along the
+    gens.deeper() chain, at most MAX_ESCALATIONS times."""
+    for _ in range(MAX_ESCALATIONS):
+        if any(gens.delta20a.vec):
+            break
+        gens = gens.deeper()
+    return gens.prec, any(gens.delta20a.vec)
+
+
 def verify_structure(k_max, gens):
     """monomial_basis comparison for every weight <= k_max, plus the span
     augmentation facts: the weight-10 products of E2, E4, E6, E10 span 6
@@ -403,8 +415,15 @@ def verify_structure(k_max, gens):
     Augmentation ranks that fall short escalate like monomial_basis: along
     the same gens.deeper() chain, at most MAX_ESCALATIONS times, until no
     short rank moves.
+
+    Last, the algebraic independence of E2, E4, chi5a, E6: if four forms
+    satisfy a polynomial relation, their bracket, a weighted Jacobian
+    determinant, vanishes identically (the Jacobian criterion; Aoki and
+    Ibukiyama, Internat. J. Math. 16, 2005), so one nonzero coefficient of
+    delta20a proves independence.
     """
     rows = [monomial_basis(k, gens) for k in range(k_max + 1)]
+    independence = _independence(gens)
     aug = _augmentations(gens)
     for _ in range(MAX_ESCALATIONS):
         short = [name for name, (got, want) in aug.items() if got < want]
@@ -416,5 +435,6 @@ def verify_structure(k_max, gens):
         if not moved:
             break
         aug.update(moved)
-    ok = all(r.ok for r in rows) and all(got == want for got, want in aug.values())
-    return StructureReport(rows, aug, ok)
+    ok = (all(r.ok for r in rows) and all(got == want for got, want in aug.values())
+          and independence[1])
+    return StructureReport(rows, aug, independence, ok)

@@ -3,16 +3,19 @@
 These are the straightforward `Fraction` versions of the library's exact
 arithmetic: the product as a sum over `decompositions`, the bracket as the
 4-fold sum of 4x4 determinants, rank and relation space by Gauss-Jordan
-elimination, and generalized Bernoulli numbers as a sum of Bernoulli
-polynomial values over the residues.  They are slow and obviously correct;
+elimination, generalized Bernoulli numbers as a sum of Bernoulli
+polynomial values over the residues, and each Eisenstein coefficient as its
+own product of `Fraction` local factors.  They are slow and obviously correct;
 tests compare the library with them on random inputs.
 """
 from fractions import Fraction
 
-from qsiegel.exactnum import (bernoulli_poly_value, is_fundamental_discriminant,
-                              kronecker_symbol)
+from qsiegel import exactnum
+from qsiegel.exactnum import (bernoulli_number, bernoulli_poly_value,
+                              is_fundamental_discriminant, kronecker_symbol,
+                              p_valuation, prime_divisors)
 from qsiegel.fourier import FourierSeries
-from qsiegel.lattice import ZERO, decompositions, enumerate_cone
+from qsiegel.lattice import ZERO, decompositions, enumerate_cone, quad_invariants
 
 
 def multiply(f, g):
@@ -133,3 +136,36 @@ def generalized_bernoulli(m, d):
     chi = ((a, kronecker_symbol(d, a)) for a in range(1, D + 1))
     return D ** (m - 1) * sum(c * bernoulli_poly_value(m, Fraction(a, D))
                               for a, c in chi if c)
+
+
+def _prefactor(k, d):
+    pref = Fraction(4 * k) * exactnum.generalized_bernoulli(k - 1, d) \
+        / (bernoulli_number(k) * bernoulli_number(2 * k - 2))
+    for p in prime_divisors(6):
+        pref *= Fraction(1, p ** (k - 1) - 1)
+    return pref
+
+
+def eisenstein_coefficient(k, eta):
+    """Weight-k Eisenstein coefficient at the positive index eta for
+    (D1, D2) = (1, 6): the prefactor of d times the local factor F_p of every
+    p | a*f*6, each evaluated afresh.  B_{k-1,chi_d} is the library's,
+    which test_kernels.py checks against the generalized_bernoulli above."""
+    a, d, f = quad_invariants(eta)
+    val = _prefactor(k, d)
+    for p in prime_divisors(a * f * 6):
+        ap = p_valuation(p, a)
+        c = kronecker_symbol(d, p)
+        if 6 % p == 0:
+            Fp = sum(p ** ((2 * k - 3) * t) for t in range(ap + 1)) \
+                - c * sum(p ** ((2 * k - 3) * t + k - 2) for t in range(ap))
+        else:
+            fp = p_valuation(p, f)
+            Fp = 0
+            for t in range(ap + 1):
+                Fp += sum(p ** ((2 * k - 3) * l + (k - 1) * t)
+                          for l in range(ap + fp - t + 1))
+                Fp -= c * sum(p ** ((2 * k - 3) * l + (k - 1) * t + k - 2)
+                              for l in range(ap + fp - t))
+        val *= Fp
+    return -val

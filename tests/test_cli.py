@@ -290,6 +290,13 @@ def test_verify_dims_suite(capsys):
     assert "0 mismatches" in out and "PASS" in out
 
 
+def test_verify_dims_suite_covers_every_residue_class_mod_60(capsys):
+    # 4 consecutive weights in each class mod 60 from k = 5: 0 <= k <= 244
+    rc, out, _ = run(capsys, "verify", "--suite", "dims")
+    assert rc == 0
+    assert "dims: 245 weights compared, 0 mismatches" in out
+
+
 def test_verify_tables_suite(capsys, tmp_path):
     rc, out, _ = run(capsys, "--cache-dir", str(tmp_path / "t"),
                      "verify", "--suite", "tables", "--prec", "6")

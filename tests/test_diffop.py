@@ -2,6 +2,7 @@
 and the product rule that makes multiplicatively dependent arguments vanish."""
 import pytest
 
+from qsiegel import diffop
 from qsiegel.diffop import bracket
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.fourier import linear_combine, multiply, power
@@ -60,3 +61,18 @@ def test_multiplicative_dependence_vanishes(forms):
     e2, e4, e6, e8 = forms
     assert is_zero(bracket(e2, power(e2, 2), e4, e6))
     assert is_zero(bracket(e2, e4, multiply(e2, e4), e6))
+
+
+def test_bracket_makes_14_convolutions(forms, monkeypatch):
+    # 4 products W_r f * g per side of the Laplace expansion, 6 products of
+    # minors; the oracle tests in test_kernels.py check the values
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    convolve = diffop.convolve
+    monkeypatch.setattr(diffop, "convolve", counting)
+    bracket(*forms)
+    assert len(calls) == 14

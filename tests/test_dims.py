@@ -1,5 +1,6 @@
 """Cusp-form dimension formula and the generating-function comparison."""
 from fractions import Fraction as Fr
+from math import comb
 
 import pytest
 
@@ -91,3 +92,11 @@ def test_report_matches_generating_function():
 def test_periodic_selector():
     assert [periodic_selector((0, -1, 1), k) for k in range(6)] == [0, -1, 1, 0, -1, 1]
     assert periodic_selector((1, 0, 0, -1), 7) == -1
+
+
+def test_fourth_difference_with_step_60_vanishes():
+    # for k >= 5 both sides are quasi-polynomials of degree 3 with period
+    # dividing 60, which is why `verify --suite dims` stops at weight 244
+    for f in (lambda k: dim_cusp(k, 3), genfun_coeff):
+        for k in range(5, 120):
+            assert sum((-1) ** j * comb(4, j) * f(k + 60 * j) for j in range(5)) == 0, k

@@ -1,6 +1,6 @@
 """Differential tests: the integer kernels against the Fraction oracles in
-oracles.py, on random sparse series, random rank-deficient matrices and every
-small discriminant."""
+oracles.py, on random sparse series, random rank-deficient matrices, every
+small discriminant and every Eisenstein coefficient to grade 16."""
 from fractions import Fraction as Fr
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qsiegel.diffop import bracket
+from qsiegel.eisenstein import EisensteinParams, eisenstein_coefficient, eisenstein_series
 from qsiegel.exactnum import generalized_bernoulli, is_fundamental_discriminant
 from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine, multiply,
                              rank_of_span, relation_nullspace, sqrt_monic)
@@ -142,6 +143,15 @@ def test_rank_and_nullspace_match_oracle(forms):
     assert len(null) == len(forms) - rank_of_span(forms)
     for v in null:
         assert not linear_combine(list(zip(v, forms))).coeffs
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
+def test_eisenstein_series_matches_oracle(k):
+    want = {eta: oracles.eisenstein_coefficient(k, eta) for eta in enumerate_cone(16)}
+    s = eisenstein_series(EisensteinParams(k), 16)
+    assert s == FourierSeries(k, 16, {ZERO: 1, **want})
+    for eta, v in want.items():
+        assert s.coeff(eta) == v == eisenstein_coefficient(EisensteinParams(k), eta), eta
 
 
 @pytest.mark.deep

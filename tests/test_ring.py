@@ -141,6 +141,26 @@ def test_structure_at_prec_8_escalates_to_a_pass():
     assert report.ok
 
 
+def test_zero_delta20a_fails_the_independence_check(gens12, monkeypatch):
+    assert verify_structure(0, gens12).independence == (12, True)
+    zero = forged(gens12, delta20a=FourierSeries(20, 12, {}))
+    # every grade of the forged set says the same: deeper() rebuilds nothing
+    monkeypatch.setattr(GeneratorSet, "deeper", lambda self: self)
+    report = verify_structure(0, zero)
+    assert report.independence == (12, False)
+    assert not report.ok
+
+
+def test_structure_fails_on_the_independence_check_alone(gens12, monkeypatch):
+    # the zero delta20a above also shortens w20_with_deltas; here every rank
+    # matches and only the independence verdict is negative
+    monkeypatch.setattr(ring, "_independence", lambda gens: (gens.prec, False))
+    report = verify_structure(5, gens12)
+    assert all(row.ok for row in report.rows)
+    assert all(got == want for got, want in report.augmentations.values())
+    assert not report.ok
+
+
 def test_stages_build_on_each_other(gens12):
     chi5 = GeneratorSet.build(12, upto="chi5")
     assert chi5.stage == "chi5" and len(chi5.members()) == 12
