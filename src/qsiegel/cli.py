@@ -26,7 +26,7 @@ import tempfile
 import zlib
 from fractions import Fraction
 
-from .dims import dim_cusp, dim_modular, dimension_report, _is_odd_prime
+from .dims import dim_cusp, dim_cusp_3, dim_modular, dimension_report, _is_odd_prime
 from .fourier import FourierSeries
 from .lattice import grade, norm_m
 from .ring import (FORMS, GeneratorSet, verify_chi5_square_relations,
@@ -258,6 +258,9 @@ def cmd_verify(args):
                 print("  residual %s at %r" % (v, eta))
             ok = ok and rep.ok
     elif args.suite == "structure":
+        if args.kmax < 0:
+            print("kmax must be >= 0", file=sys.stderr)
+            return 2
         gens = _get_gens(prec, args.cache_dir)
         report = verify_structure(args.kmax, gens)
         for row in report.rows:
@@ -301,9 +304,7 @@ def cmd_dims(args):
     rows = []
     for k in range(k_from, k_to + 1):
         if p == 3:
-            dm = dim_modular(k)
-            ds = dm - (1 if k % 2 == 0 else 0) if k <= 4 else dim_cusp(k, 3)
-            rows.append([k, ds, dm])
+            rows.append([k, dim_cusp_3(k), dim_modular(k)])
         else:
             rows.append([k, dim_cusp(k, p)])
     if args.format == "json":

@@ -78,6 +78,12 @@ def dim_modular(k):
     return dim_cusp(k, 3) + (1 if k % 2 == 0 else 0)
 
 
+def dim_cusp_3(k):
+    """dim_cusp(k, 3) for k >= 5; below that, dim_modular(k) less the
+    Eisenstein series at even k."""
+    return dim_modular(k) - (1 if k % 2 == 0 else 0) if k <= 4 else dim_cusp(k, 3)
+
+
 def genfun_coeff(k):
     """Coefficient of t^k in (1+t^5)(1+t^15) / ((1-t^2)(1-t^4)(1-t^5)(1-t^6))."""
     if k < 0:
@@ -99,9 +105,8 @@ def dimension_report(k_max=100):
     ok = True
     for k in range(k_max + 1):
         dm = dim_modular(k)
-        ds = dm - (1 if k % 2 == 0 else 0) if k <= 4 else dim_cusp(k, 3)
         gf = genfun_coeff(k)
         match = (dm == gf)
         ok = ok and match
-        rows.append((k, ds, dm, gf, match))
+        rows.append((k, dim_cusp_3(k), dm, gf, match))
     return DimensionReport(3, rows, ok)

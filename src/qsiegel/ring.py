@@ -10,7 +10,9 @@ satisfy.
 `GeneratorSet.from_records` makes the same object from finished series (the
 CLI's cache path), and `GeneratorSet.monomial` is the one way to form a
 product of powers of its members.  The polynomial identities are data,
-(name, lhs_scale, lhs, [(coefficient, powers)]), checked by one function.
+(name, lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so
+are the structure checks, (name, monomials, expected rank), each a span rank
+that one walk along the deeper() chain raises while it is short and rising.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -30,8 +32,6 @@ StructureReport = namedtuple("StructureReport", "rows augmentations independence
 CHI5A_LEAD = (2, 0, -1)
 CHI5B_LEAD = (2, 1, -1)
 CHI15_UNIT_INDEX = (5, 1, -2)
-# Deeper rebuilds allowed to a span check whose rank falls short.
-MAX_ESCALATIONS = 2
 
 # Form id -> (stage, weight), in output order.  GeneratorSet.build(prec,
 # upto=stage) makes the forms of that stage and of every stage before it.
@@ -353,88 +353,81 @@ def five_generator_exponents(weight):
     return _exponents(weight, FIVE_GENERATORS)
 
 
-def monomial_basis(weight, gens):
-    """Span rank of all weight-homogeneous monomials in the six generators,
-    compared with the generating-function coefficient.
-
-    Truncation can only lose rank, never create it, so a computed rank equal
-    to the expected dimension is conclusive.  If the rank falls short, the
-    generators are rebuilt 2 grades deeper (at most MAX_ESCALATIONS times, or
-    until the rank stops moving) before reporting.
-    """
+def monomial_basis(weight, gens, memo=None):
+    """Span rank of all weight-homogeneous monomials in the six generators
+    against the generating-function coefficient: the weight row of
+    verify_structure, run by _span_rank (memo as there)."""
     expos = monomial_exponents(weight)
     expected = genfun_coeff(weight)
-    rank = rank_of_span([gens.monomial(zip(SIX_GENERATORS, t)) for t in expos])
-    for _ in range(MAX_ESCALATIONS):
-        if rank >= expected:
+    rank, at = _span_rank([tuple(zip(SIX_GENERATORS, t)) for t in expos], expected,
+                          gens, {} if memo is None else memo)
+    return MonomialBasisReport(weight, expos, rank, expected, at, rank == expected)
+
+
+# delta20a = {E2, E4, chi5a, E6} spans one dimension, i.e. is nonzero.
+INDEPENDENCE = ("e2_e4_chi5a_e6_independent", ((("delta20a", 1),),), 1)
+
+
+def _span_checks():
+    """The rows (name, monomials, expected rank) beside the weight rows: the
+    weight-10 products of E2, E4, E6, E10 span 6 dimensions and chi5a*chi5b a
+    7th; the five-generator monomials span 12 of the 13 dimensions in weight
+    15 (chi15 the 13th) and 26 of the 28 in weight 20 (delta20a, delta20b the
+    last two); then INDEPENDENCE."""
+    u15 = [tuple(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(15)]
+    v20 = [tuple(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(20)]
+    return (("w10_products", W10_MONOMIALS, 6),
+            ("w10_with_chi5ab", W10_MONOMIALS + ((("chi5a", 1), ("chi5b", 1)),), 7),
+            ("w15_five_generators", u15, 12),
+            ("w15_with_chi15", u15 + [(("chi15", 1),)], 13),
+            ("w20_five_generators", v20, 26),
+            ("w20_with_deltas", v20 + [(("delta20a", 1),), (("delta20b", 1),)], 28),
+            INDEPENDENCE)
+
+
+def _span_rank(monomials, expected, gens, memo):
+    """(rank, grade) of the monomials' span: while the rank is below expected
+    and rose at the last step, walk the gens.deeper() chain.  The grade is
+    that of the set where the rank was reached.  Truncation only loses rank,
+    so going deeper cannot create a false pass; each step gains at least 1
+    and the rank is at most len(monomials), so the walk ends.  memo maps
+    (set, monomial) to its series: each monomial is formed once per set."""
+    def rank_at(g):
+        forms = []
+        for powers in monomials:
+            key = (g, frozenset((f, n) for f, n in powers if n))
+            if key not in memo:
+                memo[key] = g.monomial(powers)
+            forms.append(memo[key])
+        return rank_of_span(forms)
+
+    rank = rank_at(gens)
+    while rank < expected:
+        deeper = rank_at(gens.deeper())
+        if deeper <= rank:
             break
-        new_rank = rank_of_span([gens.deeper().monomial(zip(SIX_GENERATORS, t))
-                                 for t in expos])
-        if new_rank == rank:
-            break
-        rank, gens = new_rank, gens.deeper()
-    return MonomialBasisReport(weight, expos, rank, expected, gens.prec, rank == expected)
-
-
-def _augmentations(gens):
-    """name -> (rank, expected rank) of the span augmentation checks."""
-    v10 = [gens.monomial(powers) for powers in W10_MONOMIALS]
-    aug = {"w10_products": (rank_of_span(v10), 6)}
-    aug["w10_with_chi5ab"] = (
-        rank_of_span(v10 + [gens.monomial((("chi5a", 1), ("chi5b", 1)))]), 7)
-
-    u15 = [gens.monomial(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(15)]
-    aug["w15_five_generators"] = (rank_of_span(u15), 12)
-    aug["w15_with_chi15"] = (rank_of_span(u15 + [gens.chi15]), 13)
-
-    v20 = [gens.monomial(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(20)]
-    aug["w20_five_generators"] = (rank_of_span(v20), 26)
-    aug["w20_with_deltas"] = (
-        rank_of_span(v20 + [gens.delta20a, gens.delta20b]), 28)
-    return aug
-
-
-def _independence(gens):
-    """(grade, nonzero) for delta20a = {E2, E4, chi5a, E6}.  delta20a has no
-    coefficient below grade 7, so a vanishing truncation escalates along the
-    gens.deeper() chain, at most MAX_ESCALATIONS times."""
-    for _ in range(MAX_ESCALATIONS):
-        if any(gens.delta20a.vec):
-            break
-        gens = gens.deeper()
-    return gens.prec, any(gens.delta20a.vec)
+        rank, gens = deeper, gens.deeper()
+    return rank, gens.prec
 
 
 def verify_structure(k_max, gens):
-    """monomial_basis comparison for every weight <= k_max, plus the span
-    augmentation facts: the weight-10 products of E2, E4, E6, E10 span 6
-    dimensions and chi5a*chi5b a 7th; the five-generator monomials span 12 of
-    the 13 dimensions in weight 15 (chi15 the 13th) and 26 of the 28 in
-    weight 20 (delta20a, delta20b the last two).
+    """Every structure check as a span row, each run by _span_rank with one
+    memo: the monomial_basis row of every weight <= k_max, then _span_checks.
 
-    Augmentation ranks that fall short escalate like monomial_basis: along
-    the same gens.deeper() chain, at most MAX_ESCALATIONS times, until no
-    short rank moves.
-
-    Last, the algebraic independence of E2, E4, chi5a, E6: if four forms
-    satisfy a polynomial relation, their bracket, a weighted Jacobian
+    INDEPENDENCE is the algebraic independence of E2, E4, chi5a, E6: if four
+    forms satisfy a polynomial relation, their bracket, a weighted Jacobian
     determinant, vanishes identically (the Jacobian criterion; Aoki and
     Ibukiyama, Internat. J. Math. 16, 2005), so one nonzero coefficient of
-    delta20a proves independence.
+    delta20a proves independence.  delta20a has no coefficient below grade
+    7, so a set below that grade walks deeper.
     """
-    rows = [monomial_basis(k, gens) for k in range(k_max + 1)]
-    independence = _independence(gens)
-    aug = _augmentations(gens)
-    for _ in range(MAX_ESCALATIONS):
-        short = [name for name, (got, want) in aug.items() if got < want]
-        if not short:
-            break
-        gens = gens.deeper()
-        deeper = _augmentations(gens)
-        moved = {name: deeper[name] for name in short if deeper[name][0] > aug[name][0]}
-        if not moved:
-            break
-        aug.update(moved)
+    memo = {}
+    rows = [monomial_basis(k, gens, memo) for k in range(k_max + 1)]
+    checks = {name: _span_rank(monomials, expected, gens, memo) + (expected,)
+              for name, monomials, expected in _span_checks()}
+    rank, at, expected = checks.pop(INDEPENDENCE[0])
+    independence = (at, rank == expected)
+    aug = {name: (got, want) for name, (got, _, want) in checks.items()}
     ok = (all(r.ok for r in rows) and all(got == want for got, want in aug.values())
           and independence[1])
     return StructureReport(rows, aug, independence, ok)

@@ -309,3 +309,17 @@ def test_verify_relations_suite(capsys, tmp_path):
                      "verify", "--suite", "relations", "--prec", "8")
     assert rc == 0
     assert "chi15_sq_identity: ok" in out and "PASS" in out
+
+
+def test_verify_structure_rejects_negative_kmax(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "structure", "--kmax", "-3")
+    assert rc == 2 and "kmax" in err and not out
+
+
+def test_verify_structure_suite_at_prec_5_walks_to_a_pass(capsys, tmp_path):
+    # from grade 5, weight 20 reaches full rank at grade 11, three rebuilds on
+    rc, out, _ = run(capsys, "--cache-dir", str(tmp_path / "s"),
+                     "verify", "--suite", "structure", "--prec", "5")
+    assert rc == 0
+    assert "weight 20: rank 28 expected 28 ok" in out
+    assert out.splitlines()[-1] == "verify structure: PASS"

@@ -1,5 +1,6 @@
 """Generator construction: normalizations, the verification reports on an
 honest build, their sensitivity to forged inputs, and monomial span ranks."""
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
@@ -153,12 +154,36 @@ def test_zero_delta20a_fails_the_independence_check(gens12, monkeypatch):
 
 def test_structure_fails_on_the_independence_check_alone(gens12, monkeypatch):
     # the zero delta20a above also shortens w20_with_deltas; here every rank
-    # matches and only the independence verdict is negative
-    monkeypatch.setattr(ring, "_independence", lambda gens: (gens.prec, False))
+    # matches and only the independence row, left with nothing to span, is short
+    name, _, expected = ring.INDEPENDENCE
+    monkeypatch.setattr(ring, "INDEPENDENCE", (name, (), expected))
     report = verify_structure(5, gens12)
     assert all(row.ok for row in report.rows)
     assert all(got == want for got, want in report.augmentations.values())
+    assert report.independence == (12, False)
     assert not report.ok
+
+
+def test_monomial_basis_walks_past_two_rebuilds():
+    # weight 26 first reaches full rank at grade 14, three rebuilds above 8
+    report = monomial_basis(26, GeneratorSet.build(8))
+    assert report.rank == report.expected == 53
+    assert report.prec == 14 and report.ok
+
+
+def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
+    formed = Counter()
+    monomial = GeneratorSet.monomial
+
+    def counted(self, powers):
+        powers = tuple(powers)
+        formed[self.prec, frozenset((f, n) for f, n in powers if n)] += 1
+        return monomial(self, powers)
+
+    monkeypatch.setattr(GeneratorSet, "monomial", counted)
+    # weights 10, 15 and 20 share monomials with the augmentation rows
+    assert verify_structure(20, gens12).ok
+    assert formed and max(formed.values()) == 1
 
 
 def test_stages_build_on_each_other(gens12):
