@@ -11,12 +11,19 @@ the same fields as an object.  Cached records use the JSON form plus
 `version` and `crc32` (zlib.crc32 of the rows' JSON), one file per (form,
 precision), written atomically; a cached record at precision X serves any
 request up to X by truncation.  A record that cannot be read or turned into a
-series, or whose version, checksum, form, weight or prec is wrong, is a miss:
-the form is recomputed and the record replaced.  A failed write only warns.
+series, or whose version, checksum, form, weight or prec is wrong, is passed
+over: a request is served by the smallest valid record at or above its
+precision, and with none the form is recomputed and its records written at
+the requested precision, replacing any at those paths.  A failed write only
+warns.
 
 Forms are computed in batches: `expand` builds the GeneratorSet stage that
-makes the form (see ring.FORMS) and caches every member of it; `verify`
+makes the form (see forms.FORMS) and caches every member of it; `verify`
 builds, or reads back from the cache, the full set.
+
+`ring` and `dims` are used as module objects (`ring.GeneratorSet.build`,
+`dims.dimension_report`): they load lazily (see the package docstring), so a
+cache hit runs only this module, `forms`, `fourier` and `lattice`.
 """
 import argparse
 import json
@@ -26,11 +33,10 @@ import tempfile
 import zlib
 from fractions import Fraction
 
-from .dims import dim_cusp, dim_cusp_3, dim_modular, dimension_report, _is_odd_prime
+from . import dims, ring
+from .forms import FORMS
 from .fourier import FourierSeries
 from .lattice import grade, norm_m
-from .ring import (FORMS, GeneratorSet, verify_chi5_square_relations,
-                   verify_polynomial_relations, verify_structure)
 
 CACHE_ENV = "QSIEGEL_CACHE_DIR"
 CACHE_VERSION = 1
@@ -112,12 +118,13 @@ def cache_store(cache_dir, form, s):
 
 
 def cache_lookup(cache_dir, form, prec):
-    """Best cached series for the form at precision >= prec, truncated; None
-    on a miss.  Every record that cannot be read or turned into a series, or
-    whose version, checksum, form, weight or prec is wrong, is a miss."""
+    """The smallest valid cached record of the form at precision >= prec, as
+    a series truncated to prec; None on a miss.  A record that cannot be read
+    or turned into a series, or whose version, checksum, form, weight or prec
+    is wrong, is passed over for the next larger one."""
     if not cache_dir or not os.path.isdir(cache_dir):
         return None
-    best = None
+    precs = []
     prefix = form + ".p"
     for name in os.listdir(cache_dir):
         if name.startswith(prefix) and name.endswith(".json"):
@@ -125,25 +132,24 @@ def cache_lookup(cache_dir, form, prec):
                 p = int(name[len(prefix):-len(".json")])
             except ValueError:
                 continue
-            if p >= prec and (best is None or p < best):
-                best = p
-    if best is None:
-        return None
-    try:
-        with open(_cache_path(cache_dir, form, best)) as fh:
-            rec = parse_json(fh.read())
-        if ((rec["version"], rec["crc32"], rec["form"], rec["weight"], rec["prec"])
-                != (CACHE_VERSION, _rows_crc(rec["rows"]), form, FORMS[form][1], best)):
-            return None
-        return series_from_record(rec).truncate(prec)
-    # A nested record exhausts the parser's recursion; "1/0" divides by zero.
-    except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
-            RecursionError):
-        return None
+            if p >= prec:
+                precs.append(p)
+    for p in sorted(precs):
+        try:
+            with open(_cache_path(cache_dir, form, p)) as fh:
+                rec = parse_json(fh.read())
+            if ((rec["version"], rec["crc32"], rec["form"], rec["weight"], rec["prec"])
+                    == (CACHE_VERSION, _rows_crc(rec["rows"]), form, FORMS[form][1], p)):
+                return series_from_record(rec).truncate(prec)
+        # A nested record exhausts the parser's recursion; "1/0" divides by zero.
+        except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
+                RecursionError):
+            pass
+    return None
 
 
 def _build_and_store(prec, stage, cache_dir):
-    gens = GeneratorSet.build(prec, stage)
+    gens = ring.GeneratorSet.build(prec, stage)
     for form, s in gens.members().items():
         cache_store(cache_dir, form, s)
     return gens
@@ -162,7 +168,7 @@ def _get_gens(prec, cache_dir):
         forms[form] = cache_lookup(cache_dir, form, prec)
         if forms[form] is None:
             return _build_and_store(prec, "chi15", cache_dir)
-    return GeneratorSet.from_records(prec, forms)
+    return ring.GeneratorSet.from_records(prec, forms)
 
 
 # ---------------------------------------------------------------- expand
@@ -251,7 +257,8 @@ def cmd_verify(args):
         ok = not failures
     elif args.suite == "relations":
         gens = _get_gens(prec, args.cache_dir)
-        reports = verify_chi5_square_relations(gens) + verify_polynomial_relations(gens)
+        reports = (ring.verify_chi5_square_relations(gens)
+                   + ring.verify_polynomial_relations(gens))
         for rep in reports:
             print("%s: %s" % (rep.name, "ok" if rep.ok else "FAIL"))
             for eta, v in rep.mismatches[:5]:
@@ -262,7 +269,7 @@ def cmd_verify(args):
             print("kmax must be >= 0", file=sys.stderr)
             return 2
         gens = _get_gens(prec, args.cache_dir)
-        report = verify_structure(args.kmax, gens)
+        report = ring.verify_structure(args.kmax, gens)
         for row in report.rows:
             print("weight %2d: rank %d expected %d %s"
                   % (row.weight, row.rank, row.expected, "ok" if row.ok else "FAIL"))
@@ -278,7 +285,7 @@ def cmd_verify(args):
         # For k >= 5 both sides are quasi-polynomials of degree 3 in k with
         # period dividing 60, so agreement at 4 consecutive k in every
         # residue class mod 60, i.e. for 5 <= k <= 244, proves it for all k.
-        report = dimension_report(244)
+        report = dims.dimension_report(244)
         bad = [row for row in report.rows if not row[4]]
         print("dims: %d weights compared, %d mismatches" % (len(report.rows), len(bad)))
         for k, _ds, dm, gf, _m in bad:
@@ -292,7 +299,7 @@ def cmd_verify(args):
 
 def cmd_dims(args):
     p, k_from, k_to = args.p, args.k_from, args.k_to
-    if not _is_odd_prime(p):
+    if not dims._is_odd_prime(p):
         print("p must be an odd prime, got %r" % p, file=sys.stderr)
         return 2
     if k_from > k_to:
@@ -304,9 +311,9 @@ def cmd_dims(args):
     rows = []
     for k in range(k_from, k_to + 1):
         if p == 3:
-            rows.append([k, dim_cusp_3(k), dim_modular(k)])
+            rows.append([k, dims.dim_cusp_3(k), dims.dim_modular(k)])
         else:
-            rows.append([k, dim_cusp(k, p)])
+            rows.append([k, dims.dim_cusp(k, p)])
     if args.format == "json":
         print(json.dumps({"p": p, "columns": ["k", "dim_cusp", "dim_modular"][:len(rows[0])],
                           "rows": rows}))

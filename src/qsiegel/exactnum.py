@@ -31,12 +31,6 @@ def bernoulli_number(m):
     return _BERNOULLI[m]
 
 
-def bernoulli_poly_value(m, t):
-    """Value of the m-th Bernoulli polynomial at the rational t."""
-    t = Fraction(t)
-    return sum(comb(m, j) * bernoulli_number(j) * t ** (m - j) for j in range(m + 1))
-
-
 def kronecker_symbol(d, n):
     """Kronecker symbol (d/n), fully extended (n may be 0, negative, even)."""
     if n == 0:

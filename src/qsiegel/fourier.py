@@ -140,17 +140,6 @@ def multiply(f, g):
                                      convolve(f.vec, g.vec, 0, X))
 
 
-def power(f, n):
-    if n < 0:
-        raise ValueError("negative power")
-    if n == 0:
-        return one(f.prec)
-    r = f
-    for _ in range(n - 1):
-        r = multiply(r, f)
-    return r
-
-
 def _solve_slices(g, lead, pivot, first, h, partner, what):
     """Complete h = (den, vec) grade by grade, from grade `first` of g on, so
     that partner * h agrees with g; partner, a (den, vec) pair, None means h

@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exactnum import fundamental_discriminant_split
+from . import exactnum
 
 ZERO = (0, 0, 0)
 
@@ -142,5 +142,5 @@ def quad_invariants(eta):
     if not is_positive(eta):
         raise ValueError("quad_invariants needs a positive index, got %r" % (eta,))
     a = gcd(gcd(abs(eta[0]), abs(eta[1])), abs(eta[2]))
-    d, f = fundamental_discriminant_split(-norm_m(eta) // (a * a))
+    d, f = exactnum.fundamental_discriminant_split(-norm_m(eta) // (a * a))
     return QuadInvariants(a, d, f)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .diffop import bracket
 from .dims import genfun_coeff
 from .eisenstein import EisensteinParams, eisenstein_series
+from .forms import FORMS, STAGES
 from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
                       sqrt_monic)
 
@@ -32,15 +33,6 @@ StructureReport = namedtuple("StructureReport", "rows augmentations independence
 CHI5A_LEAD = (2, 0, -1)
 CHI5B_LEAD = (2, 1, -1)
 CHI15_UNIT_INDEX = (5, 1, -2)
-
-# Form id -> (stage, weight), in output order.  GeneratorSet.build(prec,
-# upto=stage) makes the forms of that stage and of every stage before it.
-STAGES = ("phi", "chi5", "chi15")
-FORMS = {"E2": ("phi", 2), "E4": ("phi", 4), "E6": ("phi", 6), "E8": ("phi", 8),
-         "E10": ("phi", 10), "phi2": ("phi", 2), "phi4": ("phi", 4),
-         "phi6": ("phi", 6), "phi8": ("phi", 8), "phi10": ("phi", 10),
-         "chi5a": ("chi5", 5), "chi5b": ("chi5", 5), "chi15": ("chi15", 15),
-         "delta20a": ("chi15", 20), "delta20b": ("chi15", 20)}
 
 # Monomials are tuples of (form id, exponent) pairs.
 E8_MONOMIALS = ((("E2", 4),), (("E2", 2), ("E4", 1)), (("E2", 1), ("E6", 1)),

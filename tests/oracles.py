@@ -6,14 +6,15 @@ arithmetic: the product as a sum over `decompositions`, the bracket as the
 elimination, generalized Bernoulli numbers as a sum of Bernoulli
 polynomial values over the residues, and each Eisenstein coefficient as its
 own product of `Fraction` local factors.  They are slow and obviously correct;
-tests compare the library with them on random inputs.
+tests compare the library with them on random inputs.  `power` and
+`bernoulli_poly_value` are test helpers that the library itself never calls.
 """
 from fractions import Fraction
+from math import comb
 
-from qsiegel import exactnum
-from qsiegel.exactnum import (bernoulli_number, bernoulli_poly_value,
-                              is_fundamental_discriminant, kronecker_symbol,
-                              p_valuation, prime_divisors)
+from qsiegel import exactnum, fourier
+from qsiegel.exactnum import (bernoulli_number, is_fundamental_discriminant,
+                              kronecker_symbol, p_valuation, prime_divisors)
 from qsiegel.fourier import FourierSeries
 from qsiegel.lattice import ZERO, decompositions, enumerate_cone, quad_invariants
 
@@ -126,6 +127,24 @@ def relation_nullspace(forms):
             v[pc] = -rows[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def power(f, n):
+    """f^n for n >= 0 by repeated library products."""
+    if n < 0:
+        raise ValueError("negative power")
+    if n == 0:
+        return fourier.one(f.prec)
+    r = f
+    for _ in range(n - 1):
+        r = fourier.multiply(r, f)
+    return r
+
+
+def bernoulli_poly_value(m, t):
+    """Value of the m-th Bernoulli polynomial at the rational t."""
+    t = Fraction(t)
+    return sum(comb(m, j) * bernoulli_number(j) * t ** (m - j) for j in range(m + 1))
 
 
 def generalized_bernoulli(m, d):

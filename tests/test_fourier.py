@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine,
-                             multiply, one, power, rank_of_span,
+                             multiply, one, rank_of_span,
                              relation_nullspace, sqrt_monic)
 from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive, position_count
 from qsiegel.ring import GeneratorSet
