@@ -288,6 +288,11 @@ def cmd_verify(args):
         report = dims.dimension_report(244)
         bad = [row for row in report.rows if not row[4]]
         print("dims: %d weights compared, %d mismatches" % (len(report.rows), len(bad)))
+        if not bad:
+            print("  proves equality for every k >= 5 (both sides degree-3 "
+                  "quasi-polynomials, period dividing 60); assumes the dimension "
+                  "formula as implemented and the tabulated k <= 4 values in "
+                  "dims.dim_modular")
         for k, _ds, dm, gf, _m in bad:
             print("  MISMATCH k=%d: dim %d, generating function %d" % (k, dm, gf))
         ok = report.ok

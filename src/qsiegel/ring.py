@@ -9,7 +9,9 @@ satisfy.
 ("phi", "chi5", "chi15"), each on top of the ones before it;
 `GeneratorSet.from_records` makes the same object from finished series (the
 CLI's cache path), and `GeneratorSet.monomial` is the one way to form a
-product of powers of its members.  The polynomial identities are data,
+product of powers of its members.  It is also the one product cache: each set
+keeps every product it formed, partial products included, and the relation
+and span checks share them.  The polynomial identities are data,
 (name, lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so
 are the structure checks, (name, monomials, expected rank), each a span rank
 that one walk along the deeper() chain raises while it is short and rising.
@@ -159,7 +161,7 @@ class GeneratorSet:
     Each member is the attribute named by its form id in lower case.
     """
 
-    __slots__ = ("prec", "stage", "_pow_cache", "_deeper") + tuple(
+    __slots__ = ("prec", "stage", "_products", "_deeper") + tuple(
         form.lower() for form in FORMS)
 
     @classmethod
@@ -231,7 +233,7 @@ class GeneratorSet:
                                  "at prec %d" % (form, s.weight, s.prec,
                                                  FORMS[form][1], prec))
             setattr(self, form.lower(), s)
-        self._pow_cache = {}
+        self._products = {}
         self._deeper = None
         return self
 
@@ -246,24 +248,26 @@ class GeneratorSet:
         """{form id: series} of every member."""
         return {form: getattr(self, form.lower()) for form in _stage_forms(self.stage)}
 
-    def gen_power(self, form, n):
-        """Cached n-th power (n >= 1) of the member with the given form id."""
-        key = (form, n)
-        if key not in self._pow_cache:
-            base = getattr(self, form.lower())
-            self._pow_cache[key] = (base if n == 1
-                                    else multiply(self.gen_power(form, n - 1), base))
-        return self._pow_cache[key]
-
     def monomial(self, powers):
-        """The product of the members' powers for (form id, exponent) pairs;
-        one(prec) when every exponent is 0."""
-        mon = None
-        for form, n in powers:
-            if n:
-                p = self.gen_power(form, n)
-                mon = p if mon is None else multiply(mon, p)
-        return one(self.prec) if mon is None else mon
+        """The product of the members' powers for (form id, exponent) pairs, in
+        any order; one(prec) when every exponent is 0.  Each product is cached
+        under its sorted nonzero pairs and formed by one multiply from cached
+        factors: a power from the next lower power, any other product from
+        the one-generator-shorter prefix and the last generator's power."""
+        key = tuple(sorted((f, n) for f, n in powers if n))
+        mon = self._products.get(key)
+        if mon is None:
+            if not key:
+                mon = one(self.prec)
+            elif len(key) > 1:
+                mon = multiply(self.monomial(key[:-1]), self.monomial(key[-1:]))
+            else:
+                (form, n), = key
+                mon = getattr(self, form.lower())
+                if n > 1:
+                    mon = multiply(self.monomial(((form, n - 1),)), mon)
+            self._products[key] = mon
+        return mon
 
 
 def _relations():
@@ -288,15 +292,11 @@ def _relations():
 
 def _check_relations(gens, relations):
     """One Report per relation, its mismatches the nonzero coefficients of
-    sum(terms) - lhs_scale * lhs.  Each distinct monomial is evaluated once."""
-    mons = {}
+    sum(terms) - lhs_scale * lhs; gens.monomial forms each monomial once."""
     reports = []
     for name, scale, lhs, terms in relations:
-        parts = [(-scale, lhs)] + terms
-        for _, powers in parts:
-            if powers not in mons:
-                mons[powers] = gens.monomial(powers)
-        residual = linear_combine([(c, mons[powers]) for c, powers in parts])
+        residual = linear_combine([(c, gens.monomial(powers))
+                                   for c, powers in [(-scale, lhs)] + terms])
         bad = residual.sorted_items()
         reports.append(Report(name, not bad, bad))
     return reports
@@ -345,14 +345,14 @@ def five_generator_exponents(weight):
     return _exponents(weight, FIVE_GENERATORS)
 
 
-def monomial_basis(weight, gens, memo=None):
+def monomial_basis(weight, gens):
     """Span rank of all weight-homogeneous monomials in the six generators
     against the generating-function coefficient: the weight row of
-    verify_structure, run by _span_rank (memo as there)."""
+    verify_structure, run by _span_rank."""
     expos = monomial_exponents(weight)
     expected = genfun_coeff(weight)
     rank, at = _span_rank([tuple(zip(SIX_GENERATORS, t)) for t in expos], expected,
-                          gens, {} if memo is None else memo)
+                          gens)
     return MonomialBasisReport(weight, expos, rank, expected, at, rank == expected)
 
 
@@ -377,25 +377,16 @@ def _span_checks():
             INDEPENDENCE)
 
 
-def _span_rank(monomials, expected, gens, memo):
+def _span_rank(monomials, expected, gens):
     """(rank, grade) of the monomials' span: while the rank is below expected
     and rose at the last step, walk the gens.deeper() chain.  The grade is
     that of the set where the rank was reached.  Truncation only loses rank,
     so going deeper cannot create a false pass; each step gains at least 1
-    and the rank is at most len(monomials), so the walk ends.  memo maps
-    (set, monomial) to its series: each monomial is formed once per set."""
-    def rank_at(g):
-        forms = []
-        for powers in monomials:
-            key = (g, frozenset((f, n) for f, n in powers if n))
-            if key not in memo:
-                memo[key] = g.monomial(powers)
-            forms.append(memo[key])
-        return rank_of_span(forms)
-
-    rank = rank_at(gens)
+    and the rank is at most len(monomials), so the walk ends.  Each set's
+    monomial cache forms every product once across all rows."""
+    rank = rank_of_span([gens.monomial(p) for p in monomials])
     while rank < expected:
-        deeper = rank_at(gens.deeper())
+        deeper = rank_of_span([gens.deeper().monomial(p) for p in monomials])
         if deeper <= rank:
             break
         rank, gens = deeper, gens.deeper()
@@ -403,8 +394,8 @@ def _span_rank(monomials, expected, gens, memo):
 
 
 def verify_structure(k_max, gens):
-    """Every structure check as a span row, each run by _span_rank with one
-    memo: the monomial_basis row of every weight <= k_max, then _span_checks.
+    """Every structure check as a span row, each run by _span_rank: the
+    monomial_basis row of every weight <= k_max, then _span_checks.
 
     INDEPENDENCE is the algebraic independence of E2, E4, chi5a, E6: if four
     forms satisfy a polynomial relation, their bracket, a weighted Jacobian
@@ -413,9 +404,8 @@ def verify_structure(k_max, gens):
     delta20a proves independence.  delta20a has no coefficient below grade
     7, so a set below that grade walks deeper.
     """
-    memo = {}
-    rows = [monomial_basis(k, gens, memo) for k in range(k_max + 1)]
-    checks = {name: _span_rank(monomials, expected, gens, memo) + (expected,)
+    rows = [monomial_basis(k, gens) for k in range(k_max + 1)]
+    checks = {name: _span_rank(monomials, expected, gens) + (expected,)
               for name, monomials, expected in _span_checks()}
     rank, at, expected = checks.pop(INDEPENDENCE[0])
     independence = (at, rank == expected)

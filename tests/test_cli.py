@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qsiegel.cli import (cache_lookup, cache_store, emit_csv, emit_json, main,
                          parse_csv, parse_json, record_from_series,
                          series_from_record)
+from qsiegel import dims
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.ring import GeneratorSet
 
@@ -316,6 +317,20 @@ def test_verify_dims_suite_covers_every_residue_class_mod_60(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "dims")
     assert rc == 0
     assert "dims: 245 weights compared, 0 mismatches" in out
+
+
+def test_verify_dims_says_what_it_proves_and_assumes(capsys, monkeypatch):
+    rc, out, _ = run(capsys, "verify", "--suite", "dims")
+    lines = out.splitlines()
+    assert rc == 0 and lines[0].startswith("dims: 245 weights compared")
+    assert lines[1] == ("  proves equality for every k >= 5 (both sides degree-3 "
+                        "quasi-polynomials, period dividing 60); assumes the "
+                        "dimension formula as implemented and the tabulated "
+                        "k <= 4 values in dims.dim_modular")
+    genfun = dims.genfun_coeff
+    monkeypatch.setattr(dims, "genfun_coeff", lambda k: genfun(k) + (k == 100))
+    rc, out, _ = run(capsys, "verify", "--suite", "dims")
+    assert rc == 1 and "1 mismatches" in out and "proves" not in out
 
 
 def test_verify_tables_suite(capsys, tmp_path):

@@ -36,7 +36,7 @@ def test_multiply_matches_brute_force():
 
 
 def test_square_of_weight_two(gens12):
-    sq = gens12.gen_power("E2", 2)
+    sq = gens12.monomial((("E2", 2),))
     assert sq.coeff(ZERO) == 1
     assert sq.coeff((2, 1, -1)) == 96
     assert sq.coeff((4, 2, -2)) == 2688

@@ -1,5 +1,5 @@
 """`expand` stdout against the benchmark's sha256 digests (perfbench/golden.json,
-read only), for one form of each GeneratorSet stage in both formats."""
+read only), for every form at prec 8 in both formats."""
 import hashlib
 import json
 import pathlib
@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from qsiegel.cli import main
+from qsiegel.forms import FORMS
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -17,7 +18,7 @@ def golden():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("form", ["E2", "chi5a", "chi15"])
+@pytest.mark.parametrize("form", list(FORMS))
 def test_expand_output_matches_golden_digest(golden, capsys, form, fmt):
     assert main(["expand", "--form", form, "--prec", "8", "--format", fmt]) == 0
     out = capsys.readouterr().out

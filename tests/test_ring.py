@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+import oracles
 from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import FourierSeries, linear_combine, rank_of_span
 from qsiegel.lattice import grade
@@ -116,7 +117,7 @@ def test_monomial_basis_small_weights(gens12):
 
 
 def test_weight6_span(gens12):
-    e2cubed = gens12.gen_power("E2", 3)
+    e2cubed = gens12.monomial((("E2", 3),))
     e2e4 = gens12.monomial((("E2", 1), ("E4", 1)))
     assert rank_of_span([e2cubed, e2e4, gens12.e6]) == 3
 
@@ -172,18 +173,22 @@ def test_monomial_basis_walks_past_two_rebuilds():
 
 
 def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
-    formed = Counter()
-    monomial = GeneratorSet.monomial
+    # keyed by content, not id, so that a product formed again is caught
+    operands = Counter()
+    multiply = ring.multiply
 
-    def counted(self, powers):
-        powers = tuple(powers)
-        formed[self.prec, frozenset((f, n) for f, n in powers if n)] += 1
-        return monomial(self, powers)
+    def counted(a, b):
+        operands[tuple((s.weight, s.prec, s.den, tuple(s.vec)) for s in (a, b))] += 1
+        return multiply(a, b)
 
-    monkeypatch.setattr(GeneratorSet, "monomial", counted)
-    # weights 10, 15 and 20 share monomials with the augmentation rows
-    assert verify_structure(20, gens12).ok
-    assert formed and max(formed.values()) == 1
+    monkeypatch.setattr(ring, "multiply", counted)
+    gens = forged(gens12)  # the members of gens12 and an empty product cache
+    # weights 10, 15 and 20 share monomials with the augmentation rows and the
+    # relations, and every product shares its prefix with others
+    assert verify_structure(20, gens).ok
+    assert all(rep.ok for rep in verify_chi5_square_relations(gens)
+               + verify_polynomial_relations(gens))
+    assert operands and max(operands.values()) == 1
 
 
 def test_stages_build_on_each_other(gens12):
@@ -210,4 +215,15 @@ def test_from_records_validates(gens12):
 def test_monomial_skips_zero_exponents(gens12):
     assert gens12.monomial((("E2", 0), ("E4", 0))) == gens12.monomial(()) \
         == FourierSeries(0, 12, {(0, 0, 0): 1})
-    assert gens12.monomial((("E2", 0), ("E4", 2))) is gens12.gen_power("E4", 2)
+    assert gens12.monomial((("E2", 0), ("E4", 2))) is gens12.monomial((("E4", 2),))
+
+
+def test_monomial_ignores_order_and_caches():
+    gens = GeneratorSet.build(6)
+    powers = (("E2", 2), ("chi5a", 1), ("E4", 1))
+    mon = gens.monomial(powers)
+    assert gens.monomial(iter((("E6", 0),) + powers[::-1])) is mon
+    assert gens.monomial((("E4", 1), ("E2", 2), ("chi15", 0), ("chi5a", 1))) is mon
+    want = oracles.multiply(oracles.multiply(oracles.multiply(gens.e2, gens.e2),
+                                             gens.e4), gens.chi5a)
+    assert mon == want and mon.weight == 13
