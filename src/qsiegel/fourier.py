@@ -11,10 +11,11 @@ A series is a denominator `den` and one int `vec[n]` per position n of
 lowest terms (den > 0, gcd(den, *vec) == 1) so that equal series have equal
 fields.  One kernel, `convolve` over `lattice.convolution_layer`, serves
 `multiply`, `diffop.bracket`, the solver behind `sqrt_monic` and
-`divide_exact`, and their re-expansion checks; ranks and relation spaces use
-fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) on integer
-rows.  `Fraction` appears only in the validating constructor, `coeff`,
-`coeffs` and `sorted_items`.
+`divide_exact`, and their re-expansion checks.  Ranks and relation spaces use
+one elimination, `_echelon`: division-free on integer rows, each row kept
+primitive, with Bareiss's pivots and entries no larger than his minors
+(Bareiss, Math. Comp. 22, 1968).  `Fraction` appears only in the validating
+constructor, `coeff`, `coeffs` and `sorted_items`.
 """
 from fractions import Fraction
 from math import gcd, lcm
@@ -248,15 +249,23 @@ def _check_shared(forms):
         raise ValueError("forms must share one precision")
 
 
-def _bareiss(rows, ncols):
-    """In-place fraction-free elimination (Bareiss 1968) of integer rows to
-    echelon form; returns the pivot columns, pivot r in row r.
+def _echelon(rows, ncols):
+    """In-place division-free elimination of integer rows to echelon form,
+    each eliminated row kept primitive (H. Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, ch. 2); returns the pivot columns,
+    pivot r in row r.
 
-    Every entry stays an integer: after k pivots each remaining entry is a
-    (k+1)-minor of the input, so the division by the previous pivot is exact.
+    Pivot p clears a row with entry f != 0 below it by (p/g) * row - (f/g) *
+    pivot row, g = gcd(p, f), and the result is divided by its content.
+    Scaling a row by a nonzero rational moves no zero, so the pivot columns
+    and row swaps are those of Bareiss's fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968), and each stored row lies on the rational line of
+    the matching Bareiss row.  A row never eliminated is the input row, which
+    Bareiss scales by the last pivot; any other stored row is primitive.
+    Either way the Bareiss row is an integer multiple of the stored row, so
+    no entry here exceeds Bareiss's minors.
     """
     pivots = []
-    prev = 1
     for c in range(ncols):
         r = len(pivots)
         sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -268,8 +277,12 @@ def _bareiss(rows, ncols):
         for i in range(r + 1, len(rows)):
             row = rows[i]
             f = row[c]
-            row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], piv)]
-        prev = p
+            if f:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                new = [pg * a - fg * b for a, b in zip(row[c:], piv)]
+                k = gcd(*new)
+                row[c:] = [a // k for a in new] if k > 1 else new
         pivots.append(c)
         if len(pivots) == len(rows):
             break
@@ -283,7 +296,7 @@ def rank_of_span(forms):
         return 0
     _check_shared(forms)
     rows = [s.vec[:] for s in forms]
-    return len(_bareiss(rows, len(rows[0])))
+    return len(_echelon(rows, len(rows[0])))
 
 
 def relation_nullspace(forms):
@@ -295,7 +308,7 @@ def relation_nullspace(forms):
     den = lcm(*(s.den for s in forms))
     cols = [[v * (den // s.den) for v in s.vec] for s in forms]
     rows = [list(row) for row in zip(*cols) if any(row)]
-    pivots = _bareiss(rows, nf)
+    pivots = _echelon(rows, nf)
     basis = []
     for fc in (c for c in range(nf) if c not in pivots):
         v = [Fraction(0)] * nf

@@ -12,8 +12,8 @@ the numbering for X is a prefix of the one for any X' > X, so a position never
 depends on the truncation.  The convolution table of grade x lists, for each
 index eta of that grade, the positions (i, j) of every decomposition a + b =
 eta as two compact unsigned-short arrays; `fourier`'s integer kernel sums
-over it.  Positions fit an unsigned short through grade 82; a deeper table
-raises OverflowError.
+over it.  Positions fit an unsigned short through grade MAX_GRADE = 82; a
+deeper table raises OverflowError.
 """
 from array import array
 from collections import namedtuple
@@ -23,6 +23,7 @@ from math import gcd, isqrt
 from . import exactnum
 
 ZERO = (0, 0, 0)
+MAX_GRADE = 82  # position_count(82) = 64443 fits array("H"); grade 83 does not
 
 QuadInvariants = namedtuple("QuadInvariants", "a d f")
 

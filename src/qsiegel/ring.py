@@ -11,10 +11,11 @@ satisfy.
 CLI's cache path), and `GeneratorSet.monomial` is the one way to form a
 product of powers of its members.  It is also the one product cache: each set
 keeps every product it formed, partial products included, and the relation
-and span checks share them.  The polynomial identities are data,
-(name, lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so
-are the structure checks, (name, monomials, expected rank), each a span rank
-that one walk along the deeper() chain raises while it is short and rising.
+and span checks share them; `build` seeds it with the powers of E2 that the
+phi forms need.  The polynomial identities are data, (name, lhs_scale, lhs,
+[(coefficient, powers)]), checked by one function; so are the structure
+checks, (name, monomials, expected rank), each a span rank that one walk along
+the deeper() chain raises while it is short and rising.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .eisenstein import EisensteinParams, eisenstein_series
 from .forms import FORMS, STAGES
 from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
                       sqrt_monic)
+from .lattice import MAX_GRADE
 
 Report = namedtuple("Report", "name ok mismatches")
 MonomialBasisReport = namedtuple("MonomialBasisReport",
@@ -158,7 +160,10 @@ class GeneratorSet:
       delta20b / chi5a, normalized the same way, is computed independently
       and build raises ValueError unless it equals chi15 exactly.
 
-    Each member is the attribute named by its form id in lower case.
+    The deepest grade, prec + 2 per stage after "phi", must not pass
+    lattice.MAX_GRADE; build raises ValueError before any work if it would.
+    The powers E2^2, E2^3 and E2^5 that the phi forms need seed the product
+    cache.  Each member is the attribute named by its form id in lower case.
     """
 
     __slots__ = ("prec", "stage", "_products", "_deeper") + tuple(
@@ -173,10 +178,14 @@ class GeneratorSet:
         if prec < 4:
             raise ValueError("need prec >= 4")
         X = prec + 2 * STAGES.index(upto)
+        if X > MAX_GRADE:
+            raise ValueError("stage %s at prec %d needs grade %d; the convolution "
+                             "kernel reaches grade %d" % (upto, prec, X, MAX_GRADE))
         E = {k: eisenstein_series(EisensteinParams(k), X) for k in (2, 4, 6, 8, 10)}
         phi2 = E[2]
         phi2_2 = multiply(phi2, phi2)
         phi2_3 = multiply(phi2_2, phi2)
+        phi2_5 = multiply(phi2_3, phi2_2)
         phi4 = linear_combine([(Fraction(-13, 288), E[4]), (Fraction(13, 288), phi2_2)])
         phi6 = linear_combine([(Fraction(-341, 113184), E[6]),
                                (Fraction(341, 113184), phi2_3),
@@ -185,7 +194,7 @@ class GeneratorSet:
         phi2_phi4_2 = multiply(phi2, multiply(phi4, phi4))
         c10 = Fraction(31513745731, 416023384089600)
         phi10 = linear_combine([
-            (c10, E[10]), (-c10, multiply(phi2_3, phi2_2)),
+            (c10, E[10]), (-c10, phi2_5),
             (Fraction(52522796831, 2889051278400), multiply(phi2_3, phi4)),
             (Fraction(21884309761, 481508546400), multiply(phi2_2, phi6)),
             (Fraction(-829232949, 1671904675), phi2_phi4_2),
@@ -214,7 +223,10 @@ class GeneratorSet:
             if forms["chi15"] != linear_combine([(1 / unit_b, q_b)]):
                 raise ValueError("chi15 differs from its companion quotient "
                                  "delta20b / chi5a")
-        return cls.from_records(prec, {f: s.truncate(prec) for f, s in forms.items()})
+        self = cls.from_records(prec, {f: s.truncate(prec) for f, s in forms.items()})
+        for n, s in ((2, phi2_2), (3, phi2_3), (5, phi2_5)):
+            self._products[(("E2", n),)] = s.truncate(prec)
+        return self
 
     @classmethod
     def from_records(cls, prec, forms):

@@ -1,8 +1,9 @@
 """Reference implementations the integer kernels are checked against.
 
-These are the straightforward `Fraction` versions of the library's exact
-arithmetic: the product as a sum over `decompositions`, the bracket as the
+These are straightforward versions, mostly over `Fraction`, of the library's
+exact arithmetic: the product as a sum over `decompositions`, the bracket as the
 4-fold sum of 4x4 determinants, rank and relation space by Gauss-Jordan
+elimination, integer row echelon form by Bareiss's fraction-free
 elimination, generalized Bernoulli numbers as a sum of Bernoulli
 polynomial values over the residues, and each Eisenstein coefficient as its
 own product of `Fraction` local factors.  They are slow and obviously correct;
@@ -101,6 +102,34 @@ def eliminate(rows, ncols):
         pivots.append(c)
         r += 1
         if r == len(rows):
+            break
+    return pivots
+
+
+def bareiss(rows, ncols):
+    """In-place fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of
+    integer rows to echelon form; returns the pivot columns, pivot r in row r.
+
+    Every entry stays an integer: after k pivots each remaining entry is a
+    (k+1)-minor of the input, so the division by the previous pivot is exact.
+    """
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        piv = rows[r][c:]
+        p = piv[0]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], piv)]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(rows):
             break
     return pivots
 

@@ -58,6 +58,12 @@ def test_expand_prec_too_small_for_chi15(capsys):
     assert rc == 2 and "prec" in err
 
 
+def test_expand_prec_past_the_kernel_exits_2(capsys):
+    rc, out, err = run(capsys, "expand", "--form", "E2", "--prec", "83")
+    assert rc == 2 and out == ""
+    assert "needs grade 83; the convolution kernel reaches grade 82" in err
+
+
 def test_serialization_round_trips():
     s = eisenstein_series(EisensteinParams(4), 6)
     rec = record_from_series("E4", s)

@@ -1,6 +1,6 @@
-"""Differential tests: the integer kernels against the Fraction oracles in
-oracles.py, on random sparse series, random rank-deficient matrices, every
-small discriminant and every Eisenstein coefficient to grade 16."""
+"""Differential tests: the integer kernels against the oracles in oracles.py,
+on random sparse series, random rank-deficient matrices, every small
+discriminant and every Eisenstein coefficient to grade 16."""
 from fractions import Fraction as Fr
 
 import pytest
@@ -11,8 +11,8 @@ import oracles
 from qsiegel.diffop import bracket
 from qsiegel.eisenstein import EisensteinParams, eisenstein_coefficient, eisenstein_series
 from qsiegel.exactnum import generalized_bernoulli, is_fundamental_discriminant
-from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine, multiply,
-                             rank_of_span, relation_nullspace, sqrt_monic)
+from qsiegel.fourier import (FourierSeries, _echelon, divide_exact, linear_combine,
+                             multiply, rank_of_span, relation_nullspace, sqrt_monic)
 from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive
 
 rationals = st.builds(Fr, st.integers(-9, 9), st.integers(1, 6))
@@ -143,6 +143,47 @@ def test_rank_and_nullspace_match_oracle(forms):
     assert len(null) == len(forms) - rank_of_span(forms)
     for v in null:
         assert not linear_combine(list(zip(v, forms))).coeffs
+
+
+@st.composite
+def integer_matrix(draw):
+    """(rows, ncols): fresh random integer rows mixed with integer
+    combinations of earlier rows (rank deficient), copies of earlier rows,
+    zero rows, and earlier rows times a large common factor."""
+    ncols = draw(st.integers(1, 7))
+    fresh = st.lists(st.integers(-40, 40), min_size=ncols, max_size=ncols)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "combination", "copy", "zero",
+                                     "scaled")))
+        if kind == "fresh" or not rows and kind != "zero":
+            row = draw(fresh)
+        elif kind == "combination":
+            cs = draw(st.lists(st.integers(-5, 5), min_size=len(rows),
+                               max_size=len(rows)))
+            row = [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(ncols)]
+        elif kind == "copy":
+            row = draw(st.sampled_from(rows))
+        elif kind == "zero":
+            row = [0] * ncols
+        else:
+            k = draw(st.integers(2, 10 ** 15)) * draw(st.sampled_from((1, -1)))
+            row = [k * a for a in draw(st.sampled_from(rows))]
+        rows.append(list(row))
+    return rows, ncols
+
+
+@given(integer_matrix())
+@settings(max_examples=200, deadline=None)
+def test_echelon_rows_divide_bareiss_rows(case):
+    rows, ncols = case
+    ours, theirs = [r[:] for r in rows], [r[:] for r in rows]
+    assert _echelon(ours, ncols) == oracles.bareiss(theirs, ncols)
+    for row, big in zip(ours, theirs):
+        # big is an integer multiple m * row
+        j = next((j for j, a in enumerate(row) if a), None)
+        m = 0 if j is None else big[j] // row[j]
+        assert big == [m * a for a in row]
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10])

@@ -227,3 +227,36 @@ def test_monomial_ignores_order_and_caches():
     want = oracles.multiply(oracles.multiply(oracles.multiply(gens.e2, gens.e2),
                                              gens.e4), gens.chi5a)
     assert mon == want and mon.weight == 13
+
+
+@pytest.mark.deep
+def test_structure_to_weight_30_passes(gens12):
+    assert verify_structure(30, gens12).ok
+
+
+def test_build_seeds_the_e2_powers(monkeypatch):
+    gens = GeneratorSet.build(6)
+    square = oracles.multiply(gens.e2, gens.e2)
+    cube = oracles.multiply(square, gens.e2)
+    assert [gens._products[(("E2", n),)] for n in (2, 3, 5)] \
+        == [square, cube, oracles.multiply(square, cube)]
+    calls = Counter()
+    multiply = ring.multiply
+
+    def counted(a, b):
+        calls["multiply"] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(ring, "multiply", counted)
+    assert all(rep.ok for rep in verify_chi5_square_relations(gens)
+               + verify_polynomial_relations(gens))
+    # 105 products without the three seeded powers of E2
+    assert calls["multiply"] == 102
+
+
+def test_build_rejects_grades_past_the_kernel(monkeypatch):
+    monkeypatch.setattr(ring, "eisenstein_series", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError, match="grade 83"):
+        GeneratorSet.build(79)
+    with pytest.raises(ValueError, match="grade 84"):
+        GeneratorSet.build(82, upto="chi5")
