@@ -201,47 +201,40 @@ def _descriptor_powers(desc):
 
 
 def _load_fixture_tables():
+    """Each bundled table as [(label, powers)] columns and [(eta, values)]
+    rows; a CSV table is one column, its form, labelled by its file name."""
     tables = []
     for name in sorted(os.listdir(FIXTURE_DIR)):
         path = os.path.join(FIXTURE_DIR, name)
         if name.endswith(".csv"):
             with open(path) as fh:
                 rec = parse_csv(fh.read())
-            tables.append(("csv", name, rec))
+            tables.append(([(name, ((rec["form"], 1),))],
+                           [((x, y, z), [c]) for x, y, z, _m, c in rec["rows"]]))
         elif name.endswith(".json"):
             with open(path) as fh:
-                tables.append(("json", name, json.load(fh)))
+                table = json.load(fh)
+            tables.append(([(name + ":" + d, _descriptor_powers(d))
+                            for d in table["columns"]],
+                           [(tuple(r["eta"]), r["values"]) for r in table["rows"]]))
     return tables
 
 
 def verify_tables(prec, cache_dir):
     """Compare bundled reference tables with freshly computed coefficients on
     every tabulated index of grade <= prec (explicit zeros included)."""
-    failures = []
-    checked = 0
+    checked, failures = 0, []
     gens = _get_gens(prec, cache_dir)
-    members = gens.members()
-    for kind, name, table in _load_fixture_tables():
-        if kind == "csv":
-            s = members[table["form"]]
-            for x, y, z, _m, c in table["rows"]:
-                if x > prec:
-                    continue
+    for columns, rows in _load_fixture_tables():
+        cols = [(label, gens.monomial(powers)) for label, powers in columns]
+        for eta, values in rows:
+            if grade(eta) > prec:
+                continue
+            for (label, col), want in zip(cols, values):
                 checked += 1
-                got = s.coeff((x, y, z))
-                if got != Fraction(c):
-                    failures.append((name, (x, y, z), str(got), c))
-        else:
-            cols = [gens.monomial(_descriptor_powers(d)) for d in table["columns"]]
-            for row in table["rows"]:
-                eta = tuple(row["eta"])
-                if grade(eta) > prec:
-                    continue
-                for desc, col, want in zip(table["columns"], cols, row["values"]):
-                    checked += 1
-                    got = col.coeff(eta)
-                    if got != Fraction(want):
-                        failures.append((name + ":" + desc, eta, str(got), want))
+                got = col.coeff(eta)
+                if got != Fraction(want):
+                    failures.append((label, eta, str(got), want))
     return checked, failures
 
 

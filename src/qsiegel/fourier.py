@@ -14,8 +14,10 @@ fields.  One kernel, `convolve` over `lattice.convolution_layer`, serves
 `divide_exact`, and their re-expansion checks.  Ranks and relation spaces use
 one elimination, `_echelon`: division-free on integer rows, each row kept
 primitive, with Bareiss's pivots and entries no larger than his minors
-(Bareiss, Math. Comp. 22, 1968).  `Fraction` appears only in the validating
-constructor, `coeff`, `coeffs` and `sorted_items`.
+(Bareiss, Math. Comp. 22, 1968).  `Fraction` holds single values only: the
+validating constructor's input, `coeff`, `coeffs` and `sorted_items`, the
+scalars of `linear_combine`, the slice entries of `_solve_slices`, the pivot
+of `divide_exact` and the back-substitution of `relation_nullspace`.
 """
 from fractions import Fraction
 from math import gcd, lcm

@@ -11,11 +11,12 @@ satisfy.
 CLI's cache path), and `GeneratorSet.monomial` is the one way to form a
 product of powers of its members.  It is also the one product cache: each set
 keeps every product it formed, partial products included, and the relation
-and span checks share them; `build` seeds it with the powers of E2 that the
-phi forms need.  The polynomial identities are data, (name, lhs_scale, lhs,
-[(coefficient, powers)]), checked by one function; so are the structure
-checks, (name, monomials, expected rank), each a span rank that one walk along
-the deeper() chain raises while it is short and rising.
+and span checks share them.  `build` forms its own products the same way, on
+a set at its deepest grade, and the set it returns keeps every one of them,
+truncated to its precision.  The polynomial identities are data, (name,
+lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so are the
+structure checks, (name, monomials, expected rank), each a span rank that one
+walk along the deeper() chain raises while it is short and rising.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -162,8 +163,11 @@ class GeneratorSet:
 
     The deepest grade, prec + 2 per stage after "phi", must not pass
     lattice.MAX_GRADE; build raises ValueError before any work if it would.
-    The powers E2^2, E2^3 and E2^5 that the phi forms need seed the product
-    cache.  Each member is the attribute named by its form id in lower case.
+    build fills one set at the deepest grade a member at a time and forms
+    the phi forms' products with its monomial, powers of phi2 under the id
+    E2; the set it returns keeps every one of them, truncated to prec, in
+    its product cache.  Each member is the attribute named by its form id in
+    lower case.
     """
 
     __slots__ = ("prec", "stage", "_products", "_deeper") + tuple(
@@ -181,51 +185,48 @@ class GeneratorSet:
         if X > MAX_GRADE:
             raise ValueError("stage %s at prec %d needs grade %d; the convolution "
                              "kernel reaches grade %d" % (upto, prec, X, MAX_GRADE))
-        E = {k: eisenstein_series(EisensteinParams(k), X) for k in (2, 4, 6, 8, 10)}
-        phi2 = E[2]
-        phi2_2 = multiply(phi2, phi2)
-        phi2_3 = multiply(phi2_2, phi2)
-        phi2_5 = multiply(phi2_3, phi2_2)
-        phi4 = linear_combine([(Fraction(-13, 288), E[4]), (Fraction(13, 288), phi2_2)])
-        phi6 = linear_combine([(Fraction(-341, 113184), E[6]),
-                               (Fraction(341, 113184), phi2_3),
-                               (Fraction(-109, 262), multiply(phi2, phi4))])
-        phi4_phi6 = multiply(phi4, phi6)
-        phi2_phi4_2 = multiply(phi2, multiply(phi4, phi4))
+        # One set at grade X, filled a member at a time, forms every product.
+        deep = cls.__new__(cls)
+        deep.prec, deep.stage, deep._products, deep._deeper = X, upto, {}, None
+        for k in (2, 4, 6, 8, 10):
+            setattr(deep, "e%d" % k, eisenstein_series(EisensteinParams(k), X))
+        mon = deep.monomial
+        deep.phi2 = deep.e2
+        deep.phi4 = linear_combine([(Fraction(-13, 288), deep.e4),
+                                    (Fraction(13, 288), mon((("E2", 2),)))])
+        deep.phi6 = linear_combine([
+            (Fraction(-341, 113184), deep.e6), (Fraction(341, 113184), mon((("E2", 3),))),
+            (Fraction(-109, 262), mon((("E2", 1), ("phi4", 1))))])
         c10 = Fraction(31513745731, 416023384089600)
-        phi10 = linear_combine([
-            (c10, E[10]), (-c10, phi2_5),
-            (Fraction(52522796831, 2889051278400), multiply(phi2_3, phi4)),
-            (Fraction(21884309761, 481508546400), multiply(phi2_2, phi6)),
-            (Fraction(-829232949, 1671904675), phi2_phi4_2),
-            (Fraction(318067693, 1671904675), phi4_phi6),
+        deep.phi10 = linear_combine([
+            (c10, deep.e10), (-c10, mon((("E2", 5),))),
+            (Fraction(52522796831, 2889051278400), mon((("E2", 3), ("phi4", 1)))),
+            (Fraction(21884309761, 481508546400), mon((("E2", 2), ("phi6", 1)))),
+            (Fraction(-829232949, 1671904675), mon((("E2", 1), ("phi4", 2)))),
+            (Fraction(318067693, 1671904675), mon((("phi4", 1), ("phi6", 1)))),
         ])
-        forms = {"E%d" % k: s for k, s in E.items()}
-        forms.update(phi2=phi2, phi4=phi4, phi6=phi6, phi10=phi10,
-                     phi8=linear_combine([(Fraction(138811), E[8])]))
+        deep.phi8 = linear_combine([(Fraction(138811), deep.e8)])
         if upto != "phi":
-            chi5a = forms["chi5a"] = sqrt_monic(
-                linear_combine([(1, phi10), (-1, phi4_phi6)]), CHI5A_LEAD, 1)
-            chi5b = forms["chi5b"] = sqrt_monic(
-                linear_combine([(1, phi2_phi4_2), (1, phi4_phi6), (1, phi10)]),
-                CHI5B_LEAD, 1)
+            deep.chi5a = sqrt_monic(linear_combine(
+                [(1, deep.phi10), (-1, mon((("phi4", 1), ("phi6", 1))))]), CHI5A_LEAD, 1)
+            deep.chi5b = sqrt_monic(linear_combine(
+                [(1, mon((("E2", 1), ("phi4", 2)))),
+                 (1, mon((("phi4", 1), ("phi6", 1)))), (1, deep.phi10)]), CHI5B_LEAD, 1)
         if upto == "chi15":  # chi5a, chi5b at prec + 2
-            e2, e4, e6 = (E[k].truncate(prec + 2) for k in (2, 4, 6))
-            delta20a = forms["delta20a"] = bracket(e2, e4, chi5a, e6)  # prec + 2
-            delta20b = forms["delta20b"] = bracket(e2, e4, chi5b, e6)
-            q_a = divide_exact(delta20a, chi5b, CHI5B_LEAD)  # prec
-            q_b = divide_exact(delta20b, chi5a, CHI5A_LEAD)
-            unit_a = q_a.coeff(CHI15_UNIT_INDEX)
-            unit_b = q_b.coeff(CHI15_UNIT_INDEX)
+            deep.delta20a = bracket(deep.e2, deep.e4, deep.chi5a, deep.e6)  # prec + 2
+            deep.delta20b = bracket(deep.e2, deep.e4, deep.chi5b, deep.e6)
+            q_a = divide_exact(deep.delta20a, deep.chi5b, CHI5B_LEAD)  # prec
+            q_b = divide_exact(deep.delta20b, deep.chi5a, CHI5A_LEAD)
+            unit_a, unit_b = q_a.coeff(CHI15_UNIT_INDEX), q_b.coeff(CHI15_UNIT_INDEX)
             if not unit_a or not unit_b:
                 raise ValueError("bracket quotient vanishes at the unit index")
-            forms["chi15"] = linear_combine([(1 / unit_a, q_a)])
-            if forms["chi15"] != linear_combine([(1 / unit_b, q_b)]):
+            deep.chi15 = linear_combine([(1 / unit_a, q_a)])
+            if deep.chi15 != linear_combine([(1 / unit_b, q_b)]):
                 raise ValueError("chi15 differs from its companion quotient "
                                  "delta20b / chi5a")
-        self = cls.from_records(prec, {f: s.truncate(prec) for f, s in forms.items()})
-        for n, s in ((2, phi2_2), (3, phi2_3), (5, phi2_5)):
-            self._products[(("E2", n),)] = s.truncate(prec)
+        self = cls.from_records(prec, {f: s.truncate(prec)
+                                       for f, s in deep.members().items()})
+        self._products = {key: s.truncate(prec) for key, s in deep._products.items()}
         return self
 
     @classmethod
@@ -238,15 +239,13 @@ class GeneratorSet:
             raise ValueError("forms %s are not the members of one stage"
                              % " ".join(sorted(forms)))
         self = cls.__new__(cls)
-        self.prec, self.stage = prec, stage
+        self.prec, self.stage, self._products, self._deeper = prec, stage, {}, None
         for form, s in forms.items():
             if (s.weight, s.prec) != (FORMS[form][1], prec):
                 raise ValueError("%s has weight %d at prec %d, want weight %d "
                                  "at prec %d" % (form, s.weight, s.prec,
                                                  FORMS[form][1], prec))
             setattr(self, form.lower(), s)
-        self._products = {}
-        self._deeper = None
         return self
 
     def deeper(self):
@@ -407,7 +406,8 @@ def _span_rank(monomials, expected, gens):
 
 def verify_structure(k_max, gens):
     """Every structure check as a span row, each run by _span_rank: the
-    monomial_basis row of every weight <= k_max, then _span_checks.
+    monomial_basis row of every weight <= k_max, each from the deeper() set
+    where the row before reached its rank, then _span_checks from gens.
 
     INDEPENDENCE is the algebraic independence of E2, E4, chi5a, E6: if four
     forms satisfy a polynomial relation, their bracket, a weighted Jacobian
@@ -416,7 +416,11 @@ def verify_structure(k_max, gens):
     delta20a proves independence.  delta20a has no coefficient below grade
     7, so a set below that grade walks deeper.
     """
-    rows = [monomial_basis(k, gens) for k in range(k_max + 1)]
+    rows, start = [], gens
+    for k in range(k_max + 1):
+        rows.append(monomial_basis(k, start))
+        while start.prec < rows[-1].prec:
+            start = start.deeper()
     checks = {name: _span_rank(monomials, expected, gens) + (expected,)
               for name, monomials, expected in _span_checks()}
     rank, at, expected = checks.pop(INDEPENDENCE[0])

@@ -3,6 +3,7 @@ expansion cache, dimension tables, and the verify suites."""
 import io
 import json
 import os
+import shutil
 import tempfile
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from qsiegel.cli import (cache_lookup, cache_store, emit_csv, emit_json, main,
                          parse_csv, parse_json, record_from_series,
                          series_from_record)
-from qsiegel import dims
+from qsiegel import cli, dims
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.ring import GeneratorSet
 
@@ -344,6 +345,26 @@ def test_verify_tables_suite(capsys, tmp_path):
                      "verify", "--suite", "tables", "--prec", "6")
     assert rc == 0
     assert "0 mismatches" in out and "PASS" in out
+
+
+def test_verify_tables_reports_each_mismatch(capsys, tmp_path, monkeypatch):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(cli.FIXTURE_DIR, fixtures)
+    csv = fixtures / "table_E2.csv"
+    csv.write_text(csv.read_text().replace("\n2,1,-1,3,48\n", "\n2,1,-1,3,49\n"))
+    products = fixtures / "products_weight8.json"
+    table = json.loads(products.read_text())
+    row = next(r for r in table["rows"] if r["eta"] == [2, 1, -1])
+    row["values"][table["columns"].index("phi4^2")] = "5"
+    products.write_text(json.dumps(table))
+    monkeypatch.setattr(cli, "FIXTURE_DIR", str(fixtures))
+    rc, out, _ = run(capsys, "verify", "--suite", "tables", "--prec", "6")
+    assert rc == 1
+    assert out.splitlines() == [
+        "tables: 245 tabulated values checked, 2 mismatches",
+        "  MISMATCH products_weight8.json:phi4^2 at (2, 1, -1): computed 0, table 5",
+        "  MISMATCH table_E2.csv at (2, 1, -1): computed 48, table 49",
+        "verify tables: FAIL"]
 
 
 def test_verify_relations_suite(capsys, tmp_path):

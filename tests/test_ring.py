@@ -2,6 +2,7 @@
 honest build, their sensitivity to forged inputs, and monomial span ranks."""
 from collections import Counter
 from fractions import Fraction as Fr
+from functools import reduce
 
 import pytest
 
@@ -234,24 +235,48 @@ def test_structure_to_weight_30_passes(gens12):
     assert verify_structure(30, gens12).ok
 
 
-def test_build_seeds_the_e2_powers(monkeypatch):
-    gens = GeneratorSet.build(6)
-    square = oracles.multiply(gens.e2, gens.e2)
-    cube = oracles.multiply(square, gens.e2)
-    assert [gens._products[(("E2", n),)] for n in (2, 3, 5)] \
-        == [square, cube, oracles.multiply(square, cube)]
-    calls = Counter()
+def test_build_keeps_every_product_it_forms(monkeypatch):
+    # keyed by content, as in test_structure_forms_each_monomial_once_per_grade
+    operands = Counter()
     multiply = ring.multiply
 
     def counted(a, b):
-        calls["multiply"] += 1
+        operands[tuple((s.weight, s.prec, s.den, tuple(s.vec)) for s in (a, b))] += 1
         return multiply(a, b)
 
     monkeypatch.setattr(ring, "multiply", counted)
+    gens = GeneratorSet.build(6)
+    assert operands and max(operands.values()) == 1
+    # every multiply made a cache entry that is not a bare member
+    assert sum(operands.values()) == sum(len(key) > 1 or key[0][1] > 1
+                                         for key in gens._products)
+    members = gens.members()
+    for key, product in gens._products.items():
+        factors = [members[form] for form, n in key for _ in range(n)]
+        assert product == reduce(oracles.multiply, factors), key
+    assert {(("E2", n),) for n in range(1, 6)} <= set(gens._products)
+    operands.clear()
     assert all(rep.ok for rep in verify_chi5_square_relations(gens)
                + verify_polynomial_relations(gens))
-    # 105 products without the three seeded powers of E2
-    assert calls["multiply"] == 102
+    # 105 products, less E2^2 .. E2^5, which build kept
+    assert sum(operands.values()) == 101
+
+
+def test_structure_rows_start_where_the_row_before_reached_its_rank(monkeypatch):
+    gens = GeneratorSet.build(8)
+    formed = Counter()
+    multiply = ring.multiply
+
+    def counted(a, b):
+        product = multiply(a, b)
+        formed[product.weight, product.prec] += 1
+        return product
+
+    monkeypatch.setattr(ring, "multiply", counted)
+    report = verify_structure(20, gens)
+    # weight 18 first reaches its rank at grade 10, so weight 19 starts there
+    assert report.ok and report.rows[18].prec == report.rows[19].prec == 10
+    assert formed[19, 8] == 0 and formed[19, 10] > 0
 
 
 def test_build_rejects_grades_past_the_kernel(monkeypatch):
