@@ -3,11 +3,11 @@ on the discriminant-6 quaternion group, with verification suites for the
 generator tables, polynomial relations, span structure, and cusp-form
 dimension formula.
 
-The compute modules `exactnum`, `dims`, `eisenstein`, `diffop` and `ring`
-load lazily (`importlib.util.LazyLoader`): each is in `sys.modules` and is a
-package attribute from the start, and its code runs on the first attribute
-access.  So `import qsiegel.cli` runs only `cli`, `forms`, `fourier` and
-`lattice`, which is all a cached `expand` needs.  The public names below
+The compute modules `exactnum`, `dims`, `eisenstein`, `fourier`, `diffop`
+and `ring` load lazily (`importlib.util.LazyLoader`): each is in
+`sys.modules` and is a package attribute from the start, and its code runs on
+the first attribute access.  So `import qsiegel.cli` runs only `cli`, `forms`
+and `lattice`, which is all a cached `expand` needs.  The public names below
 resolve on first use through the module `__getattr__` (PEP 562).
 """
 import importlib.util
@@ -23,8 +23,8 @@ def _lazy(name):
     return module
 
 
-exactnum, dims, eisenstein, diffop, ring = map(
-    _lazy, ("exactnum", "dims", "eisenstein", "diffop", "ring"))
+exactnum, dims, eisenstein, fourier, diffop, ring = map(
+    _lazy, ("exactnum", "dims", "eisenstein", "fourier", "diffop", "ring"))
 
 # Public name -> the module that defines it.
 _PUBLIC = {

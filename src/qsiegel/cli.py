@@ -7,11 +7,13 @@ Record formats
 CSV: a leading comment line `# form=<id> weight=<w> prec=<X>`, a header
 `x,y,z,m,coeff`, then one row per nonzero coefficient in canonical order,
 with `coeff` as an exact `num/den` (or plain integer) string.  JSON carries
-the same fields as an object.  Cached records use the JSON form plus
-`version` and `crc32` (zlib.crc32 of the rows' JSON), one file per (form,
-precision), written atomically; a cached record at precision X serves any
-request up to X by truncation.  A record that cannot be read or turned into a
-series, or whose version, checksum, form, weight or prec is wrong, is passed
+the same fields as an object.  A cached record is the series' own fields,
+`form`, `weight`, `prec`, `den` and `vec` (one int per position, see
+`lattice`), plus `version` and `crc32` (zlib.crc32 of the JSON of [den,
+vec]), one file per (form, precision), written atomically; a cached record
+at precision X serves any request up to X by truncation.  A record that
+cannot be read, whose version, form, weight, prec or checksum is wrong, or
+whose den and vec are not a series in lowest terms at its prec, is passed
 over: a request is served by the smallest valid record at or above its
 precision, and with none the form is recomputed and its records written at
 the requested precision, replacing any at those paths.  A failed write only
@@ -21,9 +23,11 @@ Forms are computed in batches: `expand` builds the GeneratorSet stage that
 makes the form (see forms.FORMS) and caches every member of it; `verify`
 builds, or reads back from the cache, the full set.
 
-`ring` and `dims` are used as module objects (`ring.GeneratorSet.build`,
+`fourier`, `ring` and `dims` are used as module objects
+(`fourier.FourierSeries`, `ring.GeneratorSet.build`,
 `dims.dimension_report`): they load lazily (see the package docstring), so a
-cache hit runs only this module, `forms`, `fourier` and `lattice`.
+cache hit runs only this module, `forms` and `lattice`, and prints its rows
+from the record's integers without `fractions`.
 """
 import argparse
 import json
@@ -31,15 +35,14 @@ import os
 import sys
 import tempfile
 import zlib
-from fractions import Fraction
+from math import gcd
 
-from . import dims, ring
+from . import dims, fourier, ring
 from .forms import FORMS
-from .fourier import FourierSeries
-from .lattice import grade, norm_m
+from .lattice import MAX_GRADE, ZERO, enumerate_cone, grade, norm_m, position_count
 
 CACHE_ENV = "QSIEGEL_CACHE_DIR"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 FORM_IDS = tuple(FORMS)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -47,15 +50,20 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 # ---------------------------------------------------------------- records
 
+def _record(form, weight, prec, den, vec):
+    """The record of the values vec[n] / den at the positions n of grade <=
+    prec: one row per nonzero value, printed as str(Fraction) prints it."""
+    rows = []
+    for eta, v in zip((ZERO,) + enumerate_cone(prec), vec):
+        if v:
+            g = gcd(v, den)
+            rows.append([*eta, norm_m(eta),
+                         "%d/%d" % (v // g, den // g) if g < den else str(v // g)])
+    return {"form": form, "weight": weight, "prec": prec, "rows": rows}
+
+
 def record_from_series(form, s):
-    rows = [[eta[0], eta[1], eta[2], norm_m(eta), str(v)]
-            for eta, v in s.sorted_items()]
-    return {"form": form, "weight": s.weight, "prec": s.prec, "rows": rows}
-
-
-def series_from_record(rec):
-    coeffs = {(x, y, z): c for x, y, z, _m, c in rec["rows"]}
-    return FourierSeries(rec["weight"], rec["prec"], coeffs)
+    return _record(form, s.weight, s.prec, s.den, s.vec)
 
 
 def emit_json(rec):
@@ -63,9 +71,7 @@ def emit_json(rec):
 
 
 def parse_json(text):
-    rec = json.loads(text)
-    rec["rows"] = [[x, y, z, m, c] for x, y, z, m, c in rec["rows"]]
-    return rec
+    return json.loads(text)
 
 
 def emit_csv(rec):
@@ -93,8 +99,8 @@ def _cache_path(cache_dir, form, prec):
     return os.path.join(cache_dir, "%s.p%d.json" % (form, prec))
 
 
-def _rows_crc(rows):
-    return zlib.crc32(json.dumps(rows).encode())
+def _fields_crc(den, vec):
+    return zlib.crc32(json.dumps([den, vec]).encode())
 
 
 def cache_store(cache_dir, form, s):
@@ -102,8 +108,8 @@ def cache_store(cache_dir, form, s):
     on an OSError, warn on stderr and remove the temporary file."""
     if not cache_dir:
         return
-    rec = record_from_series(form, s)
-    rec.update(version=CACHE_VERSION, crc32=_rows_crc(rec["rows"]))
+    rec = {"form": form, "weight": s.weight, "prec": s.prec, "den": s.den,
+           "vec": s.vec, "version": CACHE_VERSION, "crc32": _fields_crc(s.den, s.vec)}
     tmp = None
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -118,10 +124,11 @@ def cache_store(cache_dir, form, s):
 
 
 def cache_lookup(cache_dir, form, prec):
-    """The smallest valid cached record of the form at precision >= prec, as
-    a series truncated to prec; None on a miss.  A record that cannot be read
-    or turned into a series, or whose version, checksum, form, weight or prec
-    is wrong, is passed over for the next larger one."""
+    """(den, vec) of the smallest valid cached record of the form at
+    precision >= prec (vec may run past prec's positions); None on a miss.
+    A record is valid if its version, form, weight and prec are right, den is
+    an int > 0, vec holds one int per position of its prec, gcd(den, *vec)
+    is 1 and its checksum matches; any other record is passed over."""
     if not cache_dir or not os.path.isdir(cache_dir):
         return None
     precs = []
@@ -132,18 +139,21 @@ def cache_lookup(cache_dir, form, prec):
                 p = int(name[len(prefix):-len(".json")])
             except ValueError:
                 continue
-            if p >= prec:
+            if prec <= p <= MAX_GRADE:  # no build writes a deeper record
                 precs.append(p)
     for p in sorted(precs):
         try:
             with open(_cache_path(cache_dir, form, p)) as fh:
                 rec = parse_json(fh.read())
-            if ((rec["version"], rec["crc32"], rec["form"], rec["weight"], rec["prec"])
-                    == (CACHE_VERSION, _rows_crc(rec["rows"]), form, FORMS[form][1], p)):
-                return series_from_record(rec).truncate(prec)
-        # A nested record exhausts the parser's recursion; "1/0" divides by zero.
-        except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
-                RecursionError):
+            den, vec = rec["den"], rec["vec"]
+            if ((rec["version"], rec["form"], rec["weight"], rec["prec"])
+                    == (CACHE_VERSION, form, FORMS[form][1], p)
+                    and type(den) is int and den > 0 and len(vec) == position_count(p)
+                    and all(type(v) is int for v in vec) and gcd(den, *vec) == 1
+                    and rec["crc32"] == _fields_crc(den, vec)):
+                return den, vec
+        # A nested record exhausts the parser's recursion.
+        except (OSError, ValueError, LookupError, TypeError, RecursionError):
             pass
     return None
 
@@ -155,19 +165,13 @@ def _build_and_store(prec, stage, cache_dir):
     return gens
 
 
-def get_series(form, prec, cache_dir):
-    s = cache_lookup(cache_dir, form, prec)
-    if s is not None:
-        return s
-    return _build_and_store(prec, FORMS[form][0], cache_dir).members()[form]
-
-
 def _get_gens(prec, cache_dir):
     forms = {}
     for form in FORM_IDS:
-        forms[form] = cache_lookup(cache_dir, form, prec)
-        if forms[form] is None:
+        hit = cache_lookup(cache_dir, form, prec)
+        if hit is None:
             return _build_and_store(prec, "chi15", cache_dir)
+        forms[form] = fourier.FourierSeries.from_vector(FORMS[form][1], prec, *hit)
     return ring.GeneratorSet.from_records(prec, forms)
 
 
@@ -181,8 +185,12 @@ def cmd_expand(args):
     if args.prec < 4:
         print("prec must be >= 4", file=sys.stderr)
         return 2
-    s = get_series(args.form, args.prec, args.cache_dir)
-    rec = record_from_series(args.form, s)
+    fields = cache_lookup(args.cache_dir, args.form, args.prec)
+    if fields is None:
+        gens = _build_and_store(args.prec, FORMS[args.form][0], args.cache_dir)
+        s = gens.members()[args.form]
+        fields = s.den, s.vec
+    rec = _record(args.form, FORMS[args.form][1], args.prec, *fields)
     if not rec["rows"]:
         print("%s has no rows at prec %d; increase --prec" % (args.form, args.prec),
               file=sys.stderr)
@@ -223,6 +231,7 @@ def _load_fixture_tables():
 def verify_tables(prec, cache_dir):
     """Compare bundled reference tables with freshly computed coefficients on
     every tabulated index of grade <= prec (explicit zeros included)."""
+    from fractions import Fraction  # not at the top: a cache hit never loads it
     checked, failures = 0, []
     gens = _get_gens(prec, cache_dir)
     for columns, rows in _load_fixture_tables():

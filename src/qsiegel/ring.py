@@ -224,9 +224,11 @@ class GeneratorSet:
             if deep.chi15 != linear_combine([(1 / unit_b, q_b)]):
                 raise ValueError("chi15 differs from its companion quotient "
                                  "delta20b / chi5a")
-        self = cls.from_records(prec, {f: s.truncate(prec)
-                                       for f, s in deep.members().items()})
-        self._products = {key: s.truncate(prec) for key, s in deep._products.items()}
+        # Each deep series truncated once: a member is its own product entry.
+        cut = {id(s): s for s in (*deep.members().values(), *deep._products.values())}
+        cut = {key: s.truncate(prec) for key, s in cut.items()}
+        self = cls.from_records(prec, {f: cut[id(s)] for f, s in deep.members().items()})
+        self._products = {key: cut[id(s)] for key, s in deep._products.items()}
         return self
 
     @classmethod

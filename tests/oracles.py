@@ -7,8 +7,9 @@ elimination, integer row echelon form by Bareiss's fraction-free
 elimination, generalized Bernoulli numbers as a sum of Bernoulli
 polynomial values over the residues, and each Eisenstein coefficient as its
 own product of `Fraction` local factors.  They are slow and obviously correct;
-tests compare the library with them on random inputs.  `power` and
-`bernoulli_poly_value` are test helpers that the library itself never calls.
+tests compare the library with them on random inputs.  `power`,
+`bernoulli_poly_value` and `series_from_record` are test helpers that the
+library itself never calls.
 """
 from fractions import Fraction
 from math import comb
@@ -168,6 +169,12 @@ def power(f, n):
     for _ in range(n - 1):
         r = fourier.multiply(r, f)
     return r
+
+
+def series_from_record(rec):
+    """The series of an `expand` record, read from its rows."""
+    coeffs = {(x, y, z): c for x, y, z, _m, c in rec["rows"]}
+    return FourierSeries(rec["weight"], rec["prec"], coeffs)
 
 
 def bernoulli_poly_value(m, t):

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import series_from_record
 from qsiegel.cli import (cache_lookup, cache_store, emit_csv, emit_json, main,
-                         parse_csv, parse_json, record_from_series,
-                         series_from_record)
+                         parse_csv, parse_json, record_from_series)
 from qsiegel import cli, dims
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
+from qsiegel.forms import FORMS
+from qsiegel.fourier import FourierSeries
+from qsiegel.lattice import layer_positions, position_count
 from qsiegel.ring import GeneratorSet
 
 
@@ -82,13 +85,19 @@ def test_record_rows_are_canonical_and_exact():
         assert Fr(c) == s.coeff((x, y, z))
 
 
+def lookup(cache, form, prec):
+    """The cached series of the form at prec; None on a miss."""
+    fields = cache_lookup(cache, form, prec)
+    return fields and FourierSeries.from_vector(FORMS[form][1], prec, *fields)
+
+
 def test_cache_store_and_lookup(tmp_path):
     cache = str(tmp_path / "cache")
     s = eisenstein_series(EisensteinParams(2), 8)
     cache_store(cache, "E2", s)
     assert os.path.exists(os.path.join(cache, "E2.p8.json"))
-    assert cache_lookup(cache, "E2", 8) == s
-    assert cache_lookup(cache, "E2", 6) == s.truncate(6)
+    assert cache_lookup(cache, "E2", 8) == (s.den, s.vec)
+    assert lookup(cache, "E2", 6) == s.truncate(6)
     assert cache_lookup(cache, "E2", 9) is None
     assert cache_lookup(cache, "E4", 8) is None
     assert cache_lookup(None, "E2", 8) is None
@@ -134,7 +143,19 @@ def test_mislabelled_cache_record_is_a_miss(tmp_path, capsys):
     os.replace(os.path.join(cache, "E2.p4.json"), os.path.join(cache, "E2.p8.json"))
     assert cache_lookup(cache, "E2", 8) is None
     assert _expand_e2(capsys, 8, "--cache-dir", cache)[:2] == (0, want)
-    assert cache_lookup(cache, "E2", 8).prec == 8
+    assert len(cache_lookup(cache, "E2", 8)[1]) == position_count(8)
+
+
+def test_cache_record_past_the_kernel_is_never_read(tmp_path, monkeypatch):
+    rec = {"form": "E2", "weight": 2, "prec": 400, "den": 1, "vec": [1],
+           "version": 2}
+    (tmp_path / "E2.p400.json").write_text(json.dumps(_seal(rec)))
+
+    def no_count(p):
+        raise AssertionError("counted the positions of grade %d" % p)
+
+    monkeypatch.setattr(cli, "position_count", no_count)
+    assert cache_lookup(str(tmp_path), "E2", 6) is None
 
 
 def test_cache_record_of_another_form_is_a_miss(tmp_path):
@@ -145,13 +166,14 @@ def test_cache_record_of_another_form_is_a_miss(tmp_path):
 
 
 def _seal(rec):
-    """rec with a checksum that matches its rows, as cache_store writes it."""
-    return dict(rec, crc32=zlib.crc32(json.dumps(rec["rows"]).encode()))
+    """rec with a checksum that matches its den and vec, as cache_store
+    writes it."""
+    return dict(rec, crc32=zlib.crc32(json.dumps([rec["den"], rec["vec"]]).encode()))
 
 
 def _edit_e2_record(rec, edit):
     if edit == "coefficient":
-        next(r for r in rec["rows"] if r[:3] == [2, 1, -1])[4] = "12345"
+        rec["vec"][layer_positions(2)[(2, 1, -1)]] = 12345
     elif edit == "version":
         rec["version"] += 1
         return _seal(rec)
@@ -175,6 +197,34 @@ def test_cache_record_failing_its_seal_is_recomputed(tmp_path, capsys, edit):
     assert cache_lookup(cache, "E2", 6) is None
     assert _expand_e2(capsys, 6, "--cache-dir", cache)[:2] == (0, want)
     assert cache_lookup(cache, "E2", 6) is not None  # the record was replaced
+
+
+def test_version_1_cache_record_is_recomputed_and_replaced(tmp_path, capsys):
+    cache = tmp_path / "c"
+    _, want, _ = _expand_e2(capsys, 6, "--cache-dir", str(cache))
+    fresh = (cache / "E2.p6.json").read_bytes()
+    # the rows record, version 1, that cache_store wrote before den and vec
+    rec = record_from_series("E2", eisenstein_series(EisensteinParams(2), 6))
+    rec.update(version=1, crc32=zlib.crc32(json.dumps(rec["rows"]).encode()))
+    (cache / "E2.p6.json").write_text(json.dumps(rec))
+    assert cache_lookup(str(cache), "E2", 6) is None
+    assert _expand_e2(capsys, 6, "--cache-dir", str(cache))[:2] == (0, want)
+    assert (cache / "E2.p6.json").read_bytes() == fresh
+
+
+def test_expand_looks_the_cache_up_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cache_lookup(*args)
+
+    monkeypatch.setattr(cli, "cache_lookup", counted)
+    cache = str(tmp_path / "c")
+    for _ in ("miss", "hit"):
+        calls.clear()
+        assert _expand_e2(capsys, 6, "--cache-dir", cache)[0] == 0
+        assert calls == [(cache, "E2", 6)]
 
 
 def test_corrupt_cache_record_is_passed_over_for_a_larger_valid_one(
@@ -218,20 +268,44 @@ def e2_record():
     return text, _expand_in_process()
 
 
-# Coefficients no parse accepts: the string ones fail Fraction(), inf
-# (written as Infinity) overflows it, the rest are not numbers.
-BAD_COEFFICIENTS = ("1/0", "0/0", "", "x", "1/", "/2", "1//2", "1/2/3", "nan",
-                    float("inf"), None, [], {})
+# Fields no valid record holds: den must be an int > 0, every vec entry an
+# int (a bool or a float is not), and vec one entry per position in lowest terms.
+BAD_FIELDS = ([("den", bad) for bad in (0, -1, 1.5, "1", None, True)]
+              + [("entry", bad) for bad in (48.0, "48", None, True, [48])]
+              + [("vec", bad) for bad in ("short", "long", "not in lowest terms")])
 
 
-@given(kind=st.sampled_from(("truncate", "flip", "coefficient")),
+def _spoil(rec, at, field, bad):
+    vec = rec["vec"]
+    if field == "den":
+        rec["den"] = bad
+    elif field == "entry":
+        vec[at % len(vec)] = bad
+    elif bad == "short":
+        vec.pop()
+    elif bad == "long":
+        vec.append(0)
+    else:
+        rec["den"], rec["vec"] = 2 * rec["den"], [2 * v for v in vec]
+
+
+def _every_bad_field(test):
+    """Add an explicit example of every bad field, resealed and not."""
+    for field in BAD_FIELDS:
+        for reseal in (False, True):
+            test = example(kind="field", at=1, byte=1, field=field, reseal=reseal)(test)
+    return test
+
+
+@given(kind=st.sampled_from(("truncate", "flip", "field")),
        at=st.integers(0, 10 ** 6), byte=st.integers(1, 255),
-       bad=st.sampled_from(BAD_COEFFICIENTS), reseal=st.booleans())
-@example(kind="coefficient", at=1, byte=1, bad="1/0", reseal=True)
+       field=st.sampled_from(BAD_FIELDS), reseal=st.booleans())
+@_every_bad_field
 @settings(max_examples=60, deadline=None)
-def test_mutated_cache_record_is_recomputed(e2_record, kind, at, byte, bad, reseal):
-    """Truncation, a flipped byte, or an unparseable coefficient (under a
-    matching checksum when reseal) never reaches the output."""
+def test_mutated_cache_record_is_recomputed(e2_record, kind, at, byte, field, reseal):
+    """Truncation, a flipped byte, or a field no valid record holds (under a
+    matching checksum when reseal) never reaches the output; a spoilt field
+    makes the request replace the record with the one it computes."""
     text, want = e2_record
     i = at % len(text)
     if kind == "truncate":
@@ -240,12 +314,16 @@ def test_mutated_cache_record_is_recomputed(e2_record, kind, at, byte, bad, rese
         record = text[:i] + bytes([text[i] ^ byte]) + text[i + 1:]
     else:
         rec = json.loads(text)
-        rec["rows"][i % len(rec["rows"])][4] = bad
+        _spoil(rec, at, *field)
         record = json.dumps(_seal(rec) if reseal else rec).encode()
     with tempfile.TemporaryDirectory() as cache:
-        with open(os.path.join(cache, "E2.p6.json"), "wb") as fh:
+        path = os.path.join(cache, "E2.p6.json")
+        with open(path, "wb") as fh:
             fh.write(record)
         assert _expand_in_process(cache) == want
+        if kind == "field":
+            with open(path, "rb") as fh:
+                assert fh.read() == text
 
 
 def test_deeply_nested_cache_record_is_a_miss(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The package's lazy loading: a cached `expand` runs none of the compute
-modules, `import qsiegel.cli` still puts every module in `sys.modules` (the
-benchmark tracer patches what it finds there), and every public name of the
-package resolves to the defining module's object."""
+modules and never imports `fractions`, `import qsiegel.cli` still puts every
+module in `sys.modules` (the benchmark tracer patches what it finds there), and
+every public name of the package resolves to the defining module's object."""
 import importlib
 import json
 import os
@@ -15,8 +15,8 @@ from qsiegel.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qsiegel"
-LAZY = ("qsiegel.exactnum", "qsiegel.dims", "qsiegel.eisenstein", "qsiegel.diffop",
-        "qsiegel.ring")
+LAZY = ("qsiegel.exactnum", "qsiegel.dims", "qsiegel.eisenstein", "qsiegel.fourier",
+        "qsiegel.diffop", "qsiegel.ring")
 
 # The package's public names, by defining module.
 PUBLIC = {
@@ -55,11 +55,12 @@ def test_cache_hit_runs_no_compute_module(tmp_path, capsys):
         "import importlib.util, json, sys\n"
         "from qsiegel.cli import main\n"
         "rc = main(%r)\n"
-        "print(json.dumps([rc] + [type(sys.modules[m]) is importlib.util._LazyModule\n"
-        "                         for m in %r]))\n" % (argv, LAZY))
+        "print(json.dumps([rc, 'fractions' in sys.modules]\n"
+        "                 + [type(sys.modules[m]) is importlib.util._LazyModule\n"
+        "                    for m in %r]))\n" % (argv, LAZY))
     expansion, verdict = out[:-1].rsplit("\n", 1)
     assert expansion + "\n" == want
-    assert json.loads(verdict) == [0] + [True] * len(LAZY)
+    assert json.loads(verdict) == [0, False] + [True] * len(LAZY)
 
 
 def test_import_cli_registers_every_module():

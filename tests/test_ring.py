@@ -262,6 +262,13 @@ def test_build_keeps_every_product_it_forms(monkeypatch):
     assert sum(operands.values()) == 101
 
 
+@pytest.mark.parametrize("upto", ["phi", "chi5", "chi15"])
+def test_built_members_are_their_own_product_entries(upto):
+    gens = GeneratorSet.build(6, upto)
+    for form in ("E2", "phi4", "phi6"):
+        assert gens.monomial(((form, 1),)) is getattr(gens, form.lower())
+
+
 def test_structure_rows_start_where_the_row_before_reached_its_rank(monkeypatch):
     gens = GeneratorSet.build(8)
     formed = Counter()
