@@ -26,12 +26,13 @@ for rep in relations:
     print("[relations]  %-26s %s" % (rep.name, "ok" if rep.ok else "FAIL"))
 
 structure = verify_structure(20, gens)
+*rows, independence = structure.rows  # weight rows 0..20, span rows, independence
 print("[structure]  weights 0..20 ranks vs dimensions: %s"
-      % ("all equal" if all(r.ok for r in structure.rows) else "MISMATCH"))
-for name, (got, want) in sorted(structure.augmentations.items()):
-    print("[structure]  %-22s rank %2d / %2d" % (name, got, want))
+      % ("all equal" if all(r.ok for r in rows[:21]) else "MISMATCH"))
+for row in rows[21:]:
+    print("[structure]  %-22s rank %2d / %2d" % (row.name, row.rank, row.expected))
 print("[structure]  E2 E4 chi5a E6 independent: delta20a %s at grade %d"
-      % ("!= 0" if structure.independence[1] else "= 0", structure.independence[0]))
+      % ("!= 0" if independence.ok else "= 0", independence.prec))
 
 dims = dimension_report(244)
 bad = [row for row in dims.rows if not row[4]]

@@ -33,7 +33,7 @@ side and 6 for the products of minors: 14 integer convolutions on the
 from itertools import combinations
 
 from .fourier import FourierSeries, convolve
-from .lattice import ZERO, enumerate_cone
+from .lattice import positions
 
 ROWS = (0, 1, 2, 3)
 
@@ -59,7 +59,7 @@ def bracket(f1, f2, f3, f4):
     precision the minimum input precision, constant term 0 by construction."""
     fs = (f1, f2, f3, f4)
     X = min(f.prec for f in fs)
-    idx = (ZERO,) + enumerate_cone(X)
+    idx = positions(X)
     left = _minors(f1, f2, X, idx)
     right = _minors(f3, f4, X, idx)
     total = [0] * len(idx)

@@ -33,6 +33,7 @@ SIGN = -1
 D2 = 6
 
 
+# Kept for perfbench/tracer.py, which reads its .k (ROADMAP item 1).
 class EisensteinParams:
     """The weight k (even, >= 2) of an Eisenstein series for (D1, D2) = (1, 6),
     the only group parameters calibrated against reference tables."""

@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import (ZERO, convolution_layer, enumerate_cone, grade, is_positive,
-                      layer_positions, position_count)
+from .lattice import (ZERO, convolution_layer, grade, is_positive, layer_positions,
+                      position_count, positions)
 
 
 class FourierSeries:
@@ -87,7 +87,7 @@ class FourierSeries:
         """(eta, coefficient) pairs of the nonzero coefficients, in position
         order, which is index_key order."""
         return [(eta, Fraction(v, self.den))
-                for eta, v in zip((ZERO,) + enumerate_cone(self.prec), self.vec) if v]
+                for eta, v in zip(positions(self.prec), self.vec) if v]
 
     def __eq__(self, other):
         return (isinstance(other, FourierSeries)

@@ -7,13 +7,13 @@ The "grade" of an index is its x-coordinate.  It is additive under index
 addition and zero only at the origin, which is what makes it the right
 truncation parameter for series products.
 
-Positions number the indices of grade <= X as (ZERO,) + enumerate_cone(X);
-the numbering for X is a prefix of the one for any X' > X, so a position never
-depends on the truncation.  The convolution table of grade x lists, for each
-index eta of that grade, the positions (i, j) of every decomposition a + b =
-eta as two compact unsigned-short arrays; `fourier`'s integer kernel sums
-over it.  Positions fit an unsigned short through grade MAX_GRADE = 82; a
-deeper table raises OverflowError.
+Positions number the indices of grade <= X as positions(X), the origin then
+enumerate_cone(X); the numbering for X is a prefix of the one for any X' > X,
+so a position never depends on the truncation.  The convolution table of
+grade x lists, for each index eta of that grade, the positions (i, j) of
+every decomposition a + b = eta as two compact unsigned-short arrays;
+`fourier`'s integer kernel sums over it.  Positions fit an unsigned short
+through grade MAX_GRADE = 82; a deeper table raises OverflowError.
 """
 from array import array
 from collections import namedtuple
@@ -83,6 +83,7 @@ def enumerate_cone(X):
     return tuple(out)
 
 
+# Kept for perfbench/tracer.py, which reads its cache_info (ROADMAP item 1).
 @lru_cache(maxsize=None)
 def decompositions(eta):
     """All ordered pairs (a, b) of zero-or-positive indices with a + b = eta."""
@@ -97,9 +98,15 @@ def decompositions(eta):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def positions(X):
+    """The indices of grade <= X in position order, the origin first."""
+    return (ZERO,) + enumerate_cone(X)
+
+
 def position_count(X):
     """Number of positions of grade <= X."""
-    return 1 + len(enumerate_cone(X)) if X >= 0 else 0
+    return len(positions(X)) if X >= 0 else 0
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,8 @@ and span checks share them.  `build` forms its own products the same way, on
 a set at its deepest grade, and the set it returns keeps every one of them,
 truncated to its precision.  The polynomial identities are data, (name,
 lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so are the
-structure checks, (name, monomials, expected rank), each a span rank that one
-walk along the deeper() chain raises while it is short and rising.
+structure checks, (name, monomials, expected rank), each reported as a SpanRow
+with the rank and grade that one walk along the deeper() chain reached.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -30,10 +30,8 @@ from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
 from .lattice import MAX_GRADE
 
 Report = namedtuple("Report", "name ok mismatches")
-MonomialBasisReport = namedtuple("MonomialBasisReport",
-                                 "weight exponents rank expected prec ok")
-StructureReport = namedtuple("StructureReport", "rows augmentations independence ok")
-# independence: (grade, nonzero) of the delta20a check in verify_structure
+SpanRow = namedtuple("SpanRow", "name rank expected prec ok")
+StructureReport = namedtuple("StructureReport", "rows ok")
 
 CHI5A_LEAD = (2, 0, -1)
 CHI5B_LEAD = (2, 1, -1)
@@ -315,6 +313,7 @@ def _check_relations(gens, relations):
     return reports
 
 
+# Kept apart from verify_polynomial_relations for perfbench/tracer.py (ROADMAP item 1).
 def verify_chi5_square_relations(gens):
     """Check both weight-10 expansions: chi5a^2 and chi5b^2 as explicit
     combinations of E10, E2^5, E2^3*E4, E2^2*E6, E2*E4^2, E4*E6."""
@@ -360,13 +359,10 @@ def five_generator_exponents(weight):
 
 def monomial_basis(weight, gens):
     """Span rank of all weight-homogeneous monomials in the six generators
-    against the generating-function coefficient: the weight row of
-    verify_structure, run by _span_rank."""
-    expos = monomial_exponents(weight)
-    expected = genfun_coeff(weight)
-    rank, at = _span_rank([tuple(zip(SIX_GENERATORS, t)) for t in expos], expected,
-                          gens)
-    return MonomialBasisReport(weight, expos, rank, expected, at, rank == expected)
+    against the generating-function coefficient: the SpanRow "weight %2d"
+    of verify_structure, run by _span_rank."""
+    mons = [tuple(zip(SIX_GENERATORS, t)) for t in monomial_exponents(weight)]
+    return _span_rank("weight %2d" % weight, mons, genfun_coeff(weight), gens)
 
 
 # delta20a = {E2, E4, chi5a, E6} spans one dimension, i.e. is nonzero.
@@ -374,11 +370,11 @@ INDEPENDENCE = ("e2_e4_chi5a_e6_independent", ((("delta20a", 1),),), 1)
 
 
 def _span_checks():
-    """The rows (name, monomials, expected rank) beside the weight rows: the
-    weight-10 products of E2, E4, E6, E10 span 6 dimensions and chi5a*chi5b a
-    7th; the five-generator monomials span 12 of the 13 dimensions in weight
-    15 (chi15 the 13th) and 26 of the 28 in weight 20 (delta20a, delta20b the
-    last two); then INDEPENDENCE."""
+    """The rows (name, monomials, expected rank) beside the weight rows, in
+    name order: the weight-10 products of E2, E4, E6, E10 span 6 dimensions
+    and chi5a*chi5b a 7th; the five-generator monomials span 12 of the 13
+    dimensions in weight 15 (chi15 the 13th) and 26 of the 28 in weight 20
+    (delta20a, delta20b the last two); then INDEPENDENCE."""
     u15 = [tuple(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(15)]
     v20 = [tuple(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(20)]
     return (("w10_products", W10_MONOMIALS, 6),
@@ -390,26 +386,27 @@ def _span_checks():
             INDEPENDENCE)
 
 
-def _span_rank(monomials, expected, gens):
-    """(rank, grade) of the monomials' span: while the rank is below expected
-    and rose at the last step, walk the gens.deeper() chain.  The grade is
-    that of the set where the rank was reached.  Truncation only loses rank,
-    so going deeper cannot create a false pass; each step gains at least 1
-    and the rank is at most len(monomials), so the walk ends.  Each set's
-    monomial cache forms every product once across all rows."""
+def _span_rank(name, monomials, expected, gens):
+    """The monomials' SpanRow: while the rank is below expected and rose at
+    the last step, walk the gens.deeper() chain; prec is the grade of the set
+    where the rank was reached.  Truncation only loses rank, so going deeper
+    cannot create a false pass; each step gains at least 1 and the rank is at
+    most len(monomials), so the walk ends.  Each set's monomial cache forms
+    every product once across all rows."""
     rank = rank_of_span([gens.monomial(p) for p in monomials])
     while rank < expected:
         deeper = rank_of_span([gens.deeper().monomial(p) for p in monomials])
         if deeper <= rank:
             break
         rank, gens = deeper, gens.deeper()
-    return rank, gens.prec
+    return SpanRow(name, rank, expected, gens.prec, rank == expected)
 
 
 def verify_structure(k_max, gens):
-    """Every structure check as a span row, each run by _span_rank: the
-    monomial_basis row of every weight <= k_max, each from the deeper() set
-    where the row before reached its rank, then _span_checks from gens.
+    """StructureReport(rows, ok) of every structure check, one SpanRow each
+    from _span_rank, in print order: the monomial_basis row of every weight
+    <= k_max, each from the deeper() set where the row before reached its
+    rank, then the _span_checks rows from gens; ok if every row is.
 
     INDEPENDENCE is the algebraic independence of E2, E4, chi5a, E6: if four
     forms satisfy a polynomial relation, their bracket, a weighted Jacobian
@@ -423,11 +420,5 @@ def verify_structure(k_max, gens):
         rows.append(monomial_basis(k, start))
         while start.prec < rows[-1].prec:
             start = start.deeper()
-    checks = {name: _span_rank(monomials, expected, gens) + (expected,)
-              for name, monomials, expected in _span_checks()}
-    rank, at, expected = checks.pop(INDEPENDENCE[0])
-    independence = (at, rank == expected)
-    aug = {name: (got, want) for name, (got, _, want) in checks.items()}
-    ok = (all(r.ok for r in rows) and all(got == want for got, want in aug.values())
-          and independence[1])
-    return StructureReport(rows, aug, independence, ok)
+    rows += [_span_rank(*check, gens) for check in _span_checks()]
+    return StructureReport(rows, all(row.ok for row in rows))

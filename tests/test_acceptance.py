@@ -97,16 +97,16 @@ def test_criterion_5_dimension_formula():
 
 def test_criterion_6_span_structure(gens12):
     report = verify_structure(20, gens12)
-    by_weight = {r.weight: r for r in report.rows}
-    assert by_weight[6].rank == 3
-    assert by_weight[8].rank == 4
+    assert report.rows[6].rank == 3
+    assert report.rows[8].rank == 4
     assert all(r.rank == r.expected for r in report.rows)
-    assert report.augmentations["w10_products"] == (6, 6)
-    assert report.augmentations["w10_with_chi5ab"] == (7, 7)
-    assert report.augmentations["w15_five_generators"] == (12, 12)
-    assert report.augmentations["w15_with_chi15"] == (13, 13)
-    assert report.augmentations["w20_five_generators"] == (26, 26)
-    assert report.augmentations["w20_with_deltas"] == (28, 28)
+    spans = {r.name: (r.rank, r.expected) for r in report.rows}
+    assert spans["w10_products"] == (6, 6)
+    assert spans["w10_with_chi5ab"] == (7, 7)
+    assert spans["w15_five_generators"] == (12, 12)
+    assert spans["w15_with_chi15"] == (13, 13)
+    assert spans["w20_five_generators"] == (26, 26)
+    assert spans["w20_with_deltas"] == (28, 28)
     assert report.ok
 
 

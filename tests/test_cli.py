@@ -463,4 +463,33 @@ def test_verify_structure_suite_at_prec_5_walks_to_a_pass(capsys, tmp_path):
                      "verify", "--suite", "structure", "--prec", "5")
     assert rc == 0
     assert "weight 20: rank 28 expected 28 ok" in out
-    assert out.splitlines()[-1] == "verify structure: PASS"
+    assert out.splitlines()[21:] == [
+        "w10_products: rank 6 expected 6 ok",
+        "w10_with_chi5ab: rank 7 expected 7 ok",
+        "w15_five_generators: rank 12 expected 12 ok",
+        "w15_with_chi15: rank 13 expected 13 ok",
+        "w20_five_generators: rank 26 expected 26 ok",
+        "w20_with_deltas: rank 28 expected 28 ok",
+        "e2_e4_chi5a_e6_independent (Jacobian criterion): delta20a != 0 at grade 7 ok",
+        "verify structure: PASS"]
+
+
+def test_verify_structure_reports_each_failing_row(capsys, gens12, monkeypatch):
+    zero = GeneratorSet.from_records(
+        12, {**gens12.members(), "delta20a": FourierSeries(20, 12, {})})
+    monkeypatch.setattr(cli, "_get_gens", lambda prec, cache_dir: zero)
+    # every grade of the forged set says the same: deeper() rebuilds nothing
+    monkeypatch.setattr(GeneratorSet, "deeper", lambda self: self)
+    rc, out, _ = run(capsys, "verify", "--suite", "structure", "--prec", "12",
+                     "--kmax", "0")
+    assert rc == 1
+    assert out.splitlines() == [
+        "weight  0: rank 1 expected 1 ok",
+        "w10_products: rank 6 expected 6 ok",
+        "w10_with_chi5ab: rank 7 expected 7 ok",
+        "w15_five_generators: rank 12 expected 12 ok",
+        "w15_with_chi15: rank 13 expected 13 ok",
+        "w20_five_generators: rank 26 expected 26 ok",
+        "w20_with_deltas: rank 27 expected 28 FAIL",
+        "e2_e4_chi5a_e6_independent (Jacobian criterion): delta20a = 0 to grade 12 FAIL",
+        "verify structure: FAIL"]

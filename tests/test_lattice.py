@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qsiegel.exactnum import is_fundamental_discriminant
 from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, grade,
-                             index_key, is_positive, layer, norm_m,
-                             quad_invariants)
+                             index_key, is_positive, layer, layer_positions,
+                             norm_m, position_count, positions, quad_invariants)
 
 # number of positive indices at each grade x = 1 .. 16
 LAYER_SIZES = [0, 2, 4, 4, 10, 14, 16, 20, 30, 37, 40, 50, 58, 70, 74, 90]
@@ -42,6 +42,15 @@ def test_cone_is_sorted_and_positive():
     assert list(cone) == sorted(cone, key=index_key)
     assert all(is_positive(e) for e in cone)
     assert all(1 <= grade(e) <= 10 for e in cone)
+
+
+def test_positions_put_the_origin_first_and_agree_with_the_layers():
+    assert positions(0) == (ZERO,) and position_count(-1) == 0
+    for X in range(13):
+        assert positions(X) == (ZERO,) + enumerate_cone(X)
+        assert position_count(X) == len(positions(X))
+        assert positions(X) == positions(X + 1)[:position_count(X)]
+        assert all(positions(X)[n] == eta for eta, n in layer_positions(X).items())
 
 
 def test_norm_examples():

@@ -140,17 +140,20 @@ def test_build_rejects_companion_mismatch(monkeypatch):
 
 def test_structure_at_prec_8_escalates_to_a_pass():
     report = verify_structure(20, GeneratorSet.build(8))
-    assert report.augmentations["w20_five_generators"] == (26, 26)
+    row = next(r for r in report.rows if r.name == "w20_five_generators")
+    assert (row.rank, row.expected) == (26, 26)
     assert report.ok
 
 
 def test_zero_delta20a_fails_the_independence_check(gens12, monkeypatch):
-    assert verify_structure(0, gens12).independence == (12, True)
+    last = verify_structure(0, gens12).rows[-1]
+    assert last.name == ring.INDEPENDENCE[0] and (last.prec, last.ok) == (12, True)
     zero = forged(gens12, delta20a=FourierSeries(20, 12, {}))
     # every grade of the forged set says the same: deeper() rebuilds nothing
     monkeypatch.setattr(GeneratorSet, "deeper", lambda self: self)
     report = verify_structure(0, zero)
-    assert report.independence == (12, False)
+    last = report.rows[-1]
+    assert last.name == ring.INDEPENDENCE[0] and (last.prec, last.ok) == (12, False)
     assert not report.ok
 
 
@@ -160,9 +163,9 @@ def test_structure_fails_on_the_independence_check_alone(gens12, monkeypatch):
     name, _, expected = ring.INDEPENDENCE
     monkeypatch.setattr(ring, "INDEPENDENCE", (name, (), expected))
     report = verify_structure(5, gens12)
-    assert all(row.ok for row in report.rows)
-    assert all(got == want for got, want in report.augmentations.values())
-    assert report.independence == (12, False)
+    *rows, last = report.rows
+    assert all(row.ok for row in rows) and all(r.rank == r.expected for r in rows)
+    assert last.name == name and (last.prec, last.ok) == (12, False)
     assert not report.ok
 
 
