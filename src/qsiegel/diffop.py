@@ -9,10 +9,17 @@ linear image of (x, y, z); by multilinearity the coordinate-row determinant
 used here differs from the analytic bracket only by one fixed nonzero scalar,
 so divisibility, vanishing and span statements are unaffected.
 
-It is evaluated by Laplace expansion of the determinant along the column
-split (f1, f2) | (f3, f4).  Let W_r f scale each coefficient of f by the
-entry of row r: the weight k for row k (r = 0), the index coordinate x, y or
-z for rows 1, 2, 3.  The 2x2 minors
+It is evaluated with the last row replaced by (x1 + 2z1 .. x4 + 2z4), which
+doubles the determinant; the factor 2 goes into the denominator.  Under the
+reflection iota(x, y, z) = (x, y, -x - z), which keeps grade and norm,
+x + 2z changes sign while k, x and y do not, so every row scaling below maps
+an iota-even or iota-odd series to one again, and each product keeps the
+symmetric path of `fourier.product`.
+
+The determinant is expanded by Laplace along the column split (f1, f2) |
+(f3, f4).  Let W_r f scale each coefficient of f by the entry of row r: the
+weight k for row k (r = 0), the index coordinate x or y for rows 1, 2, and
+x + 2z for row 3.  The 2x2 minors
 
     M_rs(f, g) = W_r f * W_s g - W_s f * W_r g     (r < s)
 
@@ -27,28 +34,27 @@ Hence, with v_r = W_r f * g,
     M_rs(f, g) = W_s v_r - W_r v_s,
 
 where W_0 scales v_r by f.weight + g.weight.  That is 4 convolutions per
-side and 6 for the products of minors: 14 integer convolutions on the
-`fourier` kernel, over the product of the inputs' denominators.
+side and 6 for the products of minors: 14 integer convolutions by
+`fourier.product`, over twice the product of the inputs' denominators.
 """
 from itertools import combinations
 
-from .fourier import FourierSeries, convolve
+from .fourier import FourierSeries, product
 from .lattice import positions
 
 ROWS = (0, 1, 2, 3)
 
 
 def _rows(weight, idx):
-    """The determinant's row entries (weight, x, y, z) at each position."""
-    return [(weight,) + eta for eta in idx]
+    """The determinant's row entries (weight, x, y, x + 2z) at each position."""
+    return [(weight, x, y, x + 2 * z) for x, y, z in idx]
 
 
 def _minors(f, g, X, idx):
     """{(r, s): M_rs(f, g)} for every row pair r < s, over f.den * g.den,
     as W_s v_r - W_r v_s from the four products v_r = W_r f * g."""
     rows_f = _rows(f.weight, idx)
-    v = [convolve([e[r] * c for e, c in zip(rows_f, f.vec)], g.vec, 0, X)
-         for r in ROWS]
+    v = [product([e[r] * c for e, c in zip(rows_f, f.vec)], g.vec, X) for r in ROWS]
     rows_v = _rows(f.weight + g.weight, idx)
     return {(r, s): [e[s] * a - e[r] * b for e, a, b in zip(rows_v, v[r], v[s])]
             for r, s in combinations(ROWS, 2)}
@@ -66,7 +72,7 @@ def bracket(f1, f2, f3, f4):
     for (r, s), m in left.items():
         p, q = (t for t in ROWS if t not in (r, s))
         sign = -1 if (r + s) % 2 == 0 else 1
-        for n, v in enumerate(convolve(m, right[p, q], 0, X)):
+        for n, v in enumerate(product(m, right[p, q], X)):
             total[n] += sign * v
     return FourierSeries.from_vector(sum(f.weight for f in fs) + 3, X,
-                                     f1.den * f2.den * f3.den * f4.den, total)
+                                     2 * f1.den * f2.den * f3.den * f4.den, total)

@@ -9,19 +9,29 @@ grade 0, products of truncated series are again exact at every retained grade.
 A series is a denominator `den` and one int `vec[n]` per position n of
 `lattice` of grade <= prec, the coefficient there being vec[n] / den, in
 lowest terms (den > 0, gcd(den, *vec) == 1) so that equal series have equal
-fields.  One kernel, `convolve` over `lattice.convolution_layer`, serves
-`multiply`, `diffop.bracket`, the solver behind `sqrt_monic` and
-`divide_exact`, and their re-expansion checks.  Ranks and relation spaces use
-one elimination, `_echelon`: division-free on integer rows, each row kept
-primitive, with Bareiss's pivots and entries no larger than his minors
-(Bareiss, Math. Comp. 22, 1968).  `Fraction` holds single values only: the
+fields.  One kernel, `convolve` over `lattice.convolution_layer`, serves the
+solver behind `sqrt_monic` and `divide_exact` and their re-expansion checks.
+`product`, behind `multiply` and the 14 convolutions of `diffop.bracket`,
+runs the same sums by orbits of the reflection iota(x, y, z) = (x, y,
+-x - z), which keeps grade and norm: when each operand is iota-even or
+iota-odd, checked on its vector at every call, the product has the product
+parity, so one sum per orbit of targets gives both coefficients of the
+orbit, and at a fixed target the two pairs of a pair-orbit add up equal
+(even product) or cancel (odd product).  Any other input takes the full
+`convolve`.  Ranks and relation spaces use one elimination, `_echelon`:
+division-free on integer rows, each row kept primitive, with Bareiss's
+pivots and entries no larger than his minors (Bareiss, Math. Comp. 22,
+1968); `rank_of_span` ranks the even and the odd rows apart, on one
+position per orbit.  `Fraction` holds single values only: the
 validating constructor's input, `coeff`, `coeffs` and `sorted_items`, the
 scalars of `linear_combine`, the slice entries of `_solve_slices`, the pivot
 of `divide_exact` and the back-substitution of `relation_nullspace`.
 """
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 
 from .lattice import (ZERO, convolution_layer, grade, is_positive, layer_positions,
                       position_count, positions)
@@ -135,12 +145,84 @@ def convolve(F, G, lo, hi):
     return out
 
 
+@lru_cache(maxsize=None)
+def mirror(X):
+    """The position of iota(eta) for each position eta of grade <= X, in
+    position order; mirror(X) is a prefix of mirror(X') for X' > X."""
+    out = [0]
+    for x in range(1, X + 1):
+        pos = layer_positions(x)
+        out.extend(pos[(x, y, -x - z)] for _, y, z in pos)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def orbit_layer(x):
+    """The grade-x convolution table by iota-orbits of targets, as (moved,
+    fixed).  moved holds (t, iota t, A, B) for each target t < iota t, with
+    the full table's arrays A, B of t.  fixed holds (t, A, B, A2, B2) for
+    each target t = iota t: A, B its pairs (i, j) with i = iota i (then
+    j = iota j too), and A2, B2 the pair with i < iota i of each pair-orbit
+    {(i, j), (iota i, iota j)}."""
+    mir = mirror(x)
+    moved, fixed = [], []
+    for t, (A, B) in enumerate(convolution_layer(x), position_count(x - 1)):
+        if t < mir[t]:
+            moved.append((t, mir[t], A, B))
+        elif t == mir[t]:
+            A1, B1, A2, B2 = array("H"), array("H"), array("H"), array("H")
+            for i, j in zip(A, B):
+                if mir[i] == i:
+                    A1.append(i)
+                    B1.append(j)
+                elif i < mir[i]:
+                    A2.append(i)
+                    B2.append(j)
+            fixed.append((t, A1, B1, A2, B2))
+    return moved, fixed
+
+
+def _parity(vec, mir):
+    """1 if vec is iota-even on the positions of mir, -1 if iota-odd (and
+    not zero), 0 if neither."""
+    image = list(map(vec.__getitem__, mir))
+    head = vec[:len(mir)]
+    if image == head:
+        return 1
+    return -1 if image == list(map(neg, head)) else 0
+
+
+def _convolve_orbits(F, G, sign, X):
+    """convolve(F, G, 0, X) for F, G whose parities multiply to sign."""
+    Fg, Gg = F.__getitem__, G.__getitem__
+    out = [0] * position_count(X)
+    for x in range(X + 1):
+        moved, fixed = orbit_layer(x)
+        for t, m, A, B in moved:
+            s = sum(map(mul, map(Fg, A), map(Gg, B)))
+            out[t], out[m] = s, sign * s
+        if sign > 0:
+            for t, A, B, A2, B2 in fixed:
+                out[t] = (sum(map(mul, map(Fg, A), map(Gg, B)))
+                          + 2 * sum(map(mul, map(Fg, A2), map(Gg, B2))))
+    return out
+
+
+def product(F, G, X):
+    """Integer convolution of the vectors F and G at every position of grade
+    <= X, by iota-orbits when both are even or odd to grade X."""
+    mir = mirror(X)
+    sign = _parity(F, mir)
+    sign = sign and sign * _parity(G, mir)
+    return _convolve_orbits(F, G, sign, X) if sign else convolve(F, G, 0, X)
+
+
 def multiply(f, g):
     """Convolution product; the coefficient at eta is the sum of
     C_f(a) * C_g(b) over all decompositions a + b = eta."""
     X = min(f.prec, g.prec)
     return FourierSeries.from_vector(f.weight + g.weight, X, f.den * g.den,
-                                     convolve(f.vec, g.vec, 0, X))
+                                     product(f.vec, g.vec, X))
 
 
 def _solve_slices(g, lead, pivot, first, h, partner, what):
@@ -293,12 +375,28 @@ def _echelon(rows, ncols):
 
 def rank_of_span(forms):
     """Rank over Q of the span of the given series (shared weight and prec),
-    by exact elimination on their coefficient vectors."""
+    by exact elimination on their coefficient vectors.
+
+    When every series is iota-even or iota-odd, the rank is that of the even
+    ones on one position per orbit plus that of the odd ones on one position
+    per 2-orbit: even and odd vectors span complementary subspaces, an even
+    vector is fixed by its values on the orbit representatives, and an odd
+    one, zero at every fixed position, by those on the 2-orbits."""
     if not forms:
         return 0
     _check_shared(forms)
-    rows = [s.vec[:] for s in forms]
-    return len(_echelon(rows, len(rows[0])))
+    mir = mirror(forms[0].prec)
+    parities = [_parity(s.vec, mir) for s in forms]
+    if not all(parities):
+        rows = [s.vec[:] for s in forms]
+        return len(_echelon(rows, len(rows[0])))
+    rank = 0
+    for sign, cols in ((1, [n for n, m in enumerate(mir) if n <= m]),
+                       (-1, [n for n, m in enumerate(mir) if n < m])):
+        rows = [list(map(s.vec.__getitem__, cols))
+                for s, p in zip(forms, parities) if p == sign]
+        rank += len(_echelon(rows, len(cols)))
+    return rank
 
 
 def relation_nullspace(forms):

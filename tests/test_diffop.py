@@ -3,7 +3,7 @@ and the product rule that makes multiplicatively dependent arguments vanish."""
 import pytest
 
 from oracles import power
-from qsiegel import diffop
+from qsiegel import diffop, fourier
 from qsiegel.diffop import bracket
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.fourier import linear_combine, multiply
@@ -64,16 +64,34 @@ def test_multiplicative_dependence_vanishes(forms):
     assert is_zero(bracket(e2, e4, multiply(e2, e4), e6))
 
 
-def test_bracket_makes_14_convolutions(forms, monkeypatch):
-    # 4 products W_r f * g per side of the Laplace expansion, 6 products of
-    # minors; the oracle tests in test_kernels.py check the values
+def counted(monkeypatch, module, name):
+    """The list that collects the arguments of each call of module.name."""
     calls = []
+    original = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
-        return convolve(*args)
+        return original(*args)
 
-    convolve = diffop.convolve
-    monkeypatch.setattr(diffop, "convolve", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_bracket_makes_14_convolutions(forms, monkeypatch):
+    # 4 products W_r f * g per side of the Laplace expansion, 6 products of
+    # minors; the oracle tests in test_kernels.py check the values
+    calls = counted(monkeypatch, diffop, "product")
     bracket(*forms)
     assert len(calls) == 14
+
+
+def test_bracket_of_even_forms_is_odd_on_the_symmetric_path(gens12, monkeypatch):
+    # E2, E4, chi5a, E6 are iota-even; every row scaling keeps a parity, so
+    # all 14 convolutions run by orbits and none on the full kernel
+    args = [s.truncate(8) for s in (gens12.e2, gens12.e4, gens12.chi5a, gens12.e6)]
+    full = counted(monkeypatch, fourier, "convolve")
+    orbits = counted(monkeypatch, fourier, "_convolve_orbits")
+    br = bracket(*args)
+    assert (len(orbits), len(full)) == (14, 0)
+    mir = fourier.mirror(br.prec)
+    assert any(br.vec) and [br.vec[m] for m in mir] == [-v for v in br.vec]

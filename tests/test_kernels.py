@@ -1,19 +1,21 @@
 """Differential tests: the integer kernels against the oracles in oracles.py,
-on random sparse series, random rank-deficient matrices, every small
-discriminant and every Eisenstein coefficient to grade 16."""
+on random sparse series (general, iota-even, iota-odd and perturbed), random
+rank-deficient matrices, every small discriminant and every Eisenstein
+coefficient to grade 16."""
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from qsiegel.diffop import bracket
 from qsiegel.eisenstein import EisensteinParams, eisenstein_coefficient, eisenstein_series
 from qsiegel.exactnum import generalized_bernoulli, is_fundamental_discriminant
-from qsiegel.fourier import (FourierSeries, _echelon, divide_exact, linear_combine,
-                             multiply, rank_of_span, relation_nullspace, sqrt_monic)
-from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive
+from qsiegel.fourier import (FourierSeries, _echelon, _parity, divide_exact,
+                             linear_combine, mirror, multiply, rank_of_span,
+                             relation_nullspace, sqrt_monic)
+from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive, positions
 
 rationals = st.builds(Fr, st.integers(-9, 9), st.integers(1, 6))
 LEADS = ((2, 0, -1), (2, 1, -1))
@@ -58,6 +60,129 @@ def test_bracket_of_eisenstein_series_matches_oracle(gens12):
     e2, e4, e6 = (s.truncate(7) for s in (gens12.e2, gens12.e4, gens12.e6))
     chi = gens12.chi5a.truncate(7)
     assert bracket(e2, e4, chi, e6) == oracles.bracket(e2, e4, chi, e6)
+
+
+def iota(eta):
+    x, y, z = eta
+    return (x, y, -x - z)
+
+
+def parity(s, X=None):
+    """1 (even, or zero), -1 (odd) or 0 (neither) for s truncated to X."""
+    return _parity(s.vec, mirror(s.prec if X is None else X))
+
+
+@st.composite
+def symmetric(draw, sign=None, prec=None, weight=None, max_size=6):
+    """A sparse series with C(iota eta) = sign * C(eta): iota-even for sign
+    1, iota-odd for -1, drawn if None; zero when the support is empty."""
+    sign = draw(st.sampled_from((1, -1))) if sign is None else sign
+    prec = draw(st.integers(4, 6)) if prec is None else prec
+    weight = draw(st.integers(0, 6)) if weight is None else weight
+    coeffs = {}
+    for eta in draw(st.sets(st.sampled_from(positions(prec)), max_size=max_size)):
+        if iota(eta) != eta or sign > 0:
+            coeffs[eta] = v = draw(rationals)
+            coeffs[iota(eta)] = sign * v
+    return FourierSeries(weight, prec, coeffs)
+
+
+@st.composite
+def perturbed(draw, prec=None, weight=None):
+    """A symmetric series with one coefficient off its orbit's rule, so it
+    is neither even nor odd."""
+    s = draw(symmetric(prec=prec, weight=weight))
+    eta = draw(st.sampled_from([e for e in positions(s.prec) if iota(e) != e]))
+    bump = FourierSeries(s.weight, s.prec, {eta: draw(rationals.filter(bool))})
+    out = linear_combine([(1, s), (1, bump)])
+    assume(parity(out) == 0)
+    return out
+
+
+@given(symmetric(), symmetric())
+@settings(max_examples=80, deadline=None)
+def test_symmetric_multiply_matches_oracle(f, g):
+    h = multiply(f, g)
+    assert h == oracles.multiply(f, g)
+    assert not any(h.vec) or parity(h) == parity(f) * parity(g)
+    assert multiply(f, f) == oracles.multiply(f, f)
+
+
+@given(st.one_of(symmetric(), series()), st.one_of(perturbed(), series()),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_multiply_with_an_operand_of_no_parity_matches_oracle(f, g, swap):
+    if swap:
+        f, g = g, f
+    assert multiply(f, g) == oracles.multiply(f, g)
+
+
+@st.composite
+def symmetric_below(draw, X):
+    """A series of prec X + 2, symmetric to grade X and arbitrary above."""
+    s = draw(symmetric(prec=X + 2))
+    tail = draw(series(prec=X + 2, weight=s.weight, min_grade=X + 1))
+    return linear_combine([(1, s), (1, tail)])
+
+
+@given(symmetric(prec=4), symmetric_below(4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_unequal_precs_symmetric_below_the_shorter_match_oracle(f, g, swap):
+    # the product stops at grade 4, where g is still symmetric
+    assert parity(g, 4)
+    if swap:
+        f, g = g, f
+    assert multiply(f, g) == oracles.multiply(f, g)
+
+
+@st.composite
+def bracket_argument(draw, prec, perturb=False):
+    """A series to grade prec with a coefficient on each of the 7 indices of
+    grade <= 3, iota-even with a nonzero constant term or iota-odd, and if
+    perturb is set maybe with one coefficient off its orbit's rule.  A
+    nonzero bracket term needs the origin and three independent positive
+    indices, the first such target being (2, 0, -1) + (2, 1, -1) plus one of
+    grade 3, at grade 7."""
+    sign = draw(st.sampled_from((1, -1)))
+    coeffs = {ZERO: draw(rationals.filter(bool))} if sign > 0 else {}
+    for eta in positions(3)[1:]:
+        if iota(eta) not in coeffs and (sign > 0 or iota(eta) != eta):
+            coeffs[eta] = v = draw(rationals)
+            coeffs[iota(eta)] = sign * v
+    if perturb and draw(st.booleans()):
+        eta = draw(st.sampled_from([e for e in positions(3) if iota(e) != e]))
+        coeffs[eta] += draw(rationals.filter(bool))
+    return FourierSeries(draw(st.integers(1, 6)), prec, coeffs)
+
+
+@given(bracket_argument(8), bracket_argument(8), bracket_argument(9),
+       bracket_argument(8, perturb=True))
+@settings(max_examples=40, deadline=None)
+def test_symmetric_bracket_matches_oracle(f1, f2, f3, f4):
+    assert bracket(f1, f2, f3, f4) == oracles.bracket(f1, f2, f3, f4)
+
+
+@st.composite
+def symmetric_span(draw):
+    """Even and odd rows, each a combination of basis series of its own
+    parity (rank deficient), and sometimes one perturbed row, which makes
+    the rank take the full elimination."""
+    basis = {sign: [draw(symmetric(sign=sign, prec=4, weight=0, max_size=8))
+                    for _ in range(draw(st.integers(1, 3)))]
+             for sign in (1, -1)}
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        sign = draw(st.sampled_from((1, -1)))
+        rows.append(linear_combine([(draw(rationals), s) for s in basis[sign]]))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(perturbed(prec=4, weight=0)))
+    return rows
+
+
+@given(symmetric_span())
+@settings(max_examples=80, deadline=None)
+def test_symmetric_rank_matches_oracle(forms):
+    assert rank_of_span(forms) == oracles.rank_of_span(forms)
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Index cone: layer enumeration, decompositions, quadratic invariants."""
+"""Index cone: layer enumeration, decompositions, quadratic invariants, and
+the reflection iota with its orbit tables."""
 from math import gcd
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsiegel.exactnum import is_fundamental_discriminant
-from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, grade,
-                             index_key, is_positive, layer, layer_positions,
+from qsiegel.fourier import mirror, orbit_layer
+from qsiegel.lattice import (ZERO, convolution_layer, decompositions, enumerate_cone,
+                             grade, index_key, is_positive, layer, layer_positions,
                              norm_m, position_count, positions, quad_invariants)
 
 # number of positive indices at each grade x = 1 .. 16
@@ -132,3 +134,42 @@ def test_quad_invariants_rejects_non_positive():
         quad_invariants(ZERO)
     with pytest.raises(ValueError):
         quad_invariants((1, 0, 0))
+
+
+# The reflection iota(x, y, z) = (x, y, -x - z) and its tables live in
+# `fourier`, which a cache hit never loads; these check them on the lattice.
+ORBIT_GRADE = 30
+
+
+def test_mirror_is_an_involution_keeping_grade_and_norm():
+    idx = positions(ORBIT_GRADE)
+    mir = mirror(ORBIT_GRADE)
+    assert len(mir) == len(idx) == 3260
+    assert all(mir[m] == n for n, m in enumerate(mir))
+    for eta, m in zip(idx, mir):
+        x, y, z = eta
+        assert idx[m] == (x, y, -x - z)
+        assert grade(idx[m]) == grade(eta) and norm_m(idx[m]) == norm_m(eta)
+    assert mirror(12) == mir[:position_count(12)]
+
+
+def test_orbit_layers_partition_the_convolution_pairs():
+    for x in range(ORBIT_GRADE + 1):
+        mir = mirror(x)
+        table = convolution_layer(x)
+        start = position_count(x - 1)
+        moved, fixed = orbit_layer(x)
+        covered = [t for t, m, _, _ in moved] + [m for _, m, _, _ in moved]
+        covered += [t for t, *_ in fixed]
+        assert sorted(covered) == list(range(start, start + len(table)))
+        for t, m, A, B in moved:
+            assert t < m == mir[t]
+            assert A is table[t - start][0] and B is table[t - start][1]
+        for t, A, B, A2, B2 in fixed:
+            assert mir[t] == t
+            pairs = list(zip(*table[t - start]))
+            fix, rep = list(zip(A, B)), list(zip(A2, B2))
+            assert all(mir[i] == i and mir[j] == j for i, j in fix)
+            assert all(i < mir[i] for i, _ in rep)
+            images = [(mir[i], mir[j]) for i, j in rep]
+            assert sorted(fix + rep + images) == sorted(pairs)
