@@ -13,21 +13,23 @@ F_p = 1 for every prime outside {p : p | a*f*D2}, so the product is finite.
 The global sign is calibrated once so that the weight-2 series has
 coefficient 48 at (2,1,-1); every other table value then serves as a check.
 
-Everything but the weight is shared: the local data of an index, d and
-(p, v_p(a), v_p(f), chi_d(p)) for each p | a*f*D2, is computed once per
-index for all weights, and the prefactor once per (k, d).  So a coefficient
-is the rational prefactor of its discriminant times the integer F = prod F_p,
-and a series is assembled in integers over the lcm of its prefactors'
-denominators.
+A coefficient depends on eta only through its content a and norm m_eta,
+and everything but the weight is shared: the local data of such a class, d
+and (p, v_p(a), v_p(f), chi_d(p)) for each p | a*f*D2, is computed once
+for all weights, and the prefactor once per (k, d).  So a coefficient is
+the rational prefactor of its discriminant times the integer F = prod F_p,
+evaluated once per class, and a series is assembled in integers over the
+lcm of its prefactors' denominators.
 """
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
-from .exactnum import (bernoulli_number, generalized_bernoulli, kronecker_symbol,
-                       p_valuation, prime_divisors)
+from .exactnum import (bernoulli_number, fundamental_discriminant_split,
+                       generalized_bernoulli, kronecker_symbol, p_valuation,
+                       prime_divisors)
 from .fourier import FourierSeries
-from .lattice import enumerate_cone, is_positive, quad_invariants
+from .lattice import enumerate_cone, is_positive, norm_m
 
 SIGN = -1
 D2 = 6
@@ -55,11 +57,16 @@ def _prefactor(k, d):
     return pref
 
 
+def _class(eta):
+    """(content, norm) of the positive index eta, which fix its coefficient."""
+    return gcd(*eta), norm_m(eta)
+
+
 @lru_cache(maxsize=None)
-def _local_data(eta):
-    """(d, ((p, v_p(a), v_p(f), chi_d(p)) for each p | a*f*D2)) of the
-    positive index eta: the part of its coefficient that is weight-free."""
-    a, d, f = quad_invariants(eta)
+def _local_data(a, m):
+    """(d, ((p, v_p(a), v_p(f), chi_d(p)) for each p | a*f*D2)) of content a
+    and norm m: the weight-free part of the coefficient."""
+    d, f = fundamental_discriminant_split(-m // (a * a))
     return d, tuple((p, p_valuation(p, a), p_valuation(p, f), kronecker_symbol(d, p))
                     for p in prime_divisors(a * f * D2))
 
@@ -79,9 +86,10 @@ def _local_factor(k, p, ap, fp, c):
     return Fp
 
 
-def _coefficient_parts(k, eta):
-    """(d, F) with C(eta) = SIGN * _prefactor(k, d) * F and F an integer."""
-    d, local = _local_data(eta)
+def _coefficient_parts(k, cls):
+    """(d, F) with C(eta) = SIGN * _prefactor(k, d) * F and F an integer, for
+    eta of class cls."""
+    d, local = _local_data(*cls)
     F = 1
     for p, ap, fp, c in local:
         F *= _local_factor(k, p, ap, fp, c)
@@ -93,7 +101,7 @@ def eisenstein_coefficient(params, eta):
     handled by eisenstein_series)."""
     if not is_positive(eta):
         raise ValueError("eisenstein_coefficient needs a positive index")
-    d, F = _coefficient_parts(params.k, eta)
+    d, F = _coefficient_parts(params.k, _class(eta))
     return SIGN * _prefactor(params.k, d) * F
 
 
@@ -101,9 +109,11 @@ def eisenstein_series(params, X):
     """The weight-k Eisenstein series to grade X: constant term 1, all other
     coefficients as in eisenstein_coefficient, over one common denominator."""
     k = params.k
-    parts = [_coefficient_parts(k, eta) for eta in enumerate_cone(X)]
-    prefs = {d: _prefactor(k, d) for d, _ in parts}
+    classes = list(map(_class, enumerate_cone(X)))
+    parts = {cls: _coefficient_parts(k, cls) for cls in dict.fromkeys(classes)}
+    prefs = {d: _prefactor(k, d) for d, _ in parts.values()}
     den = lcm(*(pref.denominator for pref in prefs.values()))
     scale = {d: SIGN * pref.numerator * (den // pref.denominator)
              for d, pref in prefs.items()}
-    return FourierSeries.from_vector(k, X, den, [den] + [scale[d] * F for d, F in parts])
+    value = {cls: scale[d] * F for cls, (d, F) in parts.items()}
+    return FourierSeries.from_vector(k, X, den, [den] + [value[c] for c in classes])

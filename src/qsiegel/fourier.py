@@ -9,31 +9,31 @@ grade 0, products of truncated series are again exact at every retained grade.
 A series is a denominator `den` and one int `vec[n]` per position n of
 `lattice` of grade <= prec, the coefficient there being vec[n] / den, in
 lowest terms (den > 0, gcd(den, *vec) == 1) so that equal series have equal
-fields.  One kernel, `convolve` over `lattice.convolution_layer`, serves the
-solver behind `sqrt_monic` and `divide_exact` and their re-expansion checks.
-`product`, behind `multiply` and the 14 convolutions of `diffop.bracket`,
-runs the same sums by orbits of the reflection iota(x, y, z) = (x, y,
--x - z), which keeps grade and norm: when each operand is iota-even or
-iota-odd, checked on its vector at every call, the product has the product
-parity, so one sum per orbit of targets gives both coefficients of the
-orbit, and at a fixed target the two pairs of a pair-orbit add up equal
-(even product) or cancel (odd product).  Any other input takes the full
-`convolve`.  Ranks and relation spaces use one elimination, `_echelon`:
-division-free on integer rows, each row kept primitive, with Bareiss's
-pivots and entries no larger than his minors (Bareiss, Math. Comp. 22,
-1968); `rank_of_span` ranks the even and the odd rows apart, on one
-position per orbit.  `Fraction` holds single values only: the
+fields.  One kernel, `convolve` over `lattice.orbit_layer`, forms every
+product: `product` behind `multiply` and the 14 convolutions of
+`diffop.bracket`, the solver behind `sqrt_monic` and `divide_exact`, and
+their re-expansion checks.  The table holds one target of each orbit of
+the reflection iota(x, y, z) = (x, y, -x - z), which keeps grade and norm;
+the other member's pairs are the images of the stored ones.  `product`
+checks on each call whether the operands are iota-even or iota-odd: then
+the product has the product parity, one sum per orbit of targets gives
+both coefficients of the orbit, and at a fixed target the two pairs of a
+pair-orbit add up equal (even product) or cancel (odd product).  Otherwise,
+as for the solver's slices, the mirrored member is summed over the
+mirrored operands.  Ranks and relation spaces use one elimination,
+`_echelon`: division-free on integer rows, each row kept primitive, with
+Bareiss's pivots and entries no larger than his minors (Bareiss, Math.
+Comp. 22, 1968); `rank_of_span` ranks the even and the odd rows apart, on
+one position per orbit.  `Fraction` holds single values only: the
 validating constructor's input, `coeff`, `coeffs` and `sorted_items`, the
 scalars of `linear_combine`, the slice entries of `_solve_slices`, the pivot
 of `divide_exact` and the back-substitution of `relation_nullspace`.
 """
-from array import array
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul, neg
 
-from .lattice import (ZERO, convolution_layer, grade, is_positive, layer_positions,
+from .lattice import (ZERO, grade, is_positive, layer_positions, mirror, orbit_layer,
                       position_count, positions)
 
 
@@ -135,51 +135,38 @@ def linear_combine(terms):
     return FourierSeries.from_vector(weight, prec, den, out)
 
 
-def convolve(F, G, lo, hi):
+def convolve(F, G, lo, hi, sign):
     """Integer convolution of the vectors F and G at every position of grade
-    lo..hi, in position order."""
-    out = []
+    lo..hi, in position order; sign is the product of their parities to
+    grade hi (1 even, -1 odd), or 0 when one has none.
+
+    A moved target t gets the sum over its pairs, and iota t sign times it,
+    or for sign 0 the same sum over the mirrored operands F o iota, G o iota.
+    A fixed target gets its fixed pairs plus both halves of each pair-orbit:
+    twice one half when the product is even, 0 in all when odd, each half
+    summed when sign is 0.
+    """
+    Fg, Gg = F.__getitem__, G.__getitem__
+    if not sign:
+        mir = mirror(hi)
+        Fm, Gm = list(map(Fg, mir)).__getitem__, list(map(Gg, mir)).__getitem__
+    start = position_count(lo - 1)
+    out = [0] * (position_count(hi) - start)
     for x in range(lo, hi + 1):
-        for A, B in convolution_layer(x):
-            out.append(sum(map(mul, map(F.__getitem__, A), map(G.__getitem__, B))))
+        moved, fixed = orbit_layer(x)
+        for t, m, A, B in moved:
+            s = sum(map(mul, map(Fg, A), map(Gg, B)))
+            out[t - start] = s
+            out[m - start] = (sign * s if sign
+                              else sum(map(mul, map(Fm, A), map(Gm, B))))
+        if sign < 0:
+            continue
+        for t, A, B, A2, B2 in fixed:
+            s = sum(map(mul, map(Fg, A2), map(Gg, B2)))
+            out[t - start] = (sum(map(mul, map(Fg, A), map(Gg, B)))
+                              + (2 * s if sign
+                                 else s + sum(map(mul, map(Fm, A2), map(Gm, B2)))))
     return out
-
-
-@lru_cache(maxsize=None)
-def mirror(X):
-    """The position of iota(eta) for each position eta of grade <= X, in
-    position order; mirror(X) is a prefix of mirror(X') for X' > X."""
-    out = [0]
-    for x in range(1, X + 1):
-        pos = layer_positions(x)
-        out.extend(pos[(x, y, -x - z)] for _, y, z in pos)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def orbit_layer(x):
-    """The grade-x convolution table by iota-orbits of targets, as (moved,
-    fixed).  moved holds (t, iota t, A, B) for each target t < iota t, with
-    the full table's arrays A, B of t.  fixed holds (t, A, B, A2, B2) for
-    each target t = iota t: A, B its pairs (i, j) with i = iota i (then
-    j = iota j too), and A2, B2 the pair with i < iota i of each pair-orbit
-    {(i, j), (iota i, iota j)}."""
-    mir = mirror(x)
-    moved, fixed = [], []
-    for t, (A, B) in enumerate(convolution_layer(x), position_count(x - 1)):
-        if t < mir[t]:
-            moved.append((t, mir[t], A, B))
-        elif t == mir[t]:
-            A1, B1, A2, B2 = array("H"), array("H"), array("H"), array("H")
-            for i, j in zip(A, B):
-                if mir[i] == i:
-                    A1.append(i)
-                    B1.append(j)
-                elif i < mir[i]:
-                    A2.append(i)
-                    B2.append(j)
-            fixed.append((t, A1, B1, A2, B2))
-    return moved, fixed
 
 
 def _parity(vec, mir):
@@ -192,29 +179,12 @@ def _parity(vec, mir):
     return -1 if image == list(map(neg, head)) else 0
 
 
-def _convolve_orbits(F, G, sign, X):
-    """convolve(F, G, 0, X) for F, G whose parities multiply to sign."""
-    Fg, Gg = F.__getitem__, G.__getitem__
-    out = [0] * position_count(X)
-    for x in range(X + 1):
-        moved, fixed = orbit_layer(x)
-        for t, m, A, B in moved:
-            s = sum(map(mul, map(Fg, A), map(Gg, B)))
-            out[t], out[m] = s, sign * s
-        if sign > 0:
-            for t, A, B, A2, B2 in fixed:
-                out[t] = (sum(map(mul, map(Fg, A), map(Gg, B)))
-                          + 2 * sum(map(mul, map(Fg, A2), map(Gg, B2))))
-    return out
-
-
 def product(F, G, X):
     """Integer convolution of the vectors F and G at every position of grade
-    <= X, by iota-orbits when both are even or odd to grade X."""
+    <= X, with the parity the operands have to grade X."""
     mir = mirror(X)
     sign = _parity(F, mir)
-    sign = sign and sign * _parity(G, mir)
-    return _convolve_orbits(F, G, sign, X) if sign else convolve(F, G, 0, X)
+    return convolve(F, G, 0, X, sign and sign * _parity(G, mir))
 
 
 def multiply(f, g):
@@ -242,8 +212,8 @@ def _solve_slices(g, lead, pivot, first, h, partner, what):
         pden, pvec = (hden, hvec) if partner is None else partner
         den = lcm(g.den, pden * hden)
         gs, cs = den // g.den, den // (pden * hden)
-        new = {}
-        for (eta, i), c in zip(layer_positions(n).items(), convolve(pvec, hvec, n, n)):
+        new, cross = {}, convolve(pvec, hvec, n, n, 0)
+        for (eta, i), c in zip(layer_positions(n).items(), cross):
             r = g.vec[i] * gs - c * cs
             if r:
                 ep = (eta[0] - lead[0], eta[1] - lead[1], eta[2] - lead[2])
@@ -262,8 +232,7 @@ def _solve_slices(g, lead, pivot, first, h, partner, what):
 def _check_product(F, G, den, g, what):
     """Raise unless the product F * G / den equals g at every grade <= g.prec
     (F and G reach at least that grade)."""
-    if any(c * g.den != v * den
-           for c, v in zip(convolve(F, G, 0, g.prec), g.vec)):
+    if any(c * g.den != v * den for c, v in zip(product(F, G, g.prec), g.vec)):
         raise ValueError(what)
 
 

@@ -10,10 +10,11 @@ truncation parameter for series products.
 Positions number the indices of grade <= X as positions(X), the origin then
 enumerate_cone(X); the numbering for X is a prefix of the one for any X' > X,
 so a position never depends on the truncation.  The convolution table of
-grade x lists, for each index eta of that grade, the positions (i, j) of
-every decomposition a + b = eta as two compact unsigned-short arrays;
-`fourier`'s integer kernel sums over it.  Positions fit an unsigned short
-through grade MAX_GRADE = 82; a deeper table raises OverflowError.
+grade x, `orbit_layer`, holds the positions (i, j) of the decompositions
+a + b = eta of one eta per orbit of the reflection iota (`mirror`) as two
+compact unsigned-short arrays; `fourier`'s integer kernel sums over it.
+Positions fit an unsigned short through grade MAX_GRADE = 82; a deeper
+table raises OverflowError.
 """
 from array import array
 from collections import namedtuple
@@ -119,29 +120,48 @@ def layer_positions(x):
 
 
 @lru_cache(maxsize=None)
-def convolution_layer(x):
-    """For each index eta of grade x, in position order, a pair (A, B) of
-    position arrays with position A[n] + position B[n] = eta over all
-    decompositions of eta.
+def mirror(X):
+    """The position of iota(eta) for each position eta of grade <= X, in
+    position order; mirror(X) is a prefix of mirror(X') for X' > X."""
+    return tuple(layer_positions(x)[(x, y, -x - z)] for x, y, z in positions(X))
 
-    Built pair by pair from the layers below: the cone is convex, so the sum
-    of two positive indices is positive and every pair of grades x1 + x2 = x
-    lands on a target.
+
+@lru_cache(maxsize=None)
+def orbit_layer(x):
+    """The grade-x convolution table by orbits of iota(x, y, z) = (x, y,
+    -x - z), which keeps grade and norm, as (moved, fixed): (t, iota t, A, B)
+    for each target t < iota t, A, B all its pairs, whose images are those
+    of iota t; (t, A, B, A2, B2) for each t = iota t, A, B its pairs (i, j)
+    with i = iota i, and A2, B2 the pair with i < iota i of each pair-orbit.
+
+    iota keeps all of the position key (x, norm, y, z) but z, so the smaller
+    position of an orbit has the smaller s = x + 2z, additive and negated by
+    iota.  Only a with s(a) <= 0 is scanned; the cone is convex, so each
+    pair lands on a target t, filed as its image under iota t if s(t) > 0,
+    and skipped if s(a) = 0 < s(b), being the image of (a, iota b).
     """
-    if x == 0:
-        return ((array("H", [0]), array("H", [0])),)
-    pos = layer_positions(x)
-    start = position_count(x - 1)
-    A = [[0, t] for t in pos.values()]
-    B = [[t, 0] for t in pos.values()]
-    for x1 in range(1, x):
-        right = layer_positions(x - x1).items()
+    pos, mir = layer_positions(x), mirror(x)
+    table = {t: ([], [], [], []) for t in pos.values() if t <= mir[t]}
+    for x1 in range(x + 1):
+        right = [(b, j, b[0] + 2 * b[2]) for b, j in layer_positions(x - x1).items()]
         for a, i in layer_positions(x1).items():
-            for b, j in right:
-                t = pos[(a[0] + b[0], a[1] + b[1], a[2] + b[2])] - start
-                A[t].append(i)
-                B[t].append(j)
-    return tuple((array("H", a), array("H", b)) for a, b in zip(A, B))
+            sa = a[0] + 2 * a[2]
+            if sa > 0:
+                continue
+            for b, j, sb in right if sa else [r for r in right if r[2] <= 0]:
+                t = pos[(a[0] + b[0], a[1] + b[1], a[2] + b[2])]
+                if sa + sb > 0:
+                    row = table[mir[t]]
+                    row[0].append(mir[i])
+                    row[1].append(mir[j])
+                else:
+                    row = table[t]
+                    k = 2 if sa and sa + sb == 0 else 0
+                    row[k].append(i)
+                    row[k + 1].append(j)
+    table = {t: tuple(array("H", r) for r in row) for t, row in table.items()}
+    return (tuple((t, mir[t], A, B) for t, (A, B, _, _) in table.items() if t < mir[t]),
+            tuple((t,) + row for t, row in table.items() if t == mir[t]))
 
 
 def quad_invariants(eta):

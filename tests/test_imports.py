@@ -1,7 +1,8 @@
 """The package's lazy loading: a cached `expand` runs none of the compute
-modules and never imports `fractions`, `import qsiegel.cli` still puts every
-module in `sys.modules` (the benchmark tracer patches what it finds there), and
-every public name of the package resolves to the defining module's object."""
+modules, builds no convolution table and never imports `fractions`, `import
+qsiegel.cli` still puts every module in `sys.modules` (the benchmark tracer
+patches what it finds there), and every public name of the package resolves
+to the defining module's object."""
 import importlib
 import json
 import os
@@ -53,14 +54,17 @@ def test_cache_hit_runs_no_compute_module(tmp_path, capsys):
     want = capsys.readouterr().out
     out = fresh_python(
         "import importlib.util, json, sys\n"
+        "from qsiegel import lattice\n"
         "from qsiegel.cli import main\n"
         "rc = main(%r)\n"
-        "print(json.dumps([rc, 'fractions' in sys.modules]\n"
+        "print(json.dumps([rc, 'fractions' in sys.modules,\n"
+        "                  lattice.orbit_layer.cache_info().currsize]\n"
         "                 + [type(sys.modules[m]) is importlib.util._LazyModule\n"
         "                    for m in %r]))\n" % (argv, LAZY))
     expansion, verdict = out[:-1].rsplit("\n", 1)
     assert expansion + "\n" == want
-    assert json.loads(verdict) == [0, False] + [True] * len(LAZY)
+    # no compute module runs, and no convolution table is built
+    assert json.loads(verdict) == [0, False, 0] + [True] * len(LAZY)
 
 
 def test_import_cli_registers_every_module():

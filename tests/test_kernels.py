@@ -5,7 +5,7 @@ coefficient to grade 16."""
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -13,9 +13,9 @@ from qsiegel.diffop import bracket
 from qsiegel.eisenstein import EisensteinParams, eisenstein_coefficient, eisenstein_series
 from qsiegel.exactnum import generalized_bernoulli, is_fundamental_discriminant
 from qsiegel.fourier import (FourierSeries, _echelon, _parity, divide_exact,
-                             linear_combine, mirror, multiply, rank_of_span,
-                             relation_nullspace, sqrt_monic)
-from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive, positions
+                             linear_combine, multiply, rank_of_span, relation_nullspace,
+                             sqrt_monic)
+from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive, layer, mirror, positions
 
 rationals = st.builds(Fr, st.integers(-9, 9), st.integers(1, 6))
 LEADS = ((2, 0, -1), (2, 1, -1))
@@ -48,12 +48,6 @@ def off_cone_targets(lead, lo, hi):
 def test_multiply_matches_oracle(f, g):
     assert multiply(f, g) == oracles.multiply(f, g)
     assert multiply(f, f) == oracles.multiply(f, f)
-
-
-@given(series(prec=5), series(prec=5), series(prec=6), series(prec=5))
-@settings(max_examples=30, deadline=None)
-def test_bracket_matches_oracle(f1, f2, f3, f4):
-    assert bracket(f1, f2, f3, f4) == oracles.bracket(f1, f2, f3, f4)
 
 
 def test_bracket_of_eisenstein_series_matches_oracle(gens12):
@@ -118,6 +112,28 @@ def test_multiply_with_an_operand_of_no_parity_matches_oracle(f, g, swap):
 
 
 @st.composite
+def moved_and_fixed(draw):
+    """A series to grade 7 or 8 with no parity, nonzero at the origin, at
+    an index of grade 2 (fixed by iota) and at one of grade 3 (moved)."""
+    s = draw(series(prec=draw(st.integers(7, 8))))
+    coeffs = dict(s.coeffs)
+    for eta in (ZERO, draw(st.sampled_from(layer(2))), draw(st.sampled_from(layer(3)))):
+        coeffs[eta] = draw(rationals.filter(bool))
+    out = FourierSeries(s.weight, s.prec, coeffs)
+    assume(parity(out) == 0)
+    return out
+
+
+@given(moved_and_fixed(), moved_and_fixed())
+@settings(max_examples=60, deadline=None)
+def test_multiply_without_parity_matches_oracle_on_moved_and_fixed_targets(f, g):
+    h = oracles.multiply(f, g)
+    mir = mirror(h.prec)
+    assume({n == mir[n] for n, v in enumerate(h.vec) if n and v} == {False, True})
+    assert multiply(f, g) == h
+
+
+@st.composite
 def symmetric_below(draw, X):
     """A series of prec X + 2, symmetric to grade X and arbitrary above."""
     s = draw(symmetric(prec=X + 2))
@@ -136,30 +152,60 @@ def test_unequal_precs_symmetric_below_the_shorter_match_oracle(f, g, swap):
 
 
 @st.composite
-def bracket_argument(draw, prec, perturb=False):
+def bracket_argument(draw, prec, perturb=st.just(False)):
     """A series to grade prec with a coefficient on each of the 7 indices of
     grade <= 3, iota-even with a nonzero constant term or iota-odd, and if
-    perturb is set maybe with one coefficient off its orbit's rule.  A
-    nonzero bracket term needs the origin and three independent positive
-    indices, the first such target being (2, 0, -1) + (2, 1, -1) plus one of
-    grade 3, at grade 7."""
+    perturb draws True with one coefficient off its orbit's rule, so that
+    it has no parity.  A nonzero bracket term needs the origin and three
+    independent positive indices, the first such target being (2, 0, -1) +
+    (2, 1, -1) plus one of grade 3, at grade 7."""
     sign = draw(st.sampled_from((1, -1)))
     coeffs = {ZERO: draw(rationals.filter(bool))} if sign > 0 else {}
     for eta in positions(3)[1:]:
         if iota(eta) not in coeffs and (sign > 0 or iota(eta) != eta):
             coeffs[eta] = v = draw(rationals)
             coeffs[iota(eta)] = sign * v
-    if perturb and draw(st.booleans()):
+    perturbed = draw(perturb)
+    if perturbed:
         eta = draw(st.sampled_from([e for e in positions(3) if iota(e) != e]))
         coeffs[eta] += draw(rationals.filter(bool))
-    return FourierSeries(draw(st.integers(1, 6)), prec, coeffs)
+    out = FourierSeries(draw(st.integers(1, 6)), prec, coeffs)
+    assume(not perturbed or parity(out) == 0)
+    return out
 
 
 @given(bracket_argument(8), bracket_argument(8), bracket_argument(9),
-       bracket_argument(8, perturb=True))
+       bracket_argument(8, perturb=st.booleans()))
 @settings(max_examples=40, deadline=None)
 def test_symmetric_bracket_matches_oracle(f1, f2, f3, f4):
     assert bracket(f1, f2, f3, f4) == oracles.bracket(f1, f2, f3, f4)
+
+
+# Four series with no parity whose bracket is nonzero at grade 7.
+NONZERO_BRACKET = (
+    FourierSeries(1, 7, {ZERO: 1, (2, 0, -1): 1, (3, 0, -2): 1}),
+    FourierSeries(2, 8, {ZERO: 2, (2, 1, -1): -1, (3, 1, -1): 3}),
+    FourierSeries(3, 9, {ZERO: -1, (2, 0, -1): 2, (3, 1, -2): 1}),
+    FourierSeries(4, 8, {ZERO: 1, (2, 1, -1): 1, (3, 0, -1): -2}))
+
+
+def no_parity_bracket_argument():
+    return st.integers(7, 9).flatmap(
+        lambda prec: bracket_argument(prec, perturb=st.just(True)))
+
+
+@given(*[no_parity_bracket_argument() for _ in range(4)])
+@example(*NONZERO_BRACKET)
+@settings(max_examples=30, deadline=None)
+def test_bracket_matches_oracle(f1, f2, f3, f4):
+    # every product of the bracket takes the kernel's sums over the
+    # mirrored operands
+    assert bracket(f1, f2, f3, f4) == oracles.bracket(f1, f2, f3, f4)
+
+
+def test_bracket_example_is_nonzero_and_has_no_parity():
+    assert not any(map(parity, NONZERO_BRACKET))
+    assert len(bracket(*NONZERO_BRACKET).coeffs) == 4
 
 
 @st.composite

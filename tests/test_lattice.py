@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsiegel.exactnum import is_fundamental_discriminant
-from qsiegel.fourier import mirror, orbit_layer
-from qsiegel.lattice import (ZERO, convolution_layer, decompositions, enumerate_cone,
-                             grade, index_key, is_positive, layer, layer_positions,
-                             norm_m, position_count, positions, quad_invariants)
+from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, grade, index_key,
+                             is_positive, layer, layer_positions, mirror, norm_m,
+                             orbit_layer, position_count, positions, quad_invariants)
 
 # number of positive indices at each grade x = 1 .. 16
 LAYER_SIZES = [0, 2, 4, 4, 10, 14, 16, 20, 30, 37, 40, 50, 58, 70, 74, 90]
@@ -136,9 +135,9 @@ def test_quad_invariants_rejects_non_positive():
         quad_invariants((1, 0, 0))
 
 
-# The reflection iota(x, y, z) = (x, y, -x - z) and its tables live in
-# `fourier`, which a cache hit never loads; these check them on the lattice.
+# The reflection iota(x, y, z) = (x, y, -x - z) and its orbit table.
 ORBIT_GRADE = 30
+DECOMPOSITION_GRADE = 24
 
 
 def test_mirror_is_an_involution_keeping_grade_and_norm():
@@ -154,22 +153,35 @@ def test_mirror_is_an_involution_keeping_grade_and_norm():
 
 
 def test_orbit_layers_partition_the_convolution_pairs():
-    for x in range(ORBIT_GRADE + 1):
-        mir = mirror(x)
-        table = convolution_layer(x)
-        start = position_count(x - 1)
+    # every decomposition of every target is a stored pair or the image of
+    # one, exactly once; a fixed pair is its own image and counts once
+    idx = positions(DECOMPOSITION_GRADE)
+    mir = mirror(DECOMPOSITION_GRADE)
+    for x in range(DECOMPOSITION_GRADE + 1):
         moved, fixed = orbit_layer(x)
-        covered = [t for t, m, _, _ in moved] + [m for _, m, _, _ in moved]
-        covered += [t for t, *_ in fixed]
-        assert sorted(covered) == list(range(start, start + len(table)))
+        found = {}
         for t, m, A, B in moved:
             assert t < m == mir[t]
-            assert A is table[t - start][0] and B is table[t - start][1]
+            found[t] = list(zip(A, B))
+            found[m] = [(mir[i], mir[j]) for i, j in zip(A, B)]
         for t, A, B, A2, B2 in fixed:
             assert mir[t] == t
-            pairs = list(zip(*table[t - start]))
             fix, rep = list(zip(A, B)), list(zip(A2, B2))
             assert all(mir[i] == i and mir[j] == j for i, j in fix)
             assert all(i < mir[i] for i, _ in rep)
-            images = [(mir[i], mir[j]) for i, j in rep]
-            assert sorted(fix + rep + images) == sorted(pairs)
+            found[t] = fix + rep + [(mir[i], mir[j]) for i, j in rep]
+        assert sorted(found) == list(range(position_count(x - 1), position_count(x)))
+        for t, pairs in found.items():
+            assert all(grade(idx[i]) + grade(idx[j]) == x for i, j in pairs)
+            want = [(idx[i], idx[j]) for i, j in pairs]
+            assert sorted(want) == sorted(decompositions(idx[t]))
+
+
+def test_orbit_layers_halve_the_convolution_pairs():
+    # 547034 ordered pairs (decompositions) to grade 30, about half stored
+    stored = 0
+    for x in range(ORBIT_GRADE + 1):
+        moved, fixed = orbit_layer(x)
+        stored += sum(len(A) for _, _, A, _ in moved)
+        stored += sum(len(A) + len(A2) for _, A, _, A2, _ in fixed)
+    assert stored == 278356
