@@ -11,10 +11,10 @@ A series is a denominator `den` and one int `vec[n]` per position n of
 lowest terms (den > 0, gcd(den, *vec) == 1) so that equal series have equal
 fields.  One kernel, `convolve` over `lattice.orbit_layer`, forms every
 product: `product` behind `multiply` and the 14 convolutions of
-`diffop.bracket`, the solver behind `sqrt_monic` and `divide_exact`, and
-their re-expansion checks.  The table holds one target of each orbit of
-the reflection iota(x, y, z) = (x, y, -x - z), which keeps grade and norm;
-the other member's pairs are the images of the stored ones.  `product`
+`diffop.bracket`, the integer solver `_solve` behind `sqrt_monic` and
+`divide_exact`, and its re-expansion check.  The table holds one target of
+each orbit of the reflection iota(x, y, z) = (x, y, -x - z), which keeps
+grade and norm; the other member's pairs are the images of the stored ones.  `product`
 checks on each call whether the operands are iota-even or iota-odd: then
 the product has the product parity, one sum per orbit of targets gives
 both coefficients of the orbit, and at a fixed target the two pairs of a
@@ -26,8 +26,8 @@ Bareiss's pivots and entries no larger than his minors (Bareiss, Math.
 Comp. 22, 1968); `rank_of_span` ranks the even and the odd rows apart, on
 one position per orbit.  `Fraction` holds single values only: the
 validating constructor's input, `coeff`, `coeffs` and `sorted_items`, the
-scalars of `linear_combine`, the slice entries of `_solve_slices`, the pivot
-of `divide_exact` and the back-substitution of `relation_nullspace`.
+scalars of `linear_combine` and the back-substitution of
+`relation_nullspace`.
 """
 from fractions import Fraction
 from math import gcd, lcm
@@ -66,8 +66,8 @@ class FourierSeries:
     def from_vector(cls, weight, prec, den, vec):
         """The series with coefficient vec[n] / den (den > 0) at each position
         n of grade <= prec, reduced to lowest terms; vec may run longer."""
-        if prec < 1:
-            raise ValueError("prec must be >= 1")
+        if prec < 1 or den < 1:
+            raise ValueError("prec and den must be >= 1")
         vec = vec[:position_count(prec)]
         k = gcd(den, *vec)
         self = cls.__new__(cls)
@@ -195,104 +195,95 @@ def multiply(f, g):
                                      product(f.vec, g.vec, X))
 
 
-def _solve_slices(g, lead, pivot, first, h, partner, what):
-    """Complete h = (den, vec) grade by grade, from grade `first` of g on, so
-    that partner * h agrees with g; partner, a (den, vec) pair, None means h
-    itself (a square root).
+def _lead(s, lead, what):
+    """The integer s.vec[n] at the position n of lead; raises ValueError(what)
+    unless lead is a cone index of grade <= s.prec, s vanishes below
+    grade(lead) and its grade(lead) slice is one nonzero entry, at lead."""
+    x = grade(lead)
+    n = layer_positions(x).get(lead) if 0 <= x <= s.prec else None
+    if n is None or [i for i, v in enumerate(s.vec[:position_count(x)]) if v] != [n]:
+        raise ValueError(what)
+    return s.vec[n]
 
-    The new slice of h enters the grade-n slice of partner * h only as
-    `pivot` times that slice shifted by lead (pivot is the divisor's lead
-    coefficient, or 2 * sign for a square root).  The rest, the cross terms,
-    is the kernel's grade-n convolution of partner with the part of h known
-    so far, because the new slice is still zero there.  A residual off
-    lead + cone raises.
+
+def _solve(g, lead, b, sign):
+    """The series h, solved grade by grade in integers, with h * h = g and
+    C_h(lead) = sign when b is None, else with b * h = g; the slice checks
+    are the caller's.
+
+    At grade n the new slice of h enters the grade-n slice of partner * h
+    (partner b, or h itself for a root) only as c = m * partner.vec[n0]
+    times that slice shifted by lead, with m = 2 for a root, 1 for a
+    quotient and n0 the position of lead.  The rest, the cross terms, is the
+    kernel's grade-n convolution of partner with the part of h known so far,
+    because the new slice is still zero there.  So the old entries of h are
+    scaled by g.den * c, the new entry at eta - lead is g.vec[eta] * pden *
+    hden - cross[eta] * g.den over the denominator hden * g.den * c, and the
+    gcd, signed so that hden > 0, is divided out; a residual off lead + cone
+    raises.  After the last grade h is multiplied back out, and any residual
+    raises.
     """
-    hden, hvec = h
+    g0 = grade(lead)
+    n0 = layer_positions(g0)[lead]
+    hden, hvec = 1, [0] * position_count(g.prec)
+    if b is None:
+        hvec[n0] = sign
+        first, m, weight, what = 2 * g0 + 1, 2, g.weight // 2, "not a square"
+    else:
+        first, m, weight, what = g0, 1, g.weight - b.weight, "not divisible"
     for n in range(first, g.prec + 1):
-        pden, pvec = (hden, hvec) if partner is None else partner
-        den = lcm(g.den, pden * hden)
-        gs, cs = den // g.den, den // (pden * hden)
-        new, cross = {}, convolve(pvec, hvec, n, n, 0)
-        for (eta, i), c in zip(layer_positions(n).items(), cross):
-            r = g.vec[i] * gs - c * cs
+        pden, pvec = (hden, hvec) if b is None else (b.den, b.vec)
+        c = m * pvec[n0]
+        gs, hs = pden * hden, g.den * c
+        cross = convolve(pvec, hvec, n, n, 0)
+        hvec = [v * hs for v in hvec]
+        for (eta, i), x in zip(layer_positions(n).items(), cross):
+            r = g.vec[i] * gs - x * g.den
             if r:
                 ep = (eta[0] - lead[0], eta[1] - lead[1], eta[2] - lead[2])
                 if not (ep == ZERO or is_positive(ep)):
                     raise ValueError("%s: residual at %r lies outside lead + cone"
                                      % (what, eta))
-                new[layer_positions(grade(ep))[ep]] = Fraction(r, den) / pivot
-        top = lcm(hden, *(v.denominator for v in new.values()))
-        hvec = [v * (top // hden) for v in hvec]
-        for p, v in new.items():
-            hvec[p] = v.numerator * (top // v.denominator)
-        hden = top
-    return hden, hvec
-
-
-def _check_product(F, G, den, g, what):
-    """Raise unless the product F * G / den equals g at every grade <= g.prec
-    (F and G reach at least that grade)."""
-    if any(c * g.den != v * den for c, v in zip(product(F, G, g.prec), g.vec)):
-        raise ValueError(what)
+                hvec[layer_positions(grade(ep))[ep]] = r
+        k = gcd(hden * hs, *hvec)
+        k = k if c > 0 else -k
+        hden, hvec = hden * hs // k, [v // k for v in hvec]
+    pden, pvec = (hden, hvec) if b is None else (b.den, b.vec)
+    if any(x * g.den != v * pden * hden
+           for x, v in zip(product(pvec, hvec, g.prec), g.vec)):
+        raise ValueError(what + ": re-expansion residual is nonzero")
+    return FourierSeries.from_vector(weight, g.prec - g0, hden, hvec)
 
 
 def sqrt_monic(g, lead, sign):
     """Formal square root h of g with C_h(lead) = sign (sign is +-1), g having
     unit coefficient at 2*lead and no support below grade 2*grade(lead).
-
-    Solved grade by grade: the grade-(m + grade(lead)) slice of g minus the
-    already-known cross terms equals 2*sign times the grade-m slice of h.
-    The result is verified by re-expanding h*h to the precision of g; any
-    residual raises, it is never returned silently.
-    """
+    prec(h) = prec(g) - grade(lead); `_solve` verifies h * h = g, and any
+    residual raises, it is never returned silently."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if g.weight % 2:
         raise ValueError("square root of an odd-weight series")
     if not is_positive(lead):
         raise ValueError("leading index must be positive")
-    g0 = grade(lead)
-    lo, hi = position_count(2 * g0 - 1), position_count(2 * g0)
-    if any(g.vec[:lo]):
-        raise ValueError("not a square: support below twice the leading grade")
-    lead2 = (2 * lead[0], 2 * lead[1], 2 * lead[2])
-    if ({n: v for n, v in enumerate(g.vec[lo:hi], lo) if v}
-            != {layer_positions(2 * g0)[lead2]: g.den}):
-        raise ValueError("leading slice is not a unit concentrated at 2*lead")
-    hvec = [0] * position_count(g.prec)
-    hvec[layer_positions(g0)[lead]] = sign
-    hden, hvec = _solve_slices(g, lead, 2 * sign, 2 * g0 + 1, (1, hvec), None,
-                               "not a square")
-    _check_product(hvec, hvec, hden * hden, g,
-                   "not a square: re-expansion residual is nonzero")
-    return FourierSeries.from_vector(g.weight // 2, g.prec - g0, hden, hvec)
+    what = "not a square: leading slice is not a unit at 2*lead"
+    if _lead(g, (2 * lead[0], 2 * lead[1], 2 * lead[2]), what) != g.den:
+        raise ValueError(what)
+    return _solve(g, lead, None, sign)
 
 
 def divide_exact(g, b, lead):
     """Exact quotient h with b*h = g, where the divisor b has its leading
     grade slice concentrated at the single index `lead` (any nonzero
     coefficient there) and g has no support below grade(lead).
-
-    prec(h) = prec(g) - grade(lead).  Verified by re-multiplication; a nonzero
-    residual raises.
-    """
+    prec(h) = prec(g) - grade(lead); `_solve` verifies b * h = g, and a
+    nonzero residual raises."""
     if b.prec < g.prec:
         raise ValueError("divisor must carry at least the dividend's precision")
-    g0 = grade(lead)
-    lo, hi = position_count(g0 - 1), position_count(g0)
-    if any(b.vec[:lo]):
-        raise ValueError("divisor has support below its leading grade")
-    n = layer_positions(g0).get(lead)
-    if [i for i, v in enumerate(b.vec[lo:hi], lo) if v] != [n]:
-        raise ValueError("divisor leading slice is not concentrated at %r" % (lead,))
-    if any(g.vec[:lo]):
+    _lead(b, lead, "divisor leading slice is not concentrated at %r" % (lead,))
+    if any(g.vec[:position_count(grade(lead) - 1)]):
         raise ValueError("not divisible: dividend support below the leading grade")
-    hden, hvec = _solve_slices(g, lead, Fraction(b.vec[n], b.den), g0,
-                               (1, [0] * position_count(g.prec)), (b.den, b.vec),
-                               "not divisible")
-    _check_product(b.vec, hvec, b.den * hden, g,
-                   "not divisible: re-multiplication residual is nonzero")
-    return FourierSeries.from_vector(g.weight - b.weight, g.prec - g0, hden, hvec)
+    return _solve(g, lead, b, None)
 
 
 def _check_shared(forms):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsiegel import fourier
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine,
                              multiply, one, rank_of_span,
                              relation_nullspace, sqrt_monic)
 from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive, position_count
-from qsiegel.ring import GeneratorSet
+from qsiegel.ring import CHI5A_LEAD, CHI5B_LEAD, GeneratorSet
 
 
 def mult_brute(f, g):
@@ -51,6 +52,13 @@ def test_constructor_validation():
         FourierSeries(0, 4, {(6, 0, -3): 1})  # beyond prec
     s = FourierSeries(0, 4, {(2, 1, -1): 0, ZERO: "3/2"})
     assert s.coeffs == {ZERO: Fr(3, 2)}
+
+
+def test_from_vector_needs_positive_den():
+    assert FourierSeries.from_vector(0, 2, 2, [2, 0, 0]) == one(2)
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            FourierSeries.from_vector(0, 2, den, [2, 0, 0])
 
 
 def test_truncate_and_cusp():
@@ -129,6 +137,44 @@ def test_sqrt_input_validation():
         sqrt_monic(FourierSeries(8, 6, {(4, 0, -2): 2}), (2, 0, -1), 1)
     with pytest.raises(ValueError):
         sqrt_monic(FourierSeries(8, 6, {(2, 0, -1): 1}), (2, 0, -1), 1)
+
+
+def test_solver_rejects_short_inputs():
+    with pytest.raises(ValueError):  # prec 3 below 2 * grade(lead) = 4
+        sqrt_monic(FourierSeries(4, 3, {}), (2, 0, -1), 1)
+    with pytest.raises(ValueError):  # divisor prec 1 below grade(lead) = 2
+        divide_exact(FourierSeries(5, 1, {}), FourierSeries(5, 1, {}), (2, 1, -1))
+
+
+def test_solver_runs_its_re_expansion_check(gens12, monkeypatch):
+    """A product that is off by one at the top position must make both the
+    root and the quotient raise: the re-expansion check is live."""
+    square = multiply(gens12.chi5a, gens12.chi5a)
+    exact = fourier.product
+
+    def bumped(F, G, X):
+        out = exact(F, G, X)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(fourier, "product", bumped)
+    with pytest.raises(ValueError, match="residual"):
+        sqrt_monic(square, CHI5A_LEAD, 1)
+    with pytest.raises(ValueError, match="residual"):
+        divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD)
+
+
+def test_solver_holds_no_fraction(gens12, monkeypatch):
+    square = multiply(gens12.chi5a, gens12.chi5a)
+    root = sqrt_monic(square, CHI5A_LEAD, 1)
+    quotient = divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD)
+
+    def no_fraction(*args):
+        raise AssertionError("the solver built a Fraction")
+
+    monkeypatch.setattr(fourier, "Fraction", no_fraction)
+    assert sqrt_monic(square, CHI5A_LEAD, 1) == root
+    assert divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD) == quotient
 
 
 def test_divide_recovers_handmade_factor():
