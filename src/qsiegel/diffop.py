@@ -14,7 +14,7 @@ doubles the determinant; the factor 2 goes into the denominator.  Under the
 reflection iota(x, y, z) = (x, y, -x - z), which keeps grade and norm,
 x + 2z changes sign while k, x and y do not, so every row scaling below maps
 an iota-even or iota-odd series to one again, and on such inputs every
-product below is summed once per orbit by `fourier.convolve`.
+product below is summed once per orbit by `fourier.product`.
 
 The determinant is expanded by Laplace along the column split (f1, f2) |
 (f3, f4).  Let W_r f scale each coefficient of f by the entry of row r: the
@@ -54,7 +54,7 @@ def _minors(f, g, X, idx):
     """{(r, s): M_rs(f, g)} for every row pair r < s, over f.den * g.den,
     as W_s v_r - W_r v_s from the four products v_r = W_r f * g."""
     rows_f = _rows(f.weight, idx)
-    v = [product([e[r] * c for e, c in zip(rows_f, f.vec)], g.vec, X) for r in ROWS]
+    v = [product([e[r] * c for e, c in zip(rows_f, f.vec)], g.vec, 0, X) for r in ROWS]
     rows_v = _rows(f.weight + g.weight, idx)
     return {(r, s): [e[s] * a - e[r] * b for e, a, b in zip(rows_v, v[r], v[s])]
             for r, s in combinations(ROWS, 2)}
@@ -72,7 +72,7 @@ def bracket(f1, f2, f3, f4):
     for (r, s), m in left.items():
         p, q = (t for t in ROWS if t not in (r, s))
         sign = -1 if (r + s) % 2 == 0 else 1
-        for n, v in enumerate(product(m, right[p, q], X)):
+        for n, v in enumerate(product(m, right[p, q], 0, X)):
             total[n] += sign * v
     return FourierSeries.from_vector(sum(f.weight for f in fs) + 3, X,
                                      2 * f1.den * f2.den * f3.den * f4.den, total)

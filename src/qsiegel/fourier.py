@@ -9,22 +9,23 @@ grade 0, products of truncated series are again exact at every retained grade.
 A series is a denominator `den` and one int `vec[n]` per position n of
 `lattice` of grade <= prec, the coefficient there being vec[n] / den, in
 lowest terms (den > 0, gcd(den, *vec) == 1) so that equal series have equal
-fields.  One kernel, `convolve` over `lattice.orbit_layer`, forms every
-product: `product` behind `multiply` and the 14 convolutions of
-`diffop.bracket`, the integer solver `_solve` behind `sqrt_monic` and
-`divide_exact`, and its re-expansion check.  The table holds one target of
-each orbit of the reflection iota(x, y, z) = (x, y, -x - z), which keeps
-grade and norm; the other member's pairs are the images of the stored ones.  `product`
-checks on each call whether the operands are iota-even or iota-odd: then
-the product has the product parity, one sum per orbit of targets gives
-both coefficients of the orbit, and at a fixed target the two pairs of a
-pair-orbit add up equal (even product) or cancel (odd product).  Otherwise,
-as for the solver's slices, the mirrored member is summed over the
-mirrored operands.  Ranks and relation spaces use one elimination,
-`_echelon`: division-free on integer rows, each row kept primitive, with
-Bareiss's pivots and entries no larger than his minors (Bareiss, Math.
-Comp. 22, 1968); `rank_of_span` ranks the even and the odd rows apart, on
-one position per orbit.  `Fraction` holds single values only: the
+fields.  One kernel, `product` over `lattice.orbit_layer`, forms every
+product: behind `multiply`, the 14 convolutions of `diffop.bracket` and the
+integer solver `_solve` behind `sqrt_monic` and `divide_exact`, both its
+per-grade cross terms and its re-expansion check.  The table holds one
+target of each orbit of the reflection iota(x, y, z) = (x, y, -x - z),
+which keeps grade and norm; the other member's pairs are the images of the
+stored ones.  `product` alone picks the path, holding no sign from its
+callers: on each call it checks whether the operands, to the top grade
+asked for, are iota-even or iota-odd.  Then the product has the product parity, one sum per orbit
+of targets gives both coefficients of the orbit, and at a fixed target the
+two pairs of a pair-orbit add up equal (even product) or cancel (odd
+product).  Otherwise the mirrored member is summed over the mirrored
+operands.  Ranks and relation spaces use one elimination, `_echelon`:
+division-free on integer rows, each row kept primitive, with Bareiss's
+pivots and entries no larger than his minors (Bareiss, Math. Comp. 22,
+1968); `rank_of_span` ranks the even and the odd rows apart, on one
+position per orbit.  `Fraction` holds single values only: the
 validating constructor's input, `coeff`, `coeffs` and `sorted_items`, the
 scalars of `linear_combine` and the back-substitution of
 `relation_nullspace`.
@@ -135,20 +136,32 @@ def linear_combine(terms):
     return FourierSeries.from_vector(weight, prec, den, out)
 
 
-def convolve(F, G, lo, hi, sign):
-    """Integer convolution of the vectors F and G at every position of grade
-    lo..hi, in position order; sign is the product of their parities to
-    grade hi (1 even, -1 odd), or 0 when one has none.
+def _parity(vec, mir):
+    """1 if vec is iota-even on the positions of mir, -1 if iota-odd (and
+    not zero), 0 if neither."""
+    image = list(map(vec.__getitem__, mir))
+    head = vec[:len(mir)]
+    if image == head:
+        return 1
+    return -1 if image == list(map(neg, head)) else 0
 
-    A moved target t gets the sum over its pairs, and iota t sign times it,
-    or for sign 0 the same sum over the mirrored operands F o iota, G o iota.
-    A fixed target gets its fixed pairs plus both halves of each pair-orbit:
-    twice one half when the product is even, 0 in all when odd, each half
-    summed when sign is 0.
+
+def product(F, G, lo, hi):
+    """Integer convolution of the vectors F and G at every position of grade
+    lo..hi, in position order.
+
+    sign is the product of the operands' parities to grade hi (1 even, -1
+    odd), or 0 when one has none.  A moved target t gets the sum over its
+    pairs, and iota t sign times it, or for sign 0 the same sum over the
+    mirrored operands F o iota, G o iota.  A fixed target gets its fixed
+    pairs plus both halves of each pair-orbit: twice one half when the
+    product is even, 0 in all when odd, each half summed when sign is 0.
     """
+    mir = mirror(hi)
+    sign = _parity(F, mir)
+    sign = sign and sign * _parity(G, mir)
     Fg, Gg = F.__getitem__, G.__getitem__
     if not sign:
-        mir = mirror(hi)
         Fm, Gm = list(map(Fg, mir)).__getitem__, list(map(Gg, mir)).__getitem__
     start = position_count(lo - 1)
     out = [0] * (position_count(hi) - start)
@@ -169,30 +182,12 @@ def convolve(F, G, lo, hi, sign):
     return out
 
 
-def _parity(vec, mir):
-    """1 if vec is iota-even on the positions of mir, -1 if iota-odd (and
-    not zero), 0 if neither."""
-    image = list(map(vec.__getitem__, mir))
-    head = vec[:len(mir)]
-    if image == head:
-        return 1
-    return -1 if image == list(map(neg, head)) else 0
-
-
-def product(F, G, X):
-    """Integer convolution of the vectors F and G at every position of grade
-    <= X, with the parity the operands have to grade X."""
-    mir = mirror(X)
-    sign = _parity(F, mir)
-    return convolve(F, G, 0, X, sign and sign * _parity(G, mir))
-
-
 def multiply(f, g):
     """Convolution product; the coefficient at eta is the sum of
     C_f(a) * C_g(b) over all decompositions a + b = eta."""
     X = min(f.prec, g.prec)
     return FourierSeries.from_vector(f.weight + g.weight, X, f.den * g.den,
-                                     product(f.vec, g.vec, X))
+                                     product(f.vec, g.vec, 0, X))
 
 
 def _lead(s, lead, what):
@@ -215,8 +210,8 @@ def _solve(g, lead, b, sign):
     (partner b, or h itself for a root) only as c = m * partner.vec[n0]
     times that slice shifted by lead, with m = 2 for a root, 1 for a
     quotient and n0 the position of lead.  The rest, the cross terms, is the
-    kernel's grade-n convolution of partner with the part of h known so far,
-    because the new slice is still zero there.  So the old entries of h are
+    grade-n `product` of partner with the part of h known so far, because
+    the new slice is still zero there.  So the old entries of h are
     scaled by g.den * c, the new entry at eta - lead is g.vec[eta] * pden *
     hden - cross[eta] * g.den over the denominator hden * g.den * c, and the
     gcd, signed so that hden > 0, is divided out; a residual off lead + cone
@@ -235,7 +230,7 @@ def _solve(g, lead, b, sign):
         pden, pvec = (hden, hvec) if b is None else (b.den, b.vec)
         c = m * pvec[n0]
         gs, hs = pden * hden, g.den * c
-        cross = convolve(pvec, hvec, n, n, 0)
+        cross = product(pvec, hvec, n, n)
         hvec = [v * hs for v in hvec]
         for (eta, i), x in zip(layer_positions(n).items(), cross):
             r = g.vec[i] * gs - x * g.den
@@ -250,7 +245,7 @@ def _solve(g, lead, b, sign):
         hden, hvec = hden * hs // k, [v // k for v in hvec]
     pden, pvec = (hden, hvec) if b is None else (b.den, b.vec)
     if any(x * g.den != v * pden * hden
-           for x, v in zip(product(pvec, hvec, g.prec), g.vec)):
+           for x, v in zip(product(pvec, hvec, 0, g.prec), g.vec)):
         raise ValueError(what + ": re-expansion residual is nonzero")
     return FourierSeries.from_vector(weight, g.prec - g0, hden, hvec)
 

@@ -5,14 +5,15 @@ exact arithmetic: the product as a sum over `decompositions`, the bracket as the
 4-fold sum of 4x4 determinants, rank and relation space by Gauss-Jordan
 elimination, integer row echelon form by Bareiss's fraction-free
 elimination, generalized Bernoulli numbers as a sum of Bernoulli
-polynomial values over the residues, and each Eisenstein coefficient as its
-own product of `Fraction` local factors.  They are slow and obviously correct;
-tests compare the library with them on random inputs.  `power`,
+polynomial values over the residues (each by Horner's rule in integers),
+and each Eisenstein coefficient as its own product of `Fraction` local
+factors.  They are slow and obviously correct; tests compare the library
+with them on random inputs.  `power`,
 `bernoulli_poly_value` and `series_from_record` are test helpers that the
 library itself never calls.
 """
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from qsiegel import exactnum, fourier
 from qsiegel.exactnum import (bernoulli_number, is_fundamental_discriminant,
@@ -183,14 +184,33 @@ def bernoulli_poly_value(m, t):
     return sum(comb(m, j) * bernoulli_number(j) * t ** (m - j) for j in range(m + 1))
 
 
+def bernoulli_poly_numerators(m, D):
+    """(L, [L * D^m * B_m(a / D) for a = 0 .. D]) in integers, L the lcm of
+    the denominators of B_0 .. B_m: Horner's rule in a over the integer
+    coefficients C(m, j) * L * B_j * D^j of a^(m - j)."""
+    B = [bernoulli_number(j) for j in range(m + 1)]
+    L = lcm(*(b.denominator for b in B))
+    coeffs = [comb(m, j) * (L // b.denominator) * b.numerator * D ** j
+              for j, b in enumerate(B)]
+    values = []
+    for a in range(D + 1):
+        v = 0
+        for c in coeffs:
+            v = v * a + c
+        values.append(v)
+    return L, values
+
+
 def generalized_bernoulli(m, d):
-    """B_{m,chi} = |d|^(m-1) * sum_{a=1}^{|d|} chi(a) B_m(a/|d|)."""
+    """B_{m,chi} = |d|^(m-1) * sum_{a=1}^{|d|} chi(a) B_m(a/|d|), each
+    B_m(a/|d|) from `bernoulli_poly_numerators` over L * |d|^m, so the
+    whole sum is one fraction over L * |d|."""
     if not is_fundamental_discriminant(d):
         raise ValueError("%r is not a negative fundamental discriminant" % (d,))
     D = abs(d)
-    chi = ((a, kronecker_symbol(d, a)) for a in range(1, D + 1))
-    return D ** (m - 1) * sum(c * bernoulli_poly_value(m, Fraction(a, D))
-                              for a, c in chi if c)
+    L, values = bernoulli_poly_numerators(m, D)
+    return Fraction(sum(kronecker_symbol(d, a) * values[a] for a in range(1, D + 1)),
+                    L * D)
 
 
 def _prefactor(k, d):

@@ -412,8 +412,9 @@ def test_verify_dims_says_what_it_proves_and_assumes(capsys, monkeypatch):
                         "quasi-polynomials, period dividing 60); assumes the "
                         "dimension formula as implemented and the tabulated "
                         "k <= 4 values in dims.dim_modular")
-    genfun = dims.genfun_coeff
-    monkeypatch.setattr(dims, "genfun_coeff", lambda k: genfun(k) + (k == 100))
+    genfun = dims._genfun
+    monkeypatch.setattr(dims, "_genfun", lambda k_max: [
+        c + (k == 100) for k, c in enumerate(genfun(k_max))])
     rc, out, _ = run(capsys, "verify", "--suite", "dims")
     assert rc == 1 and "1 mismatches" in out and "proves" not in out
 

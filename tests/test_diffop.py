@@ -1,11 +1,12 @@
 """The weight-raising bracket of four forms: multilinearity, alternation,
 and the product rule that makes multiplicatively dependent arguments vanish."""
 from collections import Counter
+from operator import mul
 
 import pytest
 
 from oracles import power
-from qsiegel import diffop, fourier
+from qsiegel import diffop
 from qsiegel.diffop import bracket
 from qsiegel.fourier import linear_combine, multiply
 from qsiegel.lattice import ZERO, mirror
@@ -85,13 +86,14 @@ def test_bracket_makes_14_convolutions(forms, monkeypatch):
     assert len(calls) == 14
 
 
-def test_bracket_of_even_forms_is_odd_on_the_symmetric_path(forms, monkeypatch):
+def test_bracket_of_even_forms_is_odd_on_the_symmetric_path(forms, parity_reads):
     # E2, E4, chi5a, E6 are iota-even and the row x + 2z is odd, so every
     # convolution gets a known sign and none sums the mirrored operands:
     # per side 3 even products W_r f * g and 1 odd, then 6 odd products of
-    # minors, each pairing a minor with row x + 2z and one without
-    calls = counted(monkeypatch, fourier, "convolve")
+    # minors, each pairing a minor with row x + 2z and one without; every
+    # operand has a parity, so each product reads two, in operand order
     br = bracket(*forms)
-    assert Counter(sign for *_, sign in calls) == {1: 6, -1: 8}
+    assert all(parity_reads) and len(parity_reads) == 2 * 14
+    assert Counter(map(mul, parity_reads[::2], parity_reads[1::2])) == {1: 6, -1: 8}
     mir = mirror(br.prec)
     assert any(br.vec) and [br.vec[m] for m in mir] == [-v for v in br.vec]

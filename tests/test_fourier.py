@@ -147,21 +147,45 @@ def test_solver_rejects_short_inputs():
 
 
 def test_solver_runs_its_re_expansion_check(gens12, monkeypatch):
-    """A product that is off by one at the top position must make both the
-    root and the quotient raise: the re-expansion check is live."""
+    """A full-range product that is off by one at the top position must make
+    both the root and the quotient raise: the re-expansion check is live.
+    The per-grade products (lo > 0) stay exact, so only that check can fire."""
     square = multiply(gens12.chi5a, gens12.chi5a)
     exact = fourier.product
 
-    def bumped(F, G, X):
-        out = exact(F, G, X)
-        out[-1] += 1
+    def bumped(F, G, lo, hi):
+        out = exact(F, G, lo, hi)
+        if lo == 0:
+            out[-1] += 1
         return out
 
     monkeypatch.setattr(fourier, "product", bumped)
-    with pytest.raises(ValueError, match="residual"):
+    with pytest.raises(ValueError, match="re-expansion residual is nonzero"):
         sqrt_monic(square, CHI5A_LEAD, 1)
-    with pytest.raises(ValueError, match="residual"):
+    with pytest.raises(ValueError, match="re-expansion residual is nonzero"):
         divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD)
+
+
+def test_solver_cross_terms_sum_once_per_orbit(gens12, parity_reads, monkeypatch):
+    """chi5a^2 and chi5a are iota-even, delta20a is iota-odd and chi5b even,
+    so every product of the root and the quotient, the per-grade cross terms
+    included, reads a parity on its operands and sums each orbit once."""
+    square = multiply(gens12.chi5a, gens12.chi5a)
+    root = sqrt_monic(square, CHI5A_LEAD, 1)
+    quotient = divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD)
+    exact = fourier.product
+    lows = []
+
+    def counting(F, G, lo, hi):
+        lows.append(lo)
+        return exact(F, G, lo, hi)
+
+    monkeypatch.setattr(fourier, "product", counting)
+    parity_reads.clear()
+    assert sqrt_monic(square, CHI5A_LEAD, 1) == root
+    assert divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD) == quotient
+    assert all(parity_reads) and len(parity_reads) == 2 * len(lows)
+    assert any(lo > 0 for lo in lows)
 
 
 def test_solver_holds_no_fraction(gens12, monkeypatch):

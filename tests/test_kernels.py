@@ -366,6 +366,17 @@ def test_eisenstein_series_matches_oracle(k):
         assert s.coeff(eta) == v == eisenstein_coefficient(EisensteinParams(k), eta), eta
 
 
+def test_integer_bernoulli_values_match_polynomial_values():
+    # the oracle's Horner evaluation against the Fraction sum that is
+    # checked against sympy, at every residue of one modulus
+    D = 24
+    for m in range(21):
+        L, values = oracles.bernoulli_poly_numerators(m, D)
+        assert len(values) == D + 1
+        for a, v in enumerate(values):
+            assert Fr(v, L * D ** m) == oracles.bernoulli_poly_value(m, Fr(a, D)), (m, a)
+
+
 @pytest.mark.deep
 def test_generalized_bernoulli_matches_oracle():
     discriminants = [d for d in range(-200, 0) if is_fundamental_discriminant(d)]
