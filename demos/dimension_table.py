@@ -2,15 +2,13 @@
 
 Run after installing the package:  python3 demos/dimension_table.py
 """
-from qsiegel.dims import dim_cusp, dim_modular, genfun_coeff
+from qsiegel.dims import dim_cusp, dimension_report
 
 print("p = 3: cusp and full dimensions against the generating function\n")
 print("  k   dim S_k   dim M_k   series")
-for k in range(0, 26):
-    dm = dim_modular(k)
-    ds = dm - (1 if k % 2 == 0 else 0) if k <= 4 else dim_cusp(k, 3)
-    tag = "" if dm == genfun_coeff(k) else "   <-- MISMATCH"
-    print("%3d   %7d   %7d   %6d%s" % (k, ds, dm, genfun_coeff(k), tag))
+for k, ds, dm, gf, match in dimension_report(25).rows:
+    tag = "" if match else "   <-- MISMATCH"
+    print("%3d   %7d   %7d   %6d%s" % (k, ds, dm, gf, tag))
 
 print("\nother primes (dim S_k only, k >= 5):\n")
 ps = (5, 7, 11, 13)

@@ -34,7 +34,7 @@ for row in rows[21:]:
 print("[structure]  E2 E4 chi5a E6 independent: delta20a %s at grade %d"
       % ("!= 0" if independence.ok else "= 0", independence.prec))
 
-dims = dimension_report(244)
+dims = dimension_report()
 bad = [row for row in dims.rows if not row[4]]
 print("[dims]       dimension vs generating function, k <= 244: %d mismatches"
       % len(bad))

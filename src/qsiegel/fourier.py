@@ -370,6 +370,7 @@ def relation_nullspace(forms):
         v[fc] = Fraction(1)
         for r in reversed(range(len(pivots))):
             pc = pivots[r]
-            v[pc] = -sum(rows[r][j] * v[j] for j in range(pc + 1, nf)) / rows[r][pc]
+            v[pc] = Fraction(-sum(rows[r][j] * v[j] for j in range(pc + 1, nf)),
+                             rows[r][pc])
         basis.append(tuple(v))
     return basis

@@ -391,6 +391,50 @@ def test_dims_rejects_low_start_for_general_p(capsys):
     assert rc == 2 and ">= 5" in err
 
 
+def test_dims_p3_evaluates_the_formula_once_per_weight(capsys, monkeypatch):
+    weights = []
+    formula = dims._cusp_formula
+    monkeypatch.setattr(dims, "_cusp_formula",
+                        lambda k, p: weights.append(k) or formula(k, p))
+    rc, out, _ = run(capsys, "dims", "--p", "3", "--from", "0", "--to", "244")
+    assert rc == 0 and len(out.splitlines()) == 246
+    assert sorted(weights) == list(range(5, 245))
+
+
+# Every refusal: argv, whether a cache holding E2 at prec 4 is passed, and
+# the reason the one stderr line must name.
+REFUSALS = [
+    (("expand", "--form", "nope", "--prec", "6"), False, "unknown form 'nope'"),
+    (("expand", "--form", "E2", "--prec", "3"), False, "prec must be >= 4"),
+    (("expand", "--form", "E2", "--prec", "3"), True, "prec must be >= 4"),
+    (("expand", "--form", "delta20a", "--prec", "5"), False,
+     "delta20a has no rows at prec 5; increase --prec"),
+    (("expand", "--form", "E2", "--prec", "83"), False, "needs grade 83"),
+    (("verify", "--suite", "structure", "--kmax", "-1"), False, "kmax must be >= 0"),
+    (("dims", "--p", "3", "--from", "6", "--to", "5"), False, "empty weight range"),
+    (("dims", "--p", "9", "--from", "5", "--to", "6"), False,
+     "p must be an odd prime, got 9"),
+    (("dims", "--p", "5", "--from", "4", "--to", "6"), False,
+     "the dimension formula needs k >= 5"),
+    (("dims", "--p", "3", "--from", "-1", "--to", "3"), False, "weight must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv, cached, reason", REFUSALS, ids=[
+    " ".join(argv) + (" cached" if cached else "") for argv, cached, _ in REFUSALS])
+def test_every_refusal_is_one_error_line_and_exit_2(
+        tmp_path, capsys, monkeypatch, argv, cached, reason):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    cache = ()
+    if cached:  # a record that would serve the request by truncation
+        cache = ("--cache-dir", str(tmp_path))
+        assert _expand_e2(capsys, 4, *cache)[0] == 0
+    rc, out, err = run(capsys, *cache, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert reason in err
+
+
 def test_verify_dims_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "dims")
     assert rc == 0

@@ -239,6 +239,17 @@ def test_nullspace_finds_known_relation():
     assert relation_nullspace([e2sq, e4]) == []
 
 
+def test_nullspace_is_exact_when_the_last_column_is_a_pivot():
+    # the last pivot's back substitution sums nothing; an int 0 / pivot
+    # would be the float 0.0 and turn every earlier entry into a float
+    e2 = eisenstein_series(EisensteinParams(2), 6)
+    e4 = eisenstein_series(EisensteinParams(4), 6)
+    e4_third = linear_combine([(Fr(1, 3), e4)])
+    null = relation_nullspace([e4_third, e4, multiply(e2, e2)])
+    assert null == [(Fr(-3), Fr(1), Fr(0))]
+    assert all(type(c) is Fr for c in null[0])
+
+
 def test_truncation_reduces_to_lowest_terms():
     s = FourierSeries(3, 4, {ZERO: Fr(1, 2), (4, 1, -2): Fr(1, 3)})
     assert s.den == 6

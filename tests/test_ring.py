@@ -3,6 +3,7 @@ honest build, their sensitivity to forged inputs, and monomial span ranks."""
 from collections import Counter
 from fractions import Fraction as Fr
 from functools import reduce
+from math import isqrt, prod
 
 import pytest
 
@@ -94,6 +95,24 @@ def test_polynomial_relation_sensitive_to_rescaling(gens12):
     assert not reports["chi15_sq_identity"].ok
     assert not reports["chi15_sq_tabulated_scale"].ok
     assert reports["e8_in_lower_generators"].ok  # untouched by the forgery
+
+
+def _is_rational_square(q):
+    return q >= 0 and all(isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+def test_relation_right_hand_sides_are_not_squares():
+    # chi5b^2 = P1 and chi15^2 = P2 with P1, P2 in A = Q[E2, E4, chi5a, E6].
+    # A is a UFD, so a P that is a square in Frac(A) takes a rational square
+    # value at every integer point; one point where none of P1, P2, P1*P2 is
+    # a square shows that 1, chi5b, chi15, chi5b*chi15 are independent over A.
+    point = {"E2": -5, "E4": 9, "chi5a": -7, "E6": -1}
+    terms = {name: terms for name, _scale, _lhs, terms in ring._relations()}
+    p1, p2 = (sum(c * prod(point[f] ** n for f, n in powers) for c, powers in terms[name])
+              for name in ("chi5_quintic", "chi15_sq_identity"))
+    assert p1 == Fr(12229573, 254664)
+    for value in (p1, p2, p1 * p2):
+        assert not _is_rational_square(value), value
 
 
 def test_monomial_exponent_count_matches_generating_function():
