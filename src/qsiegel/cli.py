@@ -16,10 +16,10 @@ vec]), one file per (form, precision), written atomically; a cached record
 at precision X serves any request up to X by truncation.  A record that
 cannot be read, whose version, form, weight, prec or checksum is wrong, or
 whose den and vec are not a series in lowest terms at its prec, is passed
-over: a request is served by the smallest valid record at or above its
-precision, and with none the form is recomputed and its records written at
-the requested precision, replacing any at those paths.  A failed write only
-warns.
+over: a request at prec P meets forms.check_prec before any lookup, then is
+served by the first valid record `<form>.p<X>.json` for X from P up to
+lattice.MAX_GRADE; with none the form is recomputed and its records written
+at P, replacing any at those paths.  A failed write only warns.
 
 Forms are computed in batches: `expand` builds the GeneratorSet stage that
 makes the form (see forms.FORMS) and caches every member of it; `verify`
@@ -40,7 +40,7 @@ import zlib
 from math import gcd
 
 from . import dims, fourier, ring
-from .forms import FORMS
+from .forms import FORMS, check_prec
 from .lattice import MAX_GRADE, grade, norm_m, position_count, positions
 
 CACHE_ENV = "QSIEGEL_CACHE_DIR"
@@ -128,24 +128,15 @@ def cache_store(cache_dir, form, s):
 
 
 def cache_lookup(cache_dir, form, prec):
-    """(den, vec) of the smallest valid cached record of the form at
-    precision >= prec (vec may run past prec's positions); None on a miss.
-    A record is valid if its version, form, weight and prec are right, den is
-    an int > 0, vec holds one int per position of its prec, gcd(den, *vec)
-    is 1 and its checksum matches; any other record is passed over."""
-    if not cache_dir or not os.path.isdir(cache_dir):
+    """(den, vec) of the first valid record at _cache_path(cache_dir, form,
+    p) for p from prec up to MAX_GRADE, the deepest grade a build writes; vec
+    may run past prec's positions.  None on a miss.  A record is valid if its
+    version, form, weight and prec are right, den is an int > 0, vec holds
+    one int per position of its prec, gcd(den, *vec) is 1 and its checksum
+    matches; any other record, or a path that cannot be read, is passed over."""
+    if not cache_dir:
         return None
-    precs = []
-    prefix = form + ".p"
-    for name in os.listdir(cache_dir):
-        if name.startswith(prefix) and name.endswith(".json"):
-            try:
-                p = int(name[len(prefix):-len(".json")])
-            except ValueError:
-                continue
-            if prec <= p <= MAX_GRADE:  # no build writes a deeper record
-                precs.append(p)
-    for p in sorted(precs):
+    for p in range(prec, MAX_GRADE + 1):
         try:
             with open(_cache_path(cache_dir, form, p)) as fh:
                 rec = parse_json(fh.read())
@@ -184,8 +175,7 @@ def _get_gens(prec, cache_dir):
 def cmd_expand(args):
     if args.form not in FORM_IDS:
         raise ValueError("unknown form %r; known: %s" % (args.form, " ".join(FORM_IDS)))
-    if args.prec < 4:
-        raise ValueError("prec must be >= 4")
+    check_prec(args.prec, FORMS[args.form][0])
     fields = cache_lookup(args.cache_dir, args.form, args.prec)
     if fields is None:
         gens = _build_and_store(args.prec, FORMS[args.form][0], args.cache_dir)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .diffop import bracket
 from .dims import genfun_coeff
 from .eisenstein import EisensteinParams, eisenstein_series
-from .forms import FORMS, STAGES
+from .forms import FORMS, STAGES, check_prec
 from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
                       sqrt_monic)
 from .lattice import MAX_GRADE
@@ -159,8 +159,9 @@ class GeneratorSet:
       delta20b / chi5a, normalized the same way, is computed independently
       and build raises ValueError unless it equals chi15 exactly.
 
-    The deepest grade, prec + 2 per stage after "phi", must not pass
-    lattice.MAX_GRADE; build raises ValueError before any work if it would.
+    prec must meet forms.check_prec's floor for the stage, and the deepest
+    grade, prec + 2 per stage after "phi", must not pass lattice.MAX_GRADE;
+    build raises ValueError before any work otherwise.
     build fills one set at the deepest grade a member at a time and forms
     the phi forms' products with its monomial, powers of phi2 under the id
     E2; the set it returns keeps every one of them, truncated to prec, in
@@ -175,10 +176,7 @@ class GeneratorSet:
     def build(cls, prec, upto="chi15"):
         if upto not in STAGES:
             raise ValueError("unknown stage %r; known: %s" % (upto, " ".join(STAGES)))
-        if upto == "chi15" and prec < 5:
-            raise ValueError("need prec >= 5 (below that chi15 has no rows)")
-        if prec < 4:
-            raise ValueError("need prec >= 4")
+        check_prec(prec, upto)
         X = prec + 2 * STAGES.index(upto)
         if X > MAX_GRADE:
             raise ValueError("stage %s at prec %d needs grade %d; the convolution "
@@ -232,12 +230,14 @@ class GeneratorSet:
     @classmethod
     def from_records(cls, prec, forms):
         """The set whose members are the given {form id: series}.  Raises
-        ValueError unless the ids are exactly the members of one stage and
-        every series has its form's weight and precision prec."""
+        ValueError unless the ids are exactly the members of one stage, prec
+        meets that stage's floor (forms.check_prec, as build) and every
+        series has its form's weight and precision prec."""
         stage = next((st for st in STAGES if set(forms) == set(_stage_forms(st))), None)
         if stage is None:
             raise ValueError("forms %s are not the members of one stage"
                              % " ".join(sorted(forms)))
+        check_prec(prec, stage)
         self = cls.__new__(cls)
         self.prec, self.stage, self._products, self._deeper = prec, stage, {}, None
         for form, s in forms.items():

@@ -101,6 +101,10 @@ def test_cache_store_and_lookup(tmp_path):
     assert cache_lookup(cache, "E2", 9) is None
     assert cache_lookup(cache, "E4", 8) is None
     assert cache_lookup(None, "E2", 8) is None
+    # Records are found by name, the precision in plain digits: a record
+    # saved as E2.p08.json is never read.
+    os.replace(os.path.join(cache, "E2.p8.json"), os.path.join(cache, "E2.p08.json"))
+    assert cache_lookup(cache, "E2", 6) is None
 
 
 def test_expand_populates_and_reuses_cache(tmp_path, capsys):
@@ -344,6 +348,14 @@ def test_unwritable_cache_record_does_not_fail_expand(tmp_path, capsys):
     assert "warning: E4 not cached" in err
     assert not list(cache.glob("*.tmp"))
     assert (cache / "E2.p6.json").is_file()  # the stage's other members are cached
+    # A cache dir that is a regular file holds nothing and takes nothing.
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert cache_lookup(str(not_a_dir), "E2", 6) is None
+    _, want, _ = _expand_e2(capsys, 6)
+    rc, out, err = _expand_e2(capsys, 6, "--cache-dir", str(not_a_dir))
+    assert (rc, out) == (0, want)
+    assert "warning: E2 not cached" in err
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -433,6 +445,31 @@ def test_every_refusal_is_one_error_line_and_exit_2(
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert reason in err
+
+
+# Requests below the chi15 floor that a cache filled by chi15 at prec 8 would
+# otherwise serve by truncation.
+BELOW_FLOOR = [
+    ("verify", "--suite", "relations", "--prec", "4"),
+    ("verify", "--suite", "tables", "--prec", "2"),
+    ("verify", "--suite", "structure", "--prec", "3", "--kmax", "4"),
+    ("expand", "--form", "chi15", "--prec", "4"),
+    ("expand", "--form", "delta20a", "--prec", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", BELOW_FLOOR, ids=" ".join)
+def test_a_cached_request_refuses_what_a_cold_one_refuses(
+        tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    cache = ("--cache-dir", str(tmp_path))
+    assert run(capsys, *cache, "expand", "--form", "chi15", "--prec", "8")[0] == 0
+    assert (tmp_path / "chi15.p8.json").is_file()
+    cold, cached = run(capsys, *argv), run(capsys, *cache, *argv)
+    assert cold == cached
+    rc, out, err = cold
+    assert (rc, out) == (2, "")
+    assert err == "error: prec must be >= 5 (stage chi15)\n"
 
 
 def test_verify_dims_suite(capsys):

@@ -233,6 +233,9 @@ def test_from_records_validates(gens12):
         forged(gens12, chi15=gens12.chi15.truncate(10))
     with pytest.raises(ValueError, match="weight"):
         forged(gens12, E4=gens12.e6)
+    with pytest.raises(ValueError, match="prec must be >= 5"):
+        GeneratorSet.from_records(4, {f: s.truncate(4)
+                                      for f, s in gens12.members().items()})
 
 
 def test_monomial_skips_zero_exponents(gens12):
