@@ -15,11 +15,11 @@ from qsiegel.ring import (GeneratorSet, verify_chi5_square_relations,
 t0 = time.time()
 PREC = 12
 
-checked, failures = verify_tables(PREC, None)
-print("[tables]     %d tabulated values, %d mismatches" % (checked, len(failures)))
-
 gens = GeneratorSet.build(PREC)
 print("[build]      all generators to grade %d  (%.1fs)" % (PREC, time.time() - t0))
+
+checked, failures = verify_tables(gens)
+print("[tables]     %d tabulated values, %d mismatches" % (checked, len(failures)))
 
 relations = verify_chi5_square_relations(gens) + verify_polynomial_relations(gens)
 for rep in relations:

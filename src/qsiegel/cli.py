@@ -45,7 +45,6 @@ from .lattice import MAX_GRADE, grade, norm_m, position_count, positions
 
 CACHE_ENV = "QSIEGEL_CACHE_DIR"
 CACHE_VERSION = 2
-FORM_IDS = tuple(FORMS)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -162,7 +161,7 @@ def _build_and_store(prec, stage, cache_dir):
 
 def _get_gens(prec, cache_dir):
     forms = {}
-    for form in FORM_IDS:
+    for form in FORMS:
         hit = cache_lookup(cache_dir, form, prec)
         if hit is None:
             return _build_and_store(prec, "chi15", cache_dir)
@@ -173,8 +172,8 @@ def _get_gens(prec, cache_dir):
 # ---------------------------------------------------------------- expand
 
 def cmd_expand(args):
-    if args.form not in FORM_IDS:
-        raise ValueError("unknown form %r; known: %s" % (args.form, " ".join(FORM_IDS)))
+    if args.form not in FORMS:
+        raise ValueError("unknown form %r; known: %s" % (args.form, " ".join(FORMS)))
     check_prec(args.prec, FORMS[args.form][0])
     fields = cache_lookup(args.cache_dir, args.form, args.prec)
     if fields is None:
@@ -218,16 +217,15 @@ def _load_fixture_tables():
     return tables
 
 
-def verify_tables(prec, cache_dir):
-    """Compare bundled reference tables with freshly computed coefficients on
-    every tabulated index of grade <= prec (explicit zeros included)."""
+def verify_tables(gens):
+    """Compare bundled reference tables with the coefficients of the set gens
+    on every tabulated index of grade <= gens.prec (explicit zeros included)."""
     from fractions import Fraction  # not at the top: a cache hit never loads it
     checked, failures = 0, []
-    gens = _get_gens(prec, cache_dir)
     for columns, rows in _load_fixture_tables():
         cols = [(label, gens.monomial(powers)) for label, powers in columns]
         for eta, values in rows:
-            if grade(eta) > prec:
+            if grade(eta) > gens.prec:
                 continue
             for (label, col), want in zip(cols, values):
                 checked += 1
@@ -238,17 +236,19 @@ def verify_tables(prec, cache_dir):
 
 
 def cmd_verify(args):
-    prec = args.prec
+    if args.suite == "structure" and args.kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    if args.suite != "dims":
+        gens = _get_gens(args.prec, args.cache_dir)
     ok = True
     if args.suite == "tables":
-        checked, failures = verify_tables(prec, args.cache_dir)
+        checked, failures = verify_tables(gens)
         print("tables: %d tabulated values checked, %d mismatches"
               % (checked, len(failures)))
         for name, eta, got, want in failures:
             print("  MISMATCH %s at %r: computed %s, table %s" % (name, eta, got, want))
         ok = not failures
     elif args.suite == "relations":
-        gens = _get_gens(prec, args.cache_dir)
         reports = (ring.verify_chi5_square_relations(gens)
                    + ring.verify_polynomial_relations(gens))
         for rep in reports:
@@ -257,9 +257,6 @@ def cmd_verify(args):
                 print("  residual %s at %r" % (v, eta))
             ok = ok and rep.ok
     elif args.suite == "structure":
-        if args.kmax < 0:
-            raise ValueError("kmax must be >= 0")
-        gens = _get_gens(prec, args.cache_dir)
         report = ring.verify_structure(args.kmax, gens)
         *rows, last = report.rows  # the last row is ring.INDEPENDENCE
         for row in rows:

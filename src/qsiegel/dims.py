@@ -8,7 +8,7 @@ from collections import namedtuple
 
 from .exactnum import factorize, kronecker_symbol
 
-DimensionReport = namedtuple("DimensionReport", "p rows ok")
+DimensionReport = namedtuple("DimensionReport", "rows ok")
 # rows: list of (k, dim_cusp, dim_modular, genfun_coeff, match)
 
 
@@ -117,4 +117,4 @@ def dimension_report(k_max=244):
     for k, gf in enumerate(_genfun(k_max)):
         ds, dm = dims_3(k)
         rows.append((k, ds, dm, gf, dm == gf))
-    return DimensionReport(3, rows, all(row[4] for row in rows))
+    return DimensionReport(rows, all(row[4] for row in rows))

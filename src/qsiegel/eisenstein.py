@@ -7,8 +7,10 @@ Each coefficient is a rational number
              * prod_{p | D2} 1 / (p^(k-1) - 1)
              * prod_p F_p(eta, k)
 
-with (a, d, f) = quad_invariants(eta), chi = kronecker_symbol(d, .), and
-F_p = 1 for every prime outside {p : p | a*f*D2}, so the product is finite.
+with a the content gcd(x, y, z) of eta, -m_eta/a^2 = d*f^2 split with d a
+negative fundamental discriminant (both as `_local_data` computes them),
+chi = kronecker_symbol(d, .), and F_p = 1 for every prime outside
+{p : p | a*f*D2}, so the product is finite.
 (With D1 = 1 the formula's factors at the primes dividing D1 are empty.)
 The global sign is calibrated once so that the weight-2 series has
 coefficient 48 at (2,1,-1); every other table value then serves as a check.
@@ -29,7 +31,7 @@ from .exactnum import (bernoulli_number, fundamental_discriminant_split,
                        generalized_bernoulli, kronecker_symbol, p_valuation,
                        prime_divisors)
 from .fourier import FourierSeries
-from .lattice import enumerate_cone, is_positive, norm_m
+from .lattice import enumerate_cone, norm_m
 
 SIGN = -1
 D2 = 6
@@ -96,18 +98,9 @@ def _coefficient_parts(k, cls):
     return d, F
 
 
-def eisenstein_coefficient(params, eta):
-    """Coefficient at the positive index eta (the constant term is 1 and is
-    handled by eisenstein_series)."""
-    if not is_positive(eta):
-        raise ValueError("eisenstein_coefficient needs a positive index")
-    d, F = _coefficient_parts(params.k, _class(eta))
-    return SIGN * _prefactor(params.k, d) * F
-
-
 def eisenstein_series(params, X):
-    """The weight-k Eisenstein series to grade X: constant term 1, all other
-    coefficients as in eisenstein_coefficient, over one common denominator."""
+    """The weight-k Eisenstein series to grade X: constant term 1 and C(eta)
+    at every positive index, over one common denominator."""
     k = params.k
     classes = list(map(_class, enumerate_cone(X)))
     parts = {cls: _coefficient_parts(k, cls) for cls in dict.fromkeys(classes)}

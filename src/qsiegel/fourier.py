@@ -66,9 +66,12 @@ class FourierSeries:
     @classmethod
     def from_vector(cls, weight, prec, den, vec):
         """The series with coefficient vec[n] / den (den > 0) at each position
-        n of grade <= prec, reduced to lowest terms; vec may run longer."""
+        n of grade <= prec, in lowest terms; vec may be longer, not shorter."""
         if prec < 1 or den < 1:
             raise ValueError("prec and den must be >= 1")
+        if len(vec) < position_count(prec):
+            raise ValueError("vec has %d entries, prec %d needs %d"
+                             % (len(vec), prec, position_count(prec)))
         vec = vec[:position_count(prec)]
         k = gcd(den, *vec)
         self = cls.__new__(cls)
@@ -85,9 +88,6 @@ class FourierSeries:
     def coeffs(self):
         """A new {eta: Fraction} of the nonzero coefficients."""
         return dict(self.sorted_items())
-
-    def is_cusp(self):
-        return not self.vec[0]
 
     def truncate(self, X):
         if X >= self.prec:

@@ -1,7 +1,6 @@
 """The Fourier index lattice: triples eta = (x, y, z) in Z^3 with the norm
-form m_eta, the positivity cone, grade-by-grade enumeration, additive
-decompositions (convolution support), and the quadratic-field invariants
-(a, d, f) attached to each cone point.
+form m_eta, the positivity cone, grade-by-grade enumeration and additive
+decompositions (convolution support).
 
 The "grade" of an index is its x-coordinate.  It is additive under index
 addition and zero only at the origin, which is what makes it the right
@@ -17,16 +16,11 @@ Positions fit an unsigned short through grade MAX_GRADE = 82; a deeper
 table raises OverflowError.
 """
 from array import array
-from collections import namedtuple
 from functools import lru_cache
-from math import gcd, isqrt
-
-from . import exactnum
+from math import isqrt
 
 ZERO = (0, 0, 0)
 MAX_GRADE = 82  # position_count(82) = 64443 fits array("H"); grade 83 does not
-
-QuadInvariants = namedtuple("QuadInvariants", "a d f")
 
 
 def norm_m(eta):
@@ -162,13 +156,3 @@ def orbit_layer(x):
     table = {t: tuple(array("H", r) for r in row) for t, row in table.items()}
     return (tuple((t, mir[t], A, B) for t, (A, B, _, _) in table.items() if t < mir[t]),
             tuple((t,) + row for t, row in table.items() if t == mir[t]))
-
-
-def quad_invariants(eta):
-    """Content a = gcd(|x|,|y|,|z|), then -m_eta/a^2 = d*f^2 with d a negative
-    fundamental discriminant; only defined on cone points."""
-    if not is_positive(eta):
-        raise ValueError("quad_invariants needs a positive index, got %r" % (eta,))
-    a = gcd(gcd(abs(eta[0]), abs(eta[1])), abs(eta[2]))
-    d, f = exactnum.fundamental_discriminant_split(-norm_m(eta) // (a * a))
-    return QuadInvariants(a, d, f)

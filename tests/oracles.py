@@ -7,19 +7,23 @@ elimination, integer row echelon form by Bareiss's fraction-free
 elimination, generalized Bernoulli numbers as a sum of Bernoulli
 polynomial values over the residues (each by Horner's rule in integers),
 and each Eisenstein coefficient as its own product of `Fraction` local
-factors.  They are slow and obviously correct; tests compare the library
-with them on random inputs.  `power`,
-`bernoulli_poly_value` and `series_from_record` are test helpers that the
-library itself never calls.
+factors, from the invariants (a, d, f) of `quad_invariants`.  They are
+slow and obviously correct; tests compare the library with them on random
+inputs.  `power`, `bernoulli_poly_value` and `series_from_record` are test
+helpers that the library itself never calls.
 """
+from collections import namedtuple
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from qsiegel import exactnum, fourier
-from qsiegel.exactnum import (bernoulli_number, is_fundamental_discriminant,
-                              kronecker_symbol, p_valuation, prime_divisors)
+from qsiegel.exactnum import (bernoulli_number, fundamental_discriminant_split,
+                              is_fundamental_discriminant, kronecker_symbol,
+                              p_valuation, prime_divisors)
 from qsiegel.fourier import FourierSeries
-from qsiegel.lattice import ZERO, decompositions, enumerate_cone, quad_invariants
+from qsiegel.lattice import ZERO, decompositions, enumerate_cone, is_positive, norm_m
+
+QuadInvariants = namedtuple("QuadInvariants", "a d f")
 
 
 def multiply(f, g):
@@ -211,6 +215,16 @@ def generalized_bernoulli(m, d):
     L, values = bernoulli_poly_numerators(m, D)
     return Fraction(sum(kronecker_symbol(d, a) * values[a] for a in range(1, D + 1)),
                     L * D)
+
+
+def quad_invariants(eta):
+    """Content a = gcd(|x|,|y|,|z|), then -m_eta/a^2 = d*f^2 with d a negative
+    fundamental discriminant; only defined on cone points."""
+    if not is_positive(eta):
+        raise ValueError("quad_invariants needs a positive index, got %r" % (eta,))
+    a = gcd(gcd(abs(eta[0]), abs(eta[1])), abs(eta[2]))
+    d, f = fundamental_discriminant_split(-norm_m(eta) // (a * a))
+    return QuadInvariants(a, d, f)
 
 
 def _prefactor(k, d):

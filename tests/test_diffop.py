@@ -27,7 +27,6 @@ def test_weight_and_cuspidality(forms):
     br = bracket(*forms)
     assert br.weight == 2 + 4 + 5 + 6 + 3
     assert len(br.coeffs) == 4
-    assert br.is_cusp()
     assert br.coeff(ZERO) == 0
 
 

@@ -3,9 +3,9 @@ invariant-dependence property, and input validation."""
 import unittest
 from fractions import Fraction as Fr
 
-from qsiegel.eisenstein import (EisensteinParams, eisenstein_coefficient,
-                                eisenstein_series)
-from qsiegel.lattice import ZERO, enumerate_cone, quad_invariants
+import oracles
+from qsiegel.eisenstein import EisensteinParams, eisenstein_series
+from qsiegel.lattice import ZERO, enumerate_cone
 
 # (x, y, z) -> (E2, E4, E6) coefficient
 GOLDEN = {
@@ -38,48 +38,44 @@ GOLDEN = {
 class GoldenTableTest(unittest.TestCase):
     def test_all_rows_all_columns(self):
         for col, k in enumerate((2, 4, 6)):
-            params = EisensteinParams(k)
+            s = eisenstein_series(EisensteinParams(k), 12)
             for eta, vals in GOLDEN.items():
-                self.assertEqual(eisenstein_coefficient(params, eta), vals[col],
-                                 (k, eta))
+                self.assertEqual(s.coeff(eta), vals[col], (k, eta))
 
     def test_constant_term_is_one(self):
         for k in (2, 4, 6, 8, 10):
             s = eisenstein_series(EisensteinParams(k), 4)
             self.assertEqual(s.coeff(ZERO), 1)
-            self.assertFalse(s.is_cusp())
 
     def test_series_agrees_with_pointwise(self):
-        params = EisensteinParams(4)
-        s = eisenstein_series(params, 6)
+        s = eisenstein_series(EisensteinParams(4), 6)
         for eta in enumerate_cone(6):
-            self.assertEqual(s.coeff(eta), eisenstein_coefficient(params, eta))
+            self.assertEqual(s.coeff(eta), oracles.eisenstein_coefficient(4, eta))
 
 
 class InvariantStructureTest(unittest.TestCase):
     def test_coefficient_depends_only_on_invariants(self):
         # two indices with equal (content, discriminant, conductor) always
         # carry the same coefficient
-        params = EisensteinParams(4)
+        s = eisenstein_series(EisensteinParams(4), 8)
         by_inv = {}
         for eta in enumerate_cone(8):
-            by_inv.setdefault(quad_invariants(eta), set()).add(
-                eisenstein_coefficient(params, eta))
+            by_inv.setdefault(oracles.quad_invariants(eta), set()).add(s.coeff(eta))
         self.assertGreater(len(by_inv), 10)
         for inv, vals in by_inv.items():
             self.assertEqual(len(vals), 1, inv)
 
     def test_content_chain_for_discriminant_minus_three(self):
         # (a, d, f) = (a, -3, 1) for a = 1, 2, 3, 4, 6
-        params = EisensteinParams(2)
+        s = eisenstein_series(EisensteinParams(2), 12)
         chain = [(2, 1, -1), (4, 2, -2), (6, 3, -3), (8, 4, -4), (12, 6, -6)]
-        values = [eisenstein_coefficient(params, eta) for eta in chain]
+        values = [s.coeff(eta) for eta in chain]
         self.assertEqual(values, [48, 192, 192, 480, 768])
 
     def test_weight_two_integrality(self):
-        params = EisensteinParams(2)
+        s = eisenstein_series(EisensteinParams(2), 8)
         for eta in enumerate_cone(8):
-            v = eisenstein_coefficient(params, eta)
+            v = s.coeff(eta)
             self.assertEqual(v.denominator, 1, eta)
             self.assertEqual(v.numerator % 24, 0, eta)
 
@@ -88,11 +84,6 @@ class ValidationTest(unittest.TestCase):
     def test_odd_or_small_weight_rejected(self):
         self.assertRaises(ValueError, EisensteinParams, 3)
         self.assertRaises(ValueError, EisensteinParams, 0)
-
-    def test_non_positive_index_rejected(self):
-        params = EisensteinParams(2)
-        self.assertRaises(ValueError, eisenstein_coefficient, params, ZERO)
-        self.assertRaises(ValueError, eisenstein_coefficient, params, (1, 0, 0))
 
 
 if __name__ == "__main__":

@@ -22,14 +22,13 @@ LAZY = ("qsiegel.exactnum", "qsiegel.dims", "qsiegel.eisenstein", "qsiegel.fouri
 # The package's public names, by defining module.
 PUBLIC = {
     "dims": ("dim_cusp", "dim_modular", "dimension_report", "genfun_coeff"),
-    "eisenstein": ("EisensteinParams", "eisenstein_coefficient", "eisenstein_series"),
+    "eisenstein": ("EisensteinParams", "eisenstein_series"),
     "exactnum": ("bernoulli_number", "fundamental_discriminant_split",
                  "generalized_bernoulli", "kronecker_symbol"),
     "diffop": ("bracket",),
     "fourier": ("FourierSeries", "divide_exact", "linear_combine", "multiply", "one",
                 "rank_of_span", "relation_nullspace", "sqrt_monic"),
-    "lattice": ("enumerate_cone", "grade", "is_positive", "layer", "norm_m",
-                "quad_invariants"),
+    "lattice": ("enumerate_cone", "grade", "is_positive", "layer", "norm_m"),
     "ring": ("GeneratorSet", "monomial_basis", "verify_chi5_square_relations",
              "verify_polynomial_relations", "verify_structure"),
 }

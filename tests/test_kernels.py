@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qsiegel.diffop import bracket
-from qsiegel.eisenstein import EisensteinParams, eisenstein_coefficient, eisenstein_series
+from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.exactnum import generalized_bernoulli, is_fundamental_discriminant
 from qsiegel.fourier import (FourierSeries, _echelon, _parity, divide_exact,
                              linear_combine, multiply, rank_of_span, relation_nullspace,
@@ -363,7 +363,7 @@ def test_eisenstein_series_matches_oracle(k):
     s = eisenstein_series(EisensteinParams(k), 16)
     assert s == FourierSeries(k, 16, {ZERO: 1, **want})
     for eta, v in want.items():
-        assert s.coeff(eta) == v == eisenstein_coefficient(EisensteinParams(k), eta), eta
+        assert s.coeff(eta) == v, eta
 
 
 def test_integer_bernoulli_values_match_polynomial_values():

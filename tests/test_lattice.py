@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import quad_invariants
 from qsiegel.exactnum import is_fundamental_discriminant
 from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, grade, index_key,
                              is_positive, layer, layer_positions, mirror, norm_m,
-                             orbit_layer, position_count, positions, quad_invariants)
+                             orbit_layer, position_count, positions)
 
 # number of positive indices at each grade x = 1 .. 16
 LAYER_SIZES = [0, 2, 4, 4, 10, 14, 16, 20, 30, 37, 40, 50, 58, 70, 74, 90]
