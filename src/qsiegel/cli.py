@@ -17,13 +17,14 @@ at precision X serves any request up to X by truncation.  A record that
 cannot be read, whose version, form, weight, prec or checksum is wrong, or
 whose den and vec are not a series in lowest terms at its prec, is passed
 over: a request at prec P meets forms.check_prec before any lookup, then is
-served by the first valid record `<form>.p<X>.json` for X from P up to
-lattice.MAX_GRADE; with none the form is recomputed and its records written
-at P, replacing any at those paths.  A failed write only warns.
+served by the first valid record `<form>.p<X>.json` for X from P up to the
+ceiling forms.MAX_PREC of its stage; with none the form is recomputed and its
+records written at P, replacing any there.  A failed write only warns.
 
 Forms are computed in batches: `expand` builds the GeneratorSet stage that
 makes the form (see forms.FORMS) and caches every member of it; `verify`
-builds, or reads back from the cache, the full set.
+builds, or reads back from the cache, the full set, and prints the report
+lines of one suite from `verify_suite`.
 
 `fourier`, `ring` and `dims` are used as module objects
 (`fourier.FourierSeries`, `ring.GeneratorSet.build`,
@@ -40,8 +41,8 @@ import zlib
 from math import gcd
 
 from . import dims, fourier, ring
-from .forms import FORMS, check_prec
-from .lattice import MAX_GRADE, grade, norm_m, position_count, positions
+from .forms import FORMS, MAX_PREC, check_prec
+from .lattice import grade, norm_m, position_count, positions
 
 CACHE_ENV = "QSIEGEL_CACHE_DIR"
 CACHE_VERSION = 2
@@ -128,14 +129,14 @@ def cache_store(cache_dir, form, s):
 
 def cache_lookup(cache_dir, form, prec):
     """(den, vec) of the first valid record at _cache_path(cache_dir, form,
-    p) for p from prec up to MAX_GRADE, the deepest grade a build writes; vec
-    may run past prec's positions.  None on a miss.  A record is valid if its
-    version, form, weight and prec are right, den is an int > 0, vec holds
-    one int per position of its prec, gcd(den, *vec) is 1 and its checksum
-    matches; any other record, or a path that cannot be read, is passed over."""
+    p) for p from prec to MAX_PREC of the form's stage, the deepest prec a
+    build writes; vec may run past prec's positions.  None on a miss.  A
+    record is valid if its version, form, weight and prec are right, den is
+    an int > 0, vec holds one int per position of its prec, gcd(den, *vec) is
+    1 and its checksum matches; other records and unreadable paths are skipped."""
     if not cache_dir:
         return None
-    for p in range(prec, MAX_GRADE + 1):
+    for p in range(prec, MAX_PREC[FORMS[form][0]] + 1):
         try:
             with open(_cache_path(cache_dir, form, p)) as fh:
                 rec = parse_json(fh.read())
@@ -217,68 +218,63 @@ def _load_fixture_tables():
     return tables
 
 
-def verify_tables(gens):
-    """Compare bundled reference tables with the coefficients of the set gens
-    on every tabulated index of grade <= gens.prec (explicit zeros included)."""
-    from fractions import Fraction  # not at the top: a cache hit never loads it
-    checked, failures = 0, []
-    for columns, rows in _load_fixture_tables():
-        cols = [(label, gens.monomial(powers)) for label, powers in columns]
-        for eta, values in rows:
-            if grade(eta) > gens.prec:
-                continue
-            for (label, col), want in zip(cols, values):
-                checked += 1
-                got = col.coeff(eta)
-                if got != Fraction(want):
-                    failures.append((label, eta, str(got), want))
-    return checked, failures
+def verify_suite(suite, gens, kmax):
+    """(lines, ok): the lines `verify --suite <suite>` prints before its verdict
+    and whether the suite passed, on the set gens (tables, relations and
+    structure) and to weight kmax (structure).  Tables compare the bundled
+    tables with gens at every tabulated index of grade <= gens.prec, zeros too."""
+    if suite == "tables":
+        from fractions import Fraction  # not at the top: a cache hit never loads it
+        checked, lines = 0, []
+        for columns, rows in _load_fixture_tables():
+            cols = [(label, gens.monomial(powers)) for label, powers in columns]
+            for eta, values in rows:
+                if grade(eta) > gens.prec:
+                    continue
+                for (label, col), want in zip(cols, values):
+                    checked += 1
+                    got = col.coeff(eta)
+                    if got != Fraction(want):
+                        lines.append("  MISMATCH %s at %r: computed %s, table %s"
+                                     % (label, eta, got, want))
+        return (["tables: %d tabulated values checked, %d mismatches"
+                 % (checked, len(lines))] + lines, not lines)
+    if suite == "relations":
+        lines, reports = [], (ring.verify_chi5_square_relations(gens)
+                              + ring.verify_polynomial_relations(gens))
+        for rep in reports:
+            lines.append("%s: %s" % (rep.name, "ok" if rep.ok else "FAIL"))
+            lines += ["  residual %s at %r" % (v, eta) for eta, v in rep.mismatches[:5]]
+        return lines, all(rep.ok for rep in reports)
+    if suite == "structure":
+        report = ring.verify_structure(kmax, gens)
+        *rows, last = report.rows  # the last row is ring.INDEPENDENCE
+        lines = ["%s: rank %d expected %d %s"
+                 % (row.name, row.rank, row.expected, "ok" if row.ok else "FAIL")
+                 for row in rows]
+        lines.append("%s (Jacobian criterion): delta20a %s %d %s"
+                     % (last.name, "!= 0 at grade" if last.ok else "= 0 to grade",
+                        last.prec, "ok" if last.ok else "FAIL"))
+        return lines, report.ok
+    report = dims.dimension_report()
+    bad = [row for row in report.rows if not row[4]]
+    lines = ["dims: %d weights compared, %d mismatches" % (len(report.rows), len(bad))]
+    if not bad:
+        lines.append("  proves equality for every k >= 5 (both sides degree-3 "
+                     "quasi-polynomials, period dividing 60); assumes the dimension "
+                     "formula as implemented and the tabulated k <= 4 values in "
+                     "dims.dim_modular")
+    lines += ["  MISMATCH k=%d: dim %d, generating function %d" % (k, dm, gf)
+              for k, _ds, dm, gf, _m in bad]
+    return lines, report.ok
 
 
 def cmd_verify(args):
     if args.suite == "structure" and args.kmax < 0:
         raise ValueError("kmax must be >= 0")
-    if args.suite != "dims":
-        gens = _get_gens(args.prec, args.cache_dir)
-    ok = True
-    if args.suite == "tables":
-        checked, failures = verify_tables(gens)
-        print("tables: %d tabulated values checked, %d mismatches"
-              % (checked, len(failures)))
-        for name, eta, got, want in failures:
-            print("  MISMATCH %s at %r: computed %s, table %s" % (name, eta, got, want))
-        ok = not failures
-    elif args.suite == "relations":
-        reports = (ring.verify_chi5_square_relations(gens)
-                   + ring.verify_polynomial_relations(gens))
-        for rep in reports:
-            print("%s: %s" % (rep.name, "ok" if rep.ok else "FAIL"))
-            for eta, v in rep.mismatches[:5]:
-                print("  residual %s at %r" % (v, eta))
-            ok = ok and rep.ok
-    elif args.suite == "structure":
-        report = ring.verify_structure(args.kmax, gens)
-        *rows, last = report.rows  # the last row is ring.INDEPENDENCE
-        for row in rows:
-            print("%s: rank %d expected %d %s"
-                  % (row.name, row.rank, row.expected, "ok" if row.ok else "FAIL"))
-        print("%s (Jacobian criterion): delta20a %s %d %s"
-              % (last.name, "!= 0 at grade" if last.ok else "= 0 to grade", last.prec,
-                 "ok" if last.ok else "FAIL"))
-        ok = report.ok
-    elif args.suite == "dims":
-        report = dims.dimension_report()
-        bad = [row for row in report.rows if not row[4]]
-        print("dims: %d weights compared, %d mismatches" % (len(report.rows), len(bad)))
-        if not bad:
-            print("  proves equality for every k >= 5 (both sides degree-3 "
-                  "quasi-polynomials, period dividing 60); assumes the dimension "
-                  "formula as implemented and the tabulated k <= 4 values in "
-                  "dims.dim_modular")
-        for k, _ds, dm, gf, _m in bad:
-            print("  MISMATCH k=%d: dim %d, generating function %d" % (k, dm, gf))
-        ok = report.ok
-    print("verify %s: %s" % (args.suite, "PASS" if ok else "FAIL"))
+    gens = None if args.suite == "dims" else _get_gens(args.prec, args.cache_dir)
+    lines, ok = verify_suite(args.suite, gens, args.kmax)
+    print("\n".join(lines + ["verify %s: %s" % (args.suite, "PASS" if ok else "FAIL")]))
     return 0 if ok else 1
 
 

@@ -27,7 +27,6 @@ from .eisenstein import EisensteinParams, eisenstein_series
 from .forms import FORMS, STAGES, check_prec
 from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
                       sqrt_monic)
-from .lattice import MAX_GRADE
 
 Report = namedtuple("Report", "name ok mismatches")
 SpanRow = namedtuple("SpanRow", "name rank expected prec ok")
@@ -159,9 +158,8 @@ class GeneratorSet:
       delta20b / chi5a, normalized the same way, is computed independently
       and build raises ValueError unless it equals chi15 exactly.
 
-    prec must meet forms.check_prec's floor for the stage, and the deepest
-    grade, prec + 2 per stage after "phi", must not pass lattice.MAX_GRADE;
-    build raises ValueError before any work otherwise.
+    prec must lie in forms.check_prec's range for the stage, floor and
+    ceiling; build raises ValueError before any work otherwise.
     build fills one set at the deepest grade a member at a time and forms
     the phi forms' products with its monomial, powers of phi2 under the id
     E2; the set it returns keeps every one of them, truncated to prec, in
@@ -178,9 +176,6 @@ class GeneratorSet:
             raise ValueError("unknown stage %r; known: %s" % (upto, " ".join(STAGES)))
         check_prec(prec, upto)
         X = prec + 2 * STAGES.index(upto)
-        if X > MAX_GRADE:
-            raise ValueError("stage %s at prec %d needs grade %d; the convolution "
-                             "kernel reaches grade %d" % (upto, prec, X, MAX_GRADE))
         # One set at grade X, filled a member at a time, forms every product.
         deep = cls.__new__(cls)
         deep.prec, deep.stage, deep._products, deep._deeper = X, upto, {}, None

@@ -3,7 +3,10 @@ expansion cache, dimension tables, and the verify suites."""
 import io
 import json
 import os
+import pathlib
 import shutil
+import subprocess
+import sys
 import tempfile
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,6 +25,8 @@ from qsiegel.forms import FORMS
 from qsiegel.fourier import FourierSeries
 from qsiegel.lattice import layer_positions, position_count
 from qsiegel.ring import GeneratorSet
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -472,6 +477,32 @@ def test_a_cached_request_refuses_what_a_cold_one_refuses(
     assert err == "error: prec must be >= 5 (stage chi15)\n"
 
 
+def test_a_cached_request_above_the_ceiling_refuses_as_a_cold_one(
+        tmp_path, capsys, monkeypatch):
+    # A self-consistent chi15 record at prec 79, one past the chi15 stage's
+    # ceiling (its build needs grade 83); before check_prec owned the ceiling,
+    # the cached run served its rows and exited 0.
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    vec = [1] + [0] * (position_count(79) - 1)
+    cache_store(str(tmp_path), "chi15", FourierSeries.from_vector(15, 79, 1, vec))
+    assert (tmp_path / "chi15.p79.json").is_file()
+    argv = ("expand", "--form", "chi15", "--prec", "79")
+    cold, cached = run(capsys, *argv), run(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert cold == cached
+    assert cold == (2, "", "error: stage chi15 at prec 79 needs grade 83; "
+                           "the convolution kernel reaches grade 82\n")
+
+
+@pytest.mark.parametrize("form, ceiling", [("E2", 82), ("chi5a", 80), ("chi15", 78)])
+def test_cache_lookup_probes_up_to_the_stage_ceiling(tmp_path, monkeypatch, form, ceiling):
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda path, *a: opened.append(path) or open(path, *a),
+                        raising=False)
+    assert cache_lookup(str(tmp_path), form, 70) is None
+    assert opened == [os.path.join(str(tmp_path), "%s.p%d.json" % (form, p))
+                      for p in range(70, ceiling + 1)]
+
+
 def test_verify_dims_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "dims")
     assert rc == 0
@@ -504,7 +535,8 @@ def test_verify_tables_suite(capsys, tmp_path):
     rc, out, _ = run(capsys, "--cache-dir", str(tmp_path / "t"),
                      "verify", "--suite", "tables", "--prec", "6")
     assert rc == 0
-    assert "0 mismatches" in out and "PASS" in out
+    assert out.splitlines() == ["tables: 245 tabulated values checked, 0 mismatches",
+                                "verify tables: PASS"]
 
 
 def test_verify_tables_reports_each_mismatch(capsys, tmp_path, monkeypatch):
@@ -531,7 +563,25 @@ def test_verify_relations_suite(capsys, tmp_path):
     rc, out, _ = run(capsys, "--cache-dir", str(tmp_path / "r"),
                      "verify", "--suite", "relations", "--prec", "8")
     assert rc == 0
-    assert "chi15_sq_identity: ok" in out and "PASS" in out
+    assert out.splitlines() == [
+        "chi5a_sq_expansion: ok", "chi5b_sq_expansion: ok", "e8_in_lower_generators: ok",
+        "chi5_quintic: ok", "chi15_sq_identity: ok", "chi15_sq_tabulated_scale: ok",
+        "verify relations: PASS"]
+
+
+def test_the_demo_prints_what_verify_prints(capsys):
+    # verify_everything.py prints each suite's lines behind "[suite] ", on the
+    # one set it builds at prec 12; the CLI prints them before its verdict.
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "verify_everything.py")],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for suite in ("tables", "relations", "structure", "dims"):
+        tag = "[%s] " % suite
+        demo = [ln[len(tag):] for ln in proc.stdout.splitlines() if ln.startswith(tag)]
+        rc, out, _ = run(capsys, "verify", "--suite", suite, "--prec", "12")
+        assert rc == 0 and demo == out.splitlines()[:-1] and demo
 
 
 def test_verify_structure_rejects_negative_kmax(capsys):
