@@ -12,14 +12,11 @@ with `coeff` as an exact `num/den` (or plain integer) string.  JSON carries
 the same fields as an object.  A cached record is the series' own fields,
 `form`, `weight`, `prec`, `den` and `vec` (one int per position, see
 `lattice`), plus `version` and `crc32` (zlib.crc32 of the JSON of [den,
-vec]), one file per (form, precision), written atomically; a cached record
-at precision X serves any request up to X by truncation.  A record that
-cannot be read, whose version, form, weight, prec or checksum is wrong, or
-whose den and vec are not a series in lowest terms at its prec, is passed
-over: a request at prec P meets forms.check_prec before any lookup, then is
-served by the first valid record `<form>.p<X>.json` for X from P up to the
-ceiling forms.MAX_PREC of its stage; with none the form is recomputed and its
-records written at P, replacing any there.  A failed write only warns.
+vec]), one file `<form>.json` per form, written atomically.  A request meets
+forms.check_prec before any lookup; a valid record (see `_read_record`) at
+precision X serves any request up to X by truncation.  On a miss the form is
+recomputed and its record written, unless a valid one at least as deep is
+there.  A failed write only warns.
 
 Forms are computed in batches: `expand` builds the GeneratorSet stage that
 makes the form (see forms.FORMS) and caches every member of it; `verify`
@@ -41,7 +38,7 @@ import zlib
 from math import gcd
 
 from . import dims, fourier, ring
-from .forms import FORMS, MAX_PREC, check_prec
+from .forms import FORMS, check_prec
 from .lattice import grade, norm_m, position_count, positions
 
 CACHE_ENV = "QSIEGEL_CACHE_DIR"
@@ -99,18 +96,41 @@ def parse_csv(text):
 
 # ---------------------------------------------------------------- cache
 
-def _cache_path(cache_dir, form, prec):
-    return os.path.join(cache_dir, "%s.p%d.json" % (form, prec))
+def _cache_path(cache_dir, form):
+    return os.path.join(cache_dir, form + ".json")
 
 
 def _fields_crc(den, vec):
     return zlib.crc32(json.dumps([den, vec]).encode())
 
 
+def _read_record(cache_dir, form):
+    """(prec, den, vec) of the record at _cache_path(cache_dir, form) if it
+    is valid: its version, form and weight are right, check_prec accepts its
+    prec, den is an int > 0, vec holds one int per position of its prec,
+    gcd(den, *vec) is 1 and its checksum matches.  None otherwise."""
+    try:
+        with open(_cache_path(cache_dir, form)) as fh:
+            rec = parse_json(fh.read())
+        prec, den, vec = rec["prec"], rec["den"], rec["vec"]
+        if (rec["version"], rec["form"], rec["weight"]) == (CACHE_VERSION, form, FORMS[form][1]):
+            check_prec(prec, FORMS[form][0])  # before position_count counts a hostile prec
+            if (type(den) is int and den > 0 and len(vec) == position_count(prec)
+                    and all(type(v) is int for v in vec) and gcd(den, *vec) == 1
+                    and rec["crc32"] == _fields_crc(den, vec)):
+                return prec, den, vec
+    # A nested record exhausts the parser's recursion.
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        pass
+    return None
+
+
 def cache_store(cache_dir, form, s):
-    """Write the form's record atomically, replacing any record at its path;
-    on an OSError, warn on stderr and remove the temporary file."""
-    if not cache_dir:
+    """Write the form's record atomically, unless a valid record at least as
+    deep as s is already there; on an OSError, warn on stderr and remove the
+    temporary file."""
+    old = _read_record(cache_dir, form) if cache_dir else None
+    if not cache_dir or (old and old[0] >= s.prec):
         return
     rec = {"form": form, "weight": s.weight, "prec": s.prec, "den": s.den,
            "vec": s.vec, "version": CACHE_VERSION, "crc32": _fields_crc(s.den, s.vec)}
@@ -120,7 +140,7 @@ def cache_store(cache_dir, form, s):
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(emit_json(rec))
-        os.replace(tmp, _cache_path(cache_dir, form, s.prec))
+        os.replace(tmp, _cache_path(cache_dir, form))
     except OSError as exc:
         print("warning: %s not cached: %s" % (form, exc), file=sys.stderr)
         if tmp is not None and os.path.exists(tmp):
@@ -128,29 +148,10 @@ def cache_store(cache_dir, form, s):
 
 
 def cache_lookup(cache_dir, form, prec):
-    """(den, vec) of the first valid record at _cache_path(cache_dir, form,
-    p) for p from prec to MAX_PREC of the form's stage, the deepest prec a
-    build writes; vec may run past prec's positions.  None on a miss.  A
-    record is valid if its version, form, weight and prec are right, den is
-    an int > 0, vec holds one int per position of its prec, gcd(den, *vec) is
-    1 and its checksum matches; other records and unreadable paths are skipped."""
-    if not cache_dir:
-        return None
-    for p in range(prec, MAX_PREC[FORMS[form][0]] + 1):
-        try:
-            with open(_cache_path(cache_dir, form, p)) as fh:
-                rec = parse_json(fh.read())
-            den, vec = rec["den"], rec["vec"]
-            if ((rec["version"], rec["form"], rec["weight"], rec["prec"])
-                    == (CACHE_VERSION, form, FORMS[form][1], p)
-                    and type(den) is int and den > 0 and len(vec) == position_count(p)
-                    and all(type(v) is int for v in vec) and gcd(den, *vec) == 1
-                    and rec["crc32"] == _fields_crc(den, vec)):
-                return den, vec
-        # A nested record exhausts the parser's recursion.
-        except (OSError, ValueError, LookupError, TypeError, RecursionError):
-            pass
-    return None
+    """(den, vec) of the valid record of the form (see _read_record) if its
+    prec is at least prec; vec may run past prec's positions.  None on a miss."""
+    rec = _read_record(cache_dir, form) if cache_dir else None
+    return rec[1:] if rec and rec[0] >= prec else None
 
 
 def _build_and_store(prec, stage, cache_dir):

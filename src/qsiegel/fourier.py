@@ -201,10 +201,10 @@ def _lead(s, lead, what):
     return s.vec[n]
 
 
-def _solve(g, lead, b, sign):
+def _solve(g, lead, b):
     """The series h, solved grade by grade in integers, with h * h = g and
-    C_h(lead) = sign when b is None, else with b * h = g; the slice checks
-    are the caller's.
+    C_h(lead) = 1 when b is None, else with b * h = g; the slice checks are
+    the caller's.
 
     At grade n the new slice of h enters the grade-n slice of partner * h
     (partner b, or h itself for a root) only as c = m * partner.vec[n0]
@@ -222,7 +222,7 @@ def _solve(g, lead, b, sign):
     n0 = layer_positions(g0)[lead]
     hden, hvec = 1, [0] * position_count(g.prec)
     if b is None:
-        hvec[n0] = sign
+        hvec[n0] = 1
         first, m, weight, what = 2 * g0 + 1, 2, g.weight // 2, "not a square"
     else:
         first, m, weight, what = g0, 1, g.weight - b.weight, "not divisible"
@@ -250,13 +250,11 @@ def _solve(g, lead, b, sign):
     return FourierSeries.from_vector(weight, g.prec - g0, hden, hvec)
 
 
-def sqrt_monic(g, lead, sign):
-    """Formal square root h of g with C_h(lead) = sign (sign is +-1), g having
-    unit coefficient at 2*lead and no support below grade 2*grade(lead).
-    prec(h) = prec(g) - grade(lead); `_solve` verifies h * h = g, and any
-    residual raises, it is never returned silently."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def sqrt_monic(g, lead):
+    """Formal square root h of g with C_h(lead) = 1, g having unit
+    coefficient at 2*lead and no support below grade 2*grade(lead).  prec(h)
+    = prec(g) - grade(lead); `_solve` verifies h * h = g, and any residual
+    raises, it is never returned silently."""
     if g.weight % 2:
         raise ValueError("square root of an odd-weight series")
     if not is_positive(lead):
@@ -264,7 +262,7 @@ def sqrt_monic(g, lead, sign):
     what = "not a square: leading slice is not a unit at 2*lead"
     if _lead(g, (2 * lead[0], 2 * lead[1], 2 * lead[2]), what) != g.den:
         raise ValueError(what)
-    return _solve(g, lead, None, sign)
+    return _solve(g, lead, None)
 
 
 def divide_exact(g, b, lead):
@@ -278,7 +276,7 @@ def divide_exact(g, b, lead):
     _lead(b, lead, "divisor leading slice is not concentrated at %r" % (lead,))
     if any(g.vec[:position_count(grade(lead) - 1)]):
         raise ValueError("not divisible: dividend support below the leading grade")
-    return _solve(g, lead, b, None)
+    return _solve(g, lead, b)
 
 
 def _check_shared(forms):

@@ -199,10 +199,10 @@ class GeneratorSet:
         deep.phi8 = linear_combine([(Fraction(138811), deep.e8)])
         if upto != "phi":
             deep.chi5a = sqrt_monic(linear_combine(
-                [(1, deep.phi10), (-1, mon((("phi4", 1), ("phi6", 1))))]), CHI5A_LEAD, 1)
+                [(1, deep.phi10), (-1, mon((("phi4", 1), ("phi6", 1))))]), CHI5A_LEAD)
             deep.chi5b = sqrt_monic(linear_combine(
                 [(1, mon((("E2", 1), ("phi4", 2)))),
-                 (1, mon((("phi4", 1), ("phi6", 1)))), (1, deep.phi10)]), CHI5B_LEAD, 1)
+                 (1, mon((("phi4", 1), ("phi6", 1)))), (1, deep.phi10)]), CHI5B_LEAD)
         if upto == "chi15":  # chi5a, chi5b at prec + 2
             deep.delta20a = bracket(deep.e2, deep.e4, deep.chi5a, deep.e6)  # prec + 2
             deep.delta20b = bracket(deep.e2, deep.e4, deep.chi5b, deep.e6)

@@ -100,15 +100,15 @@ def test_cache_store_and_lookup(tmp_path):
     cache = str(tmp_path / "cache")
     s = eisenstein_series(EisensteinParams(2), 8)
     cache_store(cache, "E2", s)
-    assert os.path.exists(os.path.join(cache, "E2.p8.json"))
+    assert os.path.exists(os.path.join(cache, "E2.json"))
     assert cache_lookup(cache, "E2", 8) == (s.den, s.vec)
     assert lookup(cache, "E2", 6) == s.truncate(6)
     assert cache_lookup(cache, "E2", 9) is None
     assert cache_lookup(cache, "E4", 8) is None
     assert cache_lookup(None, "E2", 8) is None
-    # Records are found by name, the precision in plain digits: a record
-    # saved as E2.p08.json is never read.
-    os.replace(os.path.join(cache, "E2.p8.json"), os.path.join(cache, "E2.p08.json"))
+    # Only <form>.json is read: a record in the old per-precision layout,
+    # E2.p8.json, is never read.
+    os.replace(os.path.join(cache, "E2.json"), os.path.join(cache, "E2.p8.json"))
     assert cache_lookup(cache, "E2", 6) is None
 
 
@@ -118,7 +118,7 @@ def test_expand_populates_and_reuses_cache(tmp_path, capsys):
                       "--prec", "5", "--format", "json")
     assert rc == 0
     stored = sorted(os.listdir(cache))
-    assert "chi5a.p5.json" in stored and "chi5b.p5.json" in stored
+    assert "chi5a.json" in stored and "chi5b.json" in stored
     # corrupt nothing, ask again at lower precision: served by truncation,
     # with no new files appearing
     rc, out2, _ = run(capsys, "--cache-dir", cache, "expand", "--form", "chi5a",
@@ -137,7 +137,7 @@ def test_truncated_cache_record_is_recomputed(tmp_path, capsys):
     cache = str(tmp_path / "c")
     _, want, _ = _expand_e2(capsys, 6)
     _expand_e2(capsys, 6, "--cache-dir", cache)
-    path = os.path.join(cache, "E2.p6.json")
+    path = os.path.join(cache, "E2.json")
     with open(path, "r+") as fh:
         fh.truncate(os.path.getsize(path) // 2)
     assert cache_lookup(cache, "E2", 6) is None
@@ -149,8 +149,16 @@ def test_mislabelled_cache_record_is_a_miss(tmp_path, capsys):
     cache = str(tmp_path / "c")
     _, want, _ = _expand_e2(capsys, 8)
     _expand_e2(capsys, 4, "--cache-dir", cache)
-    os.replace(os.path.join(cache, "E2.p4.json"), os.path.join(cache, "E2.p8.json"))
+    assert cache_lookup(cache, "E2", 8) is None  # a shallower record
+    # The prec-4 record labelled prec 8, under a matching checksum of its den
+    # and vec: its vec is short for prec 8.
+    path = os.path.join(cache, "E2.json")
+    with open(path) as fh:
+        rec = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(dict(rec, prec=8), fh)
     assert cache_lookup(cache, "E2", 8) is None
+    assert cache_lookup(cache, "E2", 4) is None
     assert _expand_e2(capsys, 8, "--cache-dir", cache)[:2] == (0, want)
     assert len(cache_lookup(cache, "E2", 8)[1]) == position_count(8)
 
@@ -158,7 +166,7 @@ def test_mislabelled_cache_record_is_a_miss(tmp_path, capsys):
 def test_cache_record_past_the_kernel_is_never_read(tmp_path, monkeypatch):
     rec = {"form": "E2", "weight": 2, "prec": 400, "den": 1, "vec": [1],
            "version": 2}
-    (tmp_path / "E2.p400.json").write_text(json.dumps(_seal(rec)))
+    (tmp_path / "E2.json").write_text(json.dumps(_seal(rec)))
 
     def no_count(p):
         raise AssertionError("counted the positions of grade %d" % p)
@@ -170,7 +178,7 @@ def test_cache_record_past_the_kernel_is_never_read(tmp_path, monkeypatch):
 def test_cache_record_of_another_form_is_a_miss(tmp_path):
     cache = str(tmp_path / "c")
     cache_store(cache, "E4", eisenstein_series(EisensteinParams(4), 6))
-    os.replace(os.path.join(cache, "E4.p6.json"), os.path.join(cache, "E2.p6.json"))
+    os.replace(os.path.join(cache, "E4.json"), os.path.join(cache, "E2.json"))
     assert cache_lookup(cache, "E2", 6) is None
 
 
@@ -198,7 +206,7 @@ def test_cache_record_failing_its_seal_is_recomputed(tmp_path, capsys, edit):
     cache = str(tmp_path / "c")
     _, want, _ = _expand_e2(capsys, 6)
     _expand_e2(capsys, 6, "--cache-dir", cache)
-    path = os.path.join(cache, "E2.p6.json")
+    path = os.path.join(cache, "E2.json")
     with open(path) as fh:
         rec = _edit_e2_record(json.load(fh), edit)
     with open(path, "w") as fh:
@@ -211,14 +219,14 @@ def test_cache_record_failing_its_seal_is_recomputed(tmp_path, capsys, edit):
 def test_version_1_cache_record_is_recomputed_and_replaced(tmp_path, capsys):
     cache = tmp_path / "c"
     _, want, _ = _expand_e2(capsys, 6, "--cache-dir", str(cache))
-    fresh = (cache / "E2.p6.json").read_bytes()
+    fresh = (cache / "E2.json").read_bytes()
     # the rows record, version 1, that cache_store wrote before den and vec
     rec = record_from_series("E2", eisenstein_series(EisensteinParams(2), 6))
     rec.update(version=1, crc32=zlib.crc32(json.dumps(rec["rows"]).encode()))
-    (cache / "E2.p6.json").write_text(json.dumps(rec))
+    (cache / "E2.json").write_text(json.dumps(rec))
     assert cache_lookup(str(cache), "E2", 6) is None
     assert _expand_e2(capsys, 6, "--cache-dir", str(cache))[:2] == (0, want)
-    assert (cache / "E2.p6.json").read_bytes() == fresh
+    assert (cache / "E2.json").read_bytes() == fresh
 
 
 def test_expand_looks_the_cache_up_once(tmp_path, capsys, monkeypatch):
@@ -234,26 +242,6 @@ def test_expand_looks_the_cache_up_once(tmp_path, capsys, monkeypatch):
         calls.clear()
         assert _expand_e2(capsys, 6, "--cache-dir", cache)[0] == 0
         assert calls == [(cache, "E2", 6)]
-
-
-def test_corrupt_cache_record_is_passed_over_for_a_larger_valid_one(
-        tmp_path, capsys, monkeypatch):
-    cache = str(tmp_path / "c")
-    _, want, _ = _expand_e2(capsys, 10)
-    for prec in (12, 14):
-        _expand_e2(capsys, prec, "--cache-dir", cache)
-    path = os.path.join(cache, "E2.p12.json")
-    with open(path) as fh:
-        rec = _edit_e2_record(json.load(fh), "coefficient")
-    with open(path, "w") as fh:
-        json.dump(rec, fh)
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("the valid E2.p14.json must serve prec 10")
-
-    monkeypatch.setattr(GeneratorSet, "build", no_build)
-    assert _expand_e2(capsys, 10, "--cache-dir", cache)[:2] == (0, want)
-    assert not os.path.exists(os.path.join(cache, "E2.p10.json"))
 
 
 def _expand_in_process(cache=None):
@@ -272,7 +260,7 @@ def e2_record():
     """The bytes of the cached E2 record at prec 6, and the uncached stdout."""
     with tempfile.TemporaryDirectory() as cache:
         _expand_in_process(cache)
-        with open(os.path.join(cache, "E2.p6.json"), "rb") as fh:
+        with open(os.path.join(cache, "E2.json"), "rb") as fh:
             text = fh.read()
     return text, _expand_in_process()
 
@@ -326,7 +314,7 @@ def test_mutated_cache_record_is_recomputed(e2_record, kind, at, byte, field, re
         _spoil(rec, at, *field)
         record = json.dumps(_seal(rec) if reseal else rec).encode()
     with tempfile.TemporaryDirectory() as cache:
-        path = os.path.join(cache, "E2.p6.json")
+        path = os.path.join(cache, "E2.json")
         with open(path, "wb") as fh:
             fh.write(record)
         assert _expand_in_process(cache) == want
@@ -338,21 +326,21 @@ def test_mutated_cache_record_is_recomputed(e2_record, kind, at, byte, field, re
 def test_deeply_nested_cache_record_is_a_miss(tmp_path, capsys):
     cache = tmp_path / "c"
     cache.mkdir()
-    (cache / "E2.p6.json").write_text("[" * 100000)
+    (cache / "E2.json").write_text("[" * 100000)
     _, want, _ = _expand_e2(capsys, 6)
     assert _expand_e2(capsys, 6, "--cache-dir", str(cache))[:2] == (0, want)
 
 
 def test_unwritable_cache_record_does_not_fail_expand(tmp_path, capsys):
     cache = tmp_path / "c"
-    (cache / "E4.p6.json").mkdir(parents=True)
+    (cache / "E4.json").mkdir(parents=True)
     argv = ("expand", "--form", "E4", "--prec", "6")
     _, want, _ = run(capsys, *argv)
     rc, out, err = run(capsys, "--cache-dir", str(cache), *argv)
     assert (rc, out) == (0, want)
     assert "warning: E4 not cached" in err
     assert not list(cache.glob("*.tmp"))
-    assert (cache / "E2.p6.json").is_file()  # the stage's other members are cached
+    assert (cache / "E2.json").is_file()  # the stage's other members are cached
     # A cache dir that is a regular file holds nothing and takes nothing.
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
@@ -368,7 +356,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QSIEGEL_CACHE_DIR", cache)
     rc, _, _ = run(capsys, "expand", "--form", "E2", "--prec", "4")
     assert rc == 0
-    assert os.path.exists(os.path.join(cache, "E2.p4.json"))
+    assert os.path.exists(os.path.join(cache, "E2.json"))
 
 
 def test_dims_table_p3(capsys):
@@ -469,7 +457,7 @@ def test_a_cached_request_refuses_what_a_cold_one_refuses(
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     cache = ("--cache-dir", str(tmp_path))
     assert run(capsys, *cache, "expand", "--form", "chi15", "--prec", "8")[0] == 0
-    assert (tmp_path / "chi15.p8.json").is_file()
+    assert (tmp_path / "chi15.json").is_file()
     cold, cached = run(capsys, *argv), run(capsys, *cache, *argv)
     assert cold == cached
     rc, out, err = cold
@@ -485,7 +473,7 @@ def test_a_cached_request_above_the_ceiling_refuses_as_a_cold_one(
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     vec = [1] + [0] * (position_count(79) - 1)
     cache_store(str(tmp_path), "chi15", FourierSeries.from_vector(15, 79, 1, vec))
-    assert (tmp_path / "chi15.p79.json").is_file()
+    assert (tmp_path / "chi15.json").is_file()
     argv = ("expand", "--form", "chi15", "--prec", "79")
     cold, cached = run(capsys, *argv), run(capsys, "--cache-dir", str(tmp_path), *argv)
     assert cold == cached
@@ -493,14 +481,41 @@ def test_a_cached_request_above_the_ceiling_refuses_as_a_cold_one(
                            "the convolution kernel reaches grade 82\n")
 
 
-@pytest.mark.parametrize("form, ceiling", [("E2", 82), ("chi5a", 80), ("chi15", 78)])
-def test_cache_lookup_probes_up_to_the_stage_ceiling(tmp_path, monkeypatch, form, ceiling):
+def test_cache_lookup_opens_one_path(tmp_path, monkeypatch):
+    cache = str(tmp_path)
     opened = []
     monkeypatch.setattr(cli, "open", lambda path, *a: opened.append(path) or open(path, *a),
                         raising=False)
-    assert cache_lookup(str(tmp_path), form, 70) is None
-    assert opened == [os.path.join(str(tmp_path), "%s.p%d.json" % (form, p))
-                      for p in range(70, ceiling + 1)]
+    cache_store(cache, "E2", eisenstein_series(EisensteinParams(2), 12))
+    for prec, served in ((5, True), (13, False)):
+        opened.clear()
+        assert (cache_lookup(cache, "E2", prec) is not None) == served
+        assert opened == [os.path.join(cache, "E2.json")]
+
+
+@pytest.mark.parametrize("form, past", [("E2", 83), ("chi5a", 81), ("chi15", 79)])
+def test_cache_record_past_its_stage_ceiling_is_a_miss(tmp_path, form, past):
+    # Sealed and self-consistent, one grade past what check_prec lets the
+    # form's stage build.
+    vec = [1] + [0] * (position_count(past) - 1)
+    cache_store(str(tmp_path), form, FourierSeries.from_vector(FORMS[form][1], past, 1, vec))
+    assert json.loads((tmp_path / (form + ".json")).read_text())["prec"] == past
+    assert cache_lookup(str(tmp_path), form, 5) is None
+
+
+def test_a_shallower_build_keeps_the_deeper_record(tmp_path, capsys, monkeypatch):
+    cache = ("--cache-dir", str(tmp_path))
+    _, want, _ = _expand_e2(capsys, 14)
+    assert _expand_e2(capsys, 14, *cache)[0] == 0
+    assert run(capsys, *cache, "expand", "--form", "chi5a", "--prec", "8")[0] == 0
+    assert run(capsys, *cache, "verify", "--suite", "relations", "--prec", "8")[0] == 0
+    assert json.loads((tmp_path / "E2.json").read_text())["prec"] == 14
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the prec-14 E2 record must serve prec 14")
+
+    monkeypatch.setattr(GeneratorSet, "build", no_build)
+    assert _expand_e2(capsys, 14, *cache)[:2] == (0, want)
 
 
 def test_verify_dims_suite(capsys):

@@ -121,10 +121,7 @@ def test_sqrt_recovers_handmade_root():
     h = FourierSeries(4, 6, {(2, 0, -1): 1, (3, 1, -2): -7,
                              (4, 1, -2): Fr(5, 3), (6, 2, -3): 11})
     g = multiply(h, h)
-    r = sqrt_monic(g, (2, 0, -1), 1)
-    assert r == h.truncate(g.prec - 2)
-    r = sqrt_monic(g, (2, 0, -1), -1)
-    assert r == linear_combine([(-1, h)]).truncate(g.prec - 2)
+    assert sqrt_monic(g, (2, 0, -1)) == h.truncate(g.prec - 2)
 
 
 def test_sqrt_rejects_perturbed_square():
@@ -132,24 +129,21 @@ def test_sqrt_rejects_perturbed_square():
     g = multiply(h, h)
     bumped = linear_combine([(1, g), (1, FourierSeries(8, g.prec, {(5, 1, -2): 1}))])
     with pytest.raises(ValueError):
-        sqrt_monic(bumped, (2, 0, -1), 1)
+        sqrt_monic(bumped, (2, 0, -1))
 
 
 def test_sqrt_input_validation():
-    g = FourierSeries(8, 6, {(4, 0, -2): 1})
     with pytest.raises(ValueError):
-        sqrt_monic(g, (2, 0, -1), 2)
+        sqrt_monic(FourierSeries(5, 6, {(4, 0, -2): 1}), (2, 0, -1))
     with pytest.raises(ValueError):
-        sqrt_monic(FourierSeries(5, 6, {(4, 0, -2): 1}), (2, 0, -1), 1)
+        sqrt_monic(FourierSeries(8, 6, {(4, 0, -2): 2}), (2, 0, -1))
     with pytest.raises(ValueError):
-        sqrt_monic(FourierSeries(8, 6, {(4, 0, -2): 2}), (2, 0, -1), 1)
-    with pytest.raises(ValueError):
-        sqrt_monic(FourierSeries(8, 6, {(2, 0, -1): 1}), (2, 0, -1), 1)
+        sqrt_monic(FourierSeries(8, 6, {(2, 0, -1): 1}), (2, 0, -1))
 
 
 def test_solver_rejects_short_inputs():
     with pytest.raises(ValueError):  # prec 3 below 2 * grade(lead) = 4
-        sqrt_monic(FourierSeries(4, 3, {}), (2, 0, -1), 1)
+        sqrt_monic(FourierSeries(4, 3, {}), (2, 0, -1))
     with pytest.raises(ValueError):  # divisor prec 1 below grade(lead) = 2
         divide_exact(FourierSeries(5, 1, {}), FourierSeries(5, 1, {}), (2, 1, -1))
 
@@ -169,7 +163,7 @@ def test_solver_runs_its_re_expansion_check(gens12, monkeypatch):
 
     monkeypatch.setattr(fourier, "product", bumped)
     with pytest.raises(ValueError, match="re-expansion residual is nonzero"):
-        sqrt_monic(square, CHI5A_LEAD, 1)
+        sqrt_monic(square, CHI5A_LEAD)
     with pytest.raises(ValueError, match="re-expansion residual is nonzero"):
         divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD)
 
@@ -179,7 +173,7 @@ def test_solver_cross_terms_sum_once_per_orbit(gens12, parity_reads, monkeypatch
     so every product of the root and the quotient, the per-grade cross terms
     included, reads a parity on its operands and sums each orbit once."""
     square = multiply(gens12.chi5a, gens12.chi5a)
-    root = sqrt_monic(square, CHI5A_LEAD, 1)
+    root = sqrt_monic(square, CHI5A_LEAD)
     quotient = divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD)
     exact = fourier.product
     lows = []
@@ -190,7 +184,7 @@ def test_solver_cross_terms_sum_once_per_orbit(gens12, parity_reads, monkeypatch
 
     monkeypatch.setattr(fourier, "product", counting)
     parity_reads.clear()
-    assert sqrt_monic(square, CHI5A_LEAD, 1) == root
+    assert sqrt_monic(square, CHI5A_LEAD) == root
     assert divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD) == quotient
     assert all(parity_reads) and len(parity_reads) == 2 * len(lows)
     assert any(lo > 0 for lo in lows)
@@ -198,14 +192,14 @@ def test_solver_cross_terms_sum_once_per_orbit(gens12, parity_reads, monkeypatch
 
 def test_solver_holds_no_fraction(gens12, monkeypatch):
     square = multiply(gens12.chi5a, gens12.chi5a)
-    root = sqrt_monic(square, CHI5A_LEAD, 1)
+    root = sqrt_monic(square, CHI5A_LEAD)
     quotient = divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD)
 
     def no_fraction(*args):
         raise AssertionError("the solver built a Fraction")
 
     monkeypatch.setattr(fourier, "Fraction", no_fraction)
-    assert sqrt_monic(square, CHI5A_LEAD, 1) == root
+    assert sqrt_monic(square, CHI5A_LEAD) == root
     assert divide_exact(gens12.delta20a, gens12.chi5b, CHI5B_LEAD) == quotient
 
 

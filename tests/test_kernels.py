@@ -233,34 +233,33 @@ def test_symmetric_rank_matches_oracle(forms):
 
 @st.composite
 def monic_root(draw):
-    """(lead, sign, h) with h = sign at lead plus terms of higher grade."""
+    """(lead, h) with h = 1 at lead plus terms of higher grade."""
     lead = draw(st.sampled_from(LEADS))
-    sign = draw(st.sampled_from((1, -1)))
     rest = draw(series(prec=draw(st.integers(6, 8)), weight=4,
                        min_grade=grade(lead) + 1))
     coeffs = dict(rest.coeffs)
-    coeffs[lead] = Fr(sign)
-    return lead, sign, FourierSeries(4, rest.prec, coeffs)
+    coeffs[lead] = Fr(1)
+    return lead, FourierSeries(4, rest.prec, coeffs)
 
 
 @given(monic_root())
 @settings(max_examples=40, deadline=None)
 def test_sqrt_of_square_recovers_root(case):
-    lead, sign, h = case
+    lead, h = case
     g = multiply(h, h)
-    assert sqrt_monic(g, lead, sign) == h.truncate(g.prec - grade(lead))
+    assert sqrt_monic(g, lead) == h.truncate(g.prec - grade(lead))
 
 
 @given(monic_root(), st.data(), rationals.filter(bool))
 @settings(max_examples=40, deadline=None)
 def test_sqrt_rejects_perturbed_square(case, data, bump):
-    lead, sign, h = case
+    lead, h = case
     g = multiply(h, h)
     eta = data.draw(st.sampled_from(
         off_cone_targets(lead, 2 * grade(lead) + 1, g.prec)))
     bad = linear_combine([(1, g), (bump, FourierSeries(g.weight, g.prec, {eta: 1}))])
     with pytest.raises(ValueError):
-        sqrt_monic(bad, lead, sign)
+        sqrt_monic(bad, lead)
 
 
 @st.composite
