@@ -19,12 +19,13 @@ recomputed and its record written, unless a valid one at least as deep is
 there.  A failed write only warns.
 
 Forms are computed in batches: `expand` builds the GeneratorSet stage that
-makes the form (see forms.FORMS) and caches every member of it; `verify`
-builds, or reads back from the cache, the full set, and prints the report
-lines of one suite from `verify_suite`.
+makes the form (see forms.FORMS) and caches every member of it.  A record
+that passes `_read_record` is served as written, so a cache directory is
+trusted like the installed package; `verify` never reads or writes it, but
+builds the full set and prints the report lines of one suite from
+`verify_suite`.
 
-`fourier`, `ring` and `dims` are used as module objects
-(`fourier.FourierSeries`, `ring.GeneratorSet.build`,
+`ring` and `dims` are used as module objects (`ring.GeneratorSet.build`,
 `dims.dimension_report`): they load lazily (see the package docstring), so a
 cache hit runs only this module, `forms` and `lattice`, and prints its rows
 from the record's integers without `fractions`.
@@ -37,7 +38,7 @@ import tempfile
 import zlib
 from math import gcd
 
-from . import dims, fourier, ring
+from . import dims, ring
 from .forms import FORMS, check_prec
 from .lattice import grade, norm_m, position_count, positions
 
@@ -154,23 +155,6 @@ def cache_lookup(cache_dir, form, prec):
     return rec[1:] if rec and rec[0] >= prec else None
 
 
-def _build_and_store(prec, stage, cache_dir):
-    gens = ring.GeneratorSet.build(prec, stage)
-    for form, s in gens.members().items():
-        cache_store(cache_dir, form, s)
-    return gens
-
-
-def _get_gens(prec, cache_dir):
-    forms = {}
-    for form in FORMS:
-        hit = cache_lookup(cache_dir, form, prec)
-        if hit is None:
-            return _build_and_store(prec, "chi15", cache_dir)
-        forms[form] = fourier.FourierSeries.from_vector(FORMS[form][1], prec, *hit)
-    return ring.GeneratorSet.from_records(prec, forms)
-
-
 # ---------------------------------------------------------------- expand
 
 def cmd_expand(args):
@@ -179,9 +163,10 @@ def cmd_expand(args):
     check_prec(args.prec, FORMS[args.form][0])
     fields = cache_lookup(args.cache_dir, args.form, args.prec)
     if fields is None:
-        gens = _build_and_store(args.prec, FORMS[args.form][0], args.cache_dir)
-        s = gens.members()[args.form]
-        fields = s.den, s.vec
+        members = ring.GeneratorSet.build(args.prec, FORMS[args.form][0]).members()
+        for form, s in members.items():
+            cache_store(args.cache_dir, form, s)
+        fields = members[args.form].den, members[args.form].vec
     rec = _record(args.form, FORMS[args.form][1], args.prec, *fields)
     if not rec["rows"]:
         raise ValueError("%s has no rows at prec %d; increase --prec"
@@ -273,7 +258,7 @@ def verify_suite(suite, gens, kmax):
 def cmd_verify(args):
     if args.suite == "structure" and args.kmax < 0:
         raise ValueError("kmax must be >= 0")
-    gens = None if args.suite == "dims" else _get_gens(args.prec, args.cache_dir)
+    gens = None if args.suite == "dims" else ring.GeneratorSet.build(args.prec)
     lines, ok = verify_suite(args.suite, gens, args.kmax)
     print("\n".join(lines + ["verify %s: %s" % (args.suite, "PASS" if ok else "FAIL")]))
     return 0 if ok else 1
@@ -305,7 +290,8 @@ def main(argv=None):
         description="Exact Fourier expansions and verification for the "
                     "degree-two graded ring on the discriminant-6 group.")
     parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
-                        help="directory for cached expansions (default: $%s)" % CACHE_ENV)
+                        help="directory for expansions cached by expand "
+                             "(default: $%s)" % CACHE_ENV)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("expand", help="print the Fourier expansion of a form")

@@ -7,11 +7,12 @@ satisfy.
 
 `GeneratorSet.build(prec, upto)` runs the construction in three stages
 ("phi", "chi5", "chi15"), each on top of the ones before it;
-`GeneratorSet.from_records` makes the same object from finished series (the
-CLI's cache path), and `GeneratorSet.monomial` is the one way to form a
-product of powers of its members.  It is also the one product cache: each set
-keeps every product it formed, partial products included, and the relation
-and span checks share them.  `build` forms its own products the same way, on
+`GeneratorSet.from_records` makes the same object from finished series (build
+returns one, and so can a caller that brings its own series), and
+`GeneratorSet.monomial` is the one way to form a product of powers of its
+members.  It is also the one product cache: each set keeps every product it
+formed, partial products included, and the relation and span checks share
+them.  `build` forms its own products the same way, on
 a set at its deepest grade, and the set it returns keeps every one of them,
 truncated to its precision.  The polynomial identities are data, (name,
 lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so are the
@@ -224,9 +225,10 @@ class GeneratorSet:
 
     @classmethod
     def from_records(cls, prec, forms):
-        """The set whose members are the given {form id: series}.  Raises
+        """The set whose members are the given {form id: series}: build's
+        result, or a set a caller makes from its own series.  Raises
         ValueError unless the ids are exactly the members of one stage, prec
-        meets that stage's floor (forms.check_prec, as build) and every
+        lies in that stage's range (forms.check_prec, as in build) and every
         series has its form's weight and precision prec."""
         stage = next((st for st in STAGES if set(forms) == set(_stage_forms(st))), None)
         if stage is None:

@@ -518,6 +518,39 @@ def test_a_shallower_build_keeps_the_deeper_record(tmp_path, capsys, monkeypatch
     assert _expand_e2(capsys, 14, *cache)[:2] == (0, want)
 
 
+def _raise_last_coefficient(rec):
+    """One more at the last nonzero position (E6 at prec 8: (8, 2, -4))."""
+    rec["vec"][max(i for i, v in enumerate(rec["vec"]) if v)] += rec["den"]
+
+
+def _zero(rec):
+    rec["den"], rec["vec"] = 1, [0] * len(rec["vec"])
+
+
+# A record edited and resealed with a fresh checksum passes every check of
+# the reader.  A verify that read the cache would show the E6 edit in tables
+# and relations but not in structure, so structure gets a zeroed delta20a.
+FORGED = [("tables", "E6", _raise_last_coefficient),
+          ("relations", "E6", _raise_last_coefficient),
+          ("structure", "delta20a", _zero)]
+
+
+@pytest.mark.parametrize("suite, form, forge", FORGED, ids=[f[0] for f in FORGED])
+def test_verify_ignores_a_forged_cache(tmp_path, capsys, monkeypatch, suite, form, forge):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    cache = ("--cache-dir", str(tmp_path))
+    assert run(capsys, *cache, "expand", "--form", "chi15", "--prec", "8")[0] == 0
+    path = tmp_path / (form + ".json")
+    rec = json.loads(path.read_text())
+    forge(rec)
+    path.write_text(json.dumps(_seal(rec)))
+    assert cache_lookup(str(tmp_path), form, 8) == (rec["den"], rec["vec"])  # expand serves it
+    argv = ("verify", "--suite", suite, "--prec", "8")
+    cold = run(capsys, *argv)
+    assert cold[0] == 0
+    assert run(capsys, *cache, *argv) == cold
+
+
 def test_verify_dims_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "dims")
     assert rc == 0
@@ -550,6 +583,7 @@ def test_verify_tables_suite(capsys, tmp_path):
     rc, out, _ = run(capsys, "--cache-dir", str(tmp_path / "t"),
                      "verify", "--suite", "tables", "--prec", "6")
     assert rc == 0
+    assert not (tmp_path / "t").exists()  # verify writes no cache
     assert out.splitlines() == ["tables: 245 tabulated values checked, 0 mismatches",
                                 "verify tables: PASS"]
 
@@ -578,6 +612,7 @@ def test_verify_relations_suite(capsys, tmp_path):
     rc, out, _ = run(capsys, "--cache-dir", str(tmp_path / "r"),
                      "verify", "--suite", "relations", "--prec", "8")
     assert rc == 0
+    assert not (tmp_path / "r").exists()  # verify writes no cache
     assert out.splitlines() == [
         "chi5a_sq_expansion: ok", "chi5b_sq_expansion: ok", "e8_in_lower_generators: ok",
         "chi5_quintic: ok", "chi15_sq_identity: ok", "chi15_sq_tabulated_scale: ok",
@@ -609,6 +644,7 @@ def test_verify_structure_suite_at_prec_5_walks_to_a_pass(capsys, tmp_path):
     rc, out, _ = run(capsys, "--cache-dir", str(tmp_path / "s"),
                      "verify", "--suite", "structure", "--prec", "5")
     assert rc == 0
+    assert not (tmp_path / "s").exists()  # verify writes no cache
     assert "weight 20: rank 28 expected 28 ok" in out
     assert out.splitlines()[21:] == [
         "w10_products: rank 6 expected 6 ok",
@@ -624,7 +660,7 @@ def test_verify_structure_suite_at_prec_5_walks_to_a_pass(capsys, tmp_path):
 def test_verify_structure_reports_each_failing_row(capsys, gens12, monkeypatch):
     zero = GeneratorSet.from_records(
         12, {**gens12.members(), "delta20a": FourierSeries(20, 12, {})})
-    monkeypatch.setattr(cli, "_get_gens", lambda prec, cache_dir: zero)
+    monkeypatch.setattr(GeneratorSet, "build", lambda *args: zero)
     # every grade of the forged set says the same: deeper() rebuilds nothing
     monkeypatch.setattr(GeneratorSet, "deeper", lambda self: self)
     rc, out, _ = run(capsys, "verify", "--suite", "structure", "--prec", "12",
