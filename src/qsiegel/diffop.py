@@ -14,7 +14,8 @@ doubles the determinant; the factor 2 goes into the denominator.  Under the
 reflection iota(x, y, z) = (x, y, -x - z), which keeps grade and norm,
 x + 2z changes sign while k, x and y do not, so every row scaling below maps
 an iota-even or iota-odd series to one again, and on such inputs every
-product below is summed once per orbit by `fourier.product`.
+product below is summed once per orbit by `fourier.product`; any other
+operand it first splits into its even and odd parts.
 
 The determinant is expanded by Laplace along the column split (f1, f2) |
 (f3, f4).  Let W_r f scale each coefficient of f by the entry of row r: the

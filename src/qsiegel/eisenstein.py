@@ -25,7 +25,7 @@ lcm of its prefactors' denominators.
 """
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .exactnum import (bernoulli_number, fundamental_discriminant_split,
                        generalized_bernoulli, kronecker_symbol, p_valuation,
@@ -59,11 +59,6 @@ def _prefactor(k, d):
     return pref
 
 
-def _class(eta):
-    """(content, norm) of the positive index eta, which fix its coefficient."""
-    return gcd(*eta), norm_m(eta)
-
-
 @lru_cache(maxsize=None)
 def _local_data(a, m):
     """(d, ((p, v_p(a), v_p(f), chi_d(p)) for each p | a*f*D2)) of content a
@@ -88,22 +83,17 @@ def _local_factor(k, p, ap, fp, c):
     return Fp
 
 
-def _coefficient_parts(k, cls):
-    """(d, F) with C(eta) = SIGN * _prefactor(k, d) * F and F an integer, for
-    eta of class cls."""
-    d, local = _local_data(*cls)
-    F = 1
-    for p, ap, fp, c in local:
-        F *= _local_factor(k, p, ap, fp, c)
-    return d, F
-
-
 def eisenstein_series(params, X):
     """The weight-k Eisenstein series to grade X: constant term 1 and C(eta)
-    at every positive index, over one common denominator."""
+    at every positive index, over one common denominator; C(eta) = SIGN *
+    _prefactor(k, d) * F, with d and the integer F fixed by the content and
+    norm of eta."""
     k = params.k
-    classes = list(map(_class, enumerate_cone(X)))
-    parts = {cls: _coefficient_parts(k, cls) for cls in dict.fromkeys(classes)}
+    classes = [(gcd(*eta), norm_m(eta)) for eta in enumerate_cone(X)]
+    parts = {}
+    for cls in dict.fromkeys(classes):
+        d, local = _local_data(*cls)
+        parts[cls] = d, prod(_local_factor(k, *data) for data in local)
     prefs = {d: _prefactor(k, d) for d, _ in parts.values()}
     den = lcm(*(pref.denominator for pref in prefs.values()))
     scale = {d: SIGN * pref.numerator * (den // pref.denominator)

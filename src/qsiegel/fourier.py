@@ -15,24 +15,24 @@ integer solver `_solve` behind `sqrt_monic` and `divide_exact`, both its
 per-grade cross terms and its re-expansion check.  The table holds one
 target of each orbit of the reflection iota(x, y, z) = (x, y, -x - z),
 which keeps grade and norm; the other member's pairs are the images of the
-stored ones.  `product` alone picks the path, holding no sign from its
+stored ones.  `product` alone reads parity, holding no sign from its
 callers: on each call it checks whether the operands, to the top grade
-asked for, are iota-even or iota-odd.  Then the product has the product parity, one sum per orbit
-of targets gives both coefficients of the orbit, and at a fixed target the
-two pairs of a pair-orbit add up equal (even product) or cancel (odd
-product).  Otherwise the mirrored member is summed over the mirrored
-operands.  Ranks and relation spaces use one elimination, `_echelon`:
-division-free on integer rows, each row kept primitive, with Bareiss's
-pivots and entries no larger than his minors (Bareiss, Math. Comp. 22,
-1968); `rank_of_span` ranks the even and the odd rows apart, on one
-position per orbit.  `Fraction` holds single values only: the
-validating constructor's input, `coeff`, `coeffs` and `sorted_items`, the
-scalars of `linear_combine` and the back-substitution of
-`relation_nullspace`.
+asked for, are iota-even or iota-odd, and splits one that is neither into
+its even and odd parts, multiplied apart.  Then the product has the product
+parity, one sum per orbit of targets gives both coefficients of the orbit,
+and at a fixed target the two pairs of a pair-orbit add up equal (even
+product) or cancel (odd product).  Ranks and relation spaces use one
+elimination, `_echelon`: division-free on integer rows, each row kept
+primitive, with Bareiss's pivots and entries no larger than his minors
+(Bareiss, Math. Comp. 22, 1968); `rank_of_span` ranks the even and the odd
+rows apart, on one position per orbit.  `Fraction` holds single values
+only: the validating constructor's input, `coeff`, `coeffs` and
+`sorted_items`, the scalars of `linear_combine` and the back-substitution
+of `relation_nullspace`.
 """
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, neg
+from operator import add, mul, neg, sub
 
 from .lattice import (ZERO, grade, is_positive, layer_positions, mirror, orbit_layer,
                       position_count, positions)
@@ -150,19 +150,22 @@ def product(F, G, lo, hi):
     """Integer convolution of the vectors F and G at every position of grade
     lo..hi, in position order.
 
-    sign is the product of the operands' parities to grade hi (1 even, -1
-    odd), or 0 when one has none.  A moved target t gets the sum over its
-    pairs, and iota t sign times it, or for sign 0 the same sum over the
-    mirrored operands F o iota, G o iota.  A fixed target gets its fixed
-    pairs plus both halves of each pair-orbit: twice one half when the
-    product is even, 0 in all when odd, each half summed when sign is 0.
+    An operand V with no parity to grade hi is split: the result is half
+    the sum of the products by V + V o iota and V - V o iota.  So sign is
+    the product of the operands' parities (1 even, -1 odd).  A moved target
+    t gets the sum over its pairs, and iota t sign times it.  A fixed target
+    gets, when the product is even, its fixed pairs plus twice one half of
+    each pair-orbit, and 0 when odd.
     """
-    mir = mirror(hi)
-    sign = _parity(F, mir)
-    sign = sign and sign * _parity(G, mir)
+    mir, sign = mirror(hi), 1
+    for V, W in ((F, G), (G, F)):
+        parity = _parity(V, mir)
+        if not parity:
+            image = list(map(V.__getitem__, mir))
+            halves = (product(list(map(op, V, image)), W, lo, hi) for op in (add, sub))
+            return [(a + b) // 2 for a, b in zip(*halves)]
+        sign *= parity
     Fg, Gg = F.__getitem__, G.__getitem__
-    if not sign:
-        Fm, Gm = list(map(Fg, mir)).__getitem__, list(map(Gg, mir)).__getitem__
     start = position_count(lo - 1)
     out = [0] * (position_count(hi) - start)
     for x in range(lo, hi + 1):
@@ -170,15 +173,11 @@ def product(F, G, lo, hi):
         for t, m, A, B in moved:
             s = sum(map(mul, map(Fg, A), map(Gg, B)))
             out[t - start] = s
-            out[m - start] = (sign * s if sign
-                              else sum(map(mul, map(Fm, A), map(Gm, B))))
-        if sign < 0:
-            continue
-        for t, A, B, A2, B2 in fixed:
-            s = sum(map(mul, map(Fg, A2), map(Gg, B2)))
-            out[t - start] = (sum(map(mul, map(Fg, A), map(Gg, B)))
-                              + (2 * s if sign
-                                 else s + sum(map(mul, map(Fm, A2), map(Gm, B2)))))
+            out[m - start] = sign * s
+        if sign > 0:
+            for t, A, B, A2, B2 in fixed:
+                out[t - start] = (sum(map(mul, map(Fg, A), map(Gg, B)))
+                                  + 2 * sum(map(mul, map(Fg, A2), map(Gg, B2))))
     return out
 
 

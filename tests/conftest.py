@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import Phase, settings
 
 from qsiegel import fourier
 from qsiegel.ring import GeneratorSet
+
+# tests/mutants.py needs only a failure, not the smallest example of one.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture(scope="session")

@@ -87,7 +87,7 @@ def test_bracket_makes_14_convolutions(forms, monkeypatch):
 
 def test_bracket_of_even_forms_is_odd_on_the_symmetric_path(forms, parity_reads):
     # E2, E4, chi5a, E6 are iota-even and the row x + 2z is odd, so every
-    # convolution gets a known sign and none sums the mirrored operands:
+    # convolution gets a known sign and none splits an operand:
     # per side 3 even products W_r f * g and 1 odd, then 6 odd products of
     # minors, each pairing a minor with row x + 2z and one without; every
     # operand has a parity, so each product reads two, in operand order

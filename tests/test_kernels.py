@@ -198,14 +198,27 @@ def no_parity_bracket_argument():
 @example(*NONZERO_BRACKET)
 @settings(max_examples=30, deadline=None)
 def test_bracket_matches_oracle(f1, f2, f3, f4):
-    # every product of the bracket takes the kernel's sums over the
-    # mirrored operands
+    # every product of the bracket splits each operand with no parity into
+    # its even and odd parts
     assert bracket(f1, f2, f3, f4) == oracles.bracket(f1, f2, f3, f4)
 
 
 def test_bracket_example_is_nonzero_and_has_no_parity():
     assert not any(map(parity, NONZERO_BRACKET))
     assert len(bracket(*NONZERO_BRACKET).coeffs) == 4
+
+
+def test_product_splits_an_operand_with_no_parity(parity_reads):
+    # f reads 0 and is split; its even part (1) and its odd part (-1) each
+    # read g's parity (-1) in their own product, in operand order
+    f = NONZERO_BRACKET[0]
+    g = FourierSeries(2, 7, {(3, 0, -1): 1, (3, 0, -2): -1})
+    h = multiply(f, g)
+    assert parity_reads == [0, 1, -1, -1, -1]
+    assert any(h.vec) and h == oracles.multiply(f, g)
+    parity_reads.clear()
+    assert multiply(g, f) == h
+    assert parity_reads == [-1, 0, 1, -1, -1, -1]
 
 
 @st.composite

@@ -1,11 +1,13 @@
 """Checks on the package source itself: no asserts, a caller for every public
-name, and a README Library example that runs and prints what it says."""
+name, a README Library example that runs and prints what it says, and a
+target for every committed mutant."""
 import ast
 import io
 import pathlib
 import tokenize
 from fractions import Fraction
 
+import mutants
 import qsiegel
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -72,3 +74,13 @@ def test_readme_library_example_runs():
         else:
             exec(compile(ast.Module([stmt], []), "<README>", "exec"), scope)
     assert checked == 4
+
+
+def test_every_mutant_targets_one_place():
+    # A refactor that moves a mutant's old text retires the mutant quietly;
+    # tests/mutants.py applies each edit only where its text occurs once.
+    assert len(mutants.MUTANTS) == len({m[0] for m in mutants.MUTANTS}) == 8
+    for name, path, old, new, tests in mutants.MUTANTS:
+        assert (PACKAGE / path).read_text().count(old) == 1, name
+        assert old != new and tests, name
+        assert all((ROOT / t).is_file() for t in tests), name
