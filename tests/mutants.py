@@ -8,7 +8,7 @@ shrinking; the fresh copy also starts with no hypothesis database, so every
 run draws the same examples.  A mutant is caught when pytest reports
 a failing test (exit 1).  The runner first runs every named test file on
 the unmutated copy, which must pass, and exits nonzero if that fails or any
-mutant survives.  Pass mutant names to run only those.
+mutant survives.
 
 tests/test_source.py checks in tier-1 that each old text occurs exactly
 once, so a refactor that moves the code cannot quietly retire a mutant.
@@ -82,12 +82,8 @@ def run(name, path, old, new, tests):
         return _pytest(dest, tests)
 
 
-def main(names):
-    unknown = set(names) - {m[0] for m in MUTANTS}
-    if unknown:
-        sys.exit("unknown mutants: %s" % ", ".join(sorted(unknown)))
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
-    tests = sorted({t for m in chosen for t in m[4]})
+def main():
+    tests = sorted({t for m in MUTANTS for t in m[4]})
     with tempfile.TemporaryDirectory() as tmp:
         dest = pathlib.Path(tmp)
         _copy(dest)
@@ -99,16 +95,16 @@ def main(names):
         if _pytest(dest, tests):
             sys.exit("the unmutated source fails %s" % " ".join(tests))
     survivors = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         code = run(*mutant)
         verdict = "caught" if code == 1 else "SURVIVED (pytest exit %d)" % code
         print("%-50s %s in %.1f s" % (mutant[0], verdict, time.perf_counter() - start))
         if code != 1:
             survivors.append(mutant[0])
-    print("%d of %d mutants caught" % (len(chosen) - len(survivors), len(chosen)))
+    print("%d of %d mutants caught" % (len(MUTANTS) - len(survivors), len(MUTANTS)))
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
