@@ -12,11 +12,12 @@ with `coeff` as an exact `num/den` (or plain integer) string.  JSON carries
 the same fields as an object.  A cached record is the series' own fields,
 `form`, `weight`, `prec`, `den` and `vec` (one int per position, see
 `lattice`), plus `version` and `crc32` (zlib.crc32 of the JSON of [den,
-vec]), one file `<form>.json` per form, written atomically.  A request meets
-forms.check_prec before any lookup; a valid record (see `_read_record`) at
-precision X serves any request up to X by truncation.  On a miss the form is
-recomputed and its record written, unless a valid one at least as deep is
-there.  A failed write only warns.
+vec]), one file `<form>.json` per form, written atomically, in the directory
+that `--cache-dir` names; without it `expand` reads and writes no cache.  A
+request meets forms.check_prec before any lookup; a valid record (see
+`_read_record`) at precision X serves any request up to X by truncation.  On
+a miss the form is recomputed and its record written, unless a valid one at
+least as deep is there.  A failed write only warns.
 
 Forms are computed in batches: `expand` builds the GeneratorSet stage that
 makes the form (see forms.FORMS) and caches every member of it.  A record
@@ -42,7 +43,6 @@ from . import dims, ring
 from .forms import FORMS, check_prec
 from .lattice import grade, norm_m, position_count, positions
 
-CACHE_ENV = "QSIEGEL_CACHE_DIR"
 CACHE_VERSION = 2
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -208,7 +208,8 @@ def verify_suite(suite, gens, kmax):
     """(lines, ok): the lines `verify --suite <suite>` prints before its verdict
     and whether the suite passed, on the set gens (tables, relations and
     structure) and to weight kmax (structure).  Tables compare the bundled
-    tables with gens at every tabulated index of grade <= gens.prec, zeros too."""
+    tables with gens at every tabulated index of grade <= gens.prec, zeros too;
+    dims takes neither and compares every weight of dims.dimension_report."""
     if suite == "tables":
         from fractions import Fraction  # not at the top: a cache hit never loads it
         checked, lines = 0, []
@@ -289,9 +290,8 @@ def main(argv=None):
         prog="qsiegel",
         description="Exact Fourier expansions and verification for the "
                     "degree-two graded ring on the discriminant-6 group.")
-    parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
-                        help="directory for expansions cached by expand "
-                             "(default: $%s)" % CACHE_ENV)
+    parser.add_argument("--cache-dir", help="directory for expansions cached by "
+                                            "expand (default: no cache)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("expand", help="print the Fourier expansion of a form")

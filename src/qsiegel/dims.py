@@ -105,16 +105,16 @@ def genfun_coeff(k):
     return _genfun(k)[k]
 
 
-def dimension_report(k_max=244):
+def dimension_report():
     """Per-weight comparison of the p = 3 dimensions against the generating
-    function, through weight k_max: one formula evaluation per weight and
-    one expansion of the generating function.
+    function for 0 <= k <= 244: one formula evaluation per weight and one
+    expansion of the generating function.
 
     For k >= 5 both sides are quasi-polynomials of degree 3 in k with period
     dividing 60, so agreement at 4 consecutive k in every residue class mod
-    60, i.e. for 5 <= k <= 244 (the default), proves it for all k."""
+    60, i.e. for 5 <= k <= 244, proves it for all k."""
     rows = []
-    for k, gf in enumerate(_genfun(k_max)):
+    for k, gf in enumerate(_genfun(244)):
         ds, dm = dims_3(k)
         rows.append((k, ds, dm, gf, dm == gf))
     return DimensionReport(rows, all(row[4] for row in rows))

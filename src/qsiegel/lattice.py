@@ -54,9 +54,8 @@ def layer(x):
     for z in range(-x, 1):
         if 5 * z * z + 5 * x * z + x * x >= 0:
             continue
-        Ry = -24 * x * x - 120 * z * z - 120 * x * z  # discriminant/5 of the y-quadratic
-        if Ry <= 0:
-            continue
+        # a quarter of the y-quadratic's discriminant, > 0 by the z test above
+        Ry = -24 * x * x - 120 * z * z - 120 * x * z
         ty = isqrt(Ry - 1)  # largest integer strictly below sqrt(Ry)
         ylo = -((ty - x) // 5)
         for y in range(ylo, (x + ty) // 5 + 1):

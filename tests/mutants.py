@@ -1,8 +1,8 @@
 """Committed mutants: named source edits that the tests must catch.
 
 Run `python tests/mutants.py` from anywhere.  Each mutant replaces one exact
-text of a file under src/qsiegel in a fresh copy of src/, tests/ and
-pyproject.toml, then runs its test files there with -x, a fixed
+text of a file under src/qsiegel in a fresh copy of src/, tests/, demos/
+and pyproject.toml, then runs its test files there with -x, a fixed
 hypothesis seed and the "mutants" profile of tests/conftest.py, which skips
 shrinking; the fresh copy also starts with no hypothesis database, so every
 run draws the same examples.  A mutant is caught when pytest reports
@@ -24,6 +24,8 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEED = 0
 KERNEL_TESTS = ("tests/test_kernels.py", "tests/test_fourier.py", "tests/test_diffop.py")
+RANK_TESTS = ("tests/test_kernels.py", "tests/test_fourier.py")
+CLI_TESTS = ("tests/test_cli.py",)
 
 # (name, file under src/qsiegel, exact old text, new text, test files)
 MUTANTS = (
@@ -44,6 +46,32 @@ MUTANTS = (
      "list(map(neg, head)) else 0", "list(map(neg, head)) else -1", KERNEL_TESTS),
     ("_solve: drop the gcd sign fix", "fourier.py",
      "k = k if c > 0 else -k", "k = k", KERNEL_TESTS),
+    ("rank_of_span: never take the general path", "fourier.py",
+     "if not all(parities):", "if False:", RANK_TESTS),
+    ("_read_record: drop the checksum comparison", "cli.py",
+     'rec["crc32"] == _fields_crc(den, vec)', "True", CLI_TESTS),
+    ("_read_record: drop the lowest-terms check", "cli.py",
+     "gcd(den, *vec) == 1", "True", CLI_TESTS),
+    ("_read_record: drop the vector length check", "cli.py",
+     "len(vec) == position_count(prec)", "True", CLI_TESTS),
+    ("_read_record: drop the int entry check", "cli.py",
+     "all(type(v) is int for v in vec)", "True", CLI_TESTS),
+    ("_read_record: drop den > 0", "cli.py",
+     "den > 0", "True", CLI_TESTS),
+    ("_read_record: match the header with itself", "cli.py",
+     '== (CACHE_VERSION, form, FORMS[form][1])',
+     '== (rec["version"], rec["form"], rec["weight"])', CLI_TESTS),
+    ("_read_record: skip check_prec on the record's prec", "cli.py",
+     "check_prec(prec, FORMS[form][0])", "None", CLI_TESTS),
+    ("cmd_expand: drop check_prec", "cli.py",
+     "check_prec(args.prec, FORMS[args.form][0])", "None", CLI_TESTS),
+    ("cmd_expand: check_prec after the lookup", "cli.py",
+     "    check_prec(args.prec, FORMS[args.form][0])\n"
+     "    fields = cache_lookup(args.cache_dir, args.form, args.prec)\n",
+     "    fields = cache_lookup(args.cache_dir, args.form, args.prec)\n"
+     "    check_prec(args.prec, FORMS[args.form][0])\n", CLI_TESTS),
+    ("cache_store: overwrite a deeper record", "cli.py",
+     "if not cache_dir or (old and old[0] >= s.prec):", "if not cache_dir:", CLI_TESTS),
 )
 
 
@@ -52,6 +80,7 @@ def _copy(dest):
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     shutil.copytree(ROOT / "tests", dest / "tests",
                     ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "demos", dest / "demos")  # tests/test_cli.py runs a demo
     shutil.copy(ROOT / "pyproject.toml", dest)
 
 

@@ -92,7 +92,7 @@ def test_criterion_5_dimension_formula():
     assert {k: dim_cusp(k, 3) for k in (5, 6, 7, 8, 9, 10, 15, 20, 25)} == {
         5: 2, 6: 2, 7: 2, 8: 3, 9: 4, 10: 6, 15: 13, 20: 27, 25: 47}
     assert [dim_modular(k) for k in range(5)] == [1, 0, 1, 0, 2]
-    report = dimension_report(100)
+    report = dimension_report()
     assert report.ok and all(row[4] for row in report.rows)
 
 

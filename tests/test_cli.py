@@ -352,11 +352,22 @@ def test_unwritable_cache_record_does_not_fail_expand(tmp_path, capsys):
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = str(tmp_path / "envcache")
-    monkeypatch.setenv("QSIEGEL_CACHE_DIR", cache)
-    rc, _, _ = run(capsys, "expand", "--form", "E2", "--prec", "4")
-    assert rc == 0
-    assert os.path.exists(os.path.join(cache, "E2.json"))
+    # The environment names no cache: a record a read would serve, and one a
+    # deeper request would replace, stay as they are.
+    cache = tmp_path / "envcache"
+    _, want6, _ = _expand_e2(capsys, 6)
+    _, want8, _ = _expand_e2(capsys, 8)
+    assert _expand_e2(capsys, 6, "--cache-dir", str(cache))[0] == 0
+    path = cache / "E2.json"
+    rec = json.loads(path.read_text())
+    _raise_last_coefficient(rec)
+    path.write_text(json.dumps(_seal(rec)))
+    assert cache_lookup(str(cache), "E2", 6) == (rec["den"], rec["vec"])
+    files = {f.name: f.read_bytes() for f in cache.iterdir()}
+    monkeypatch.setenv("QSIEGEL_CACHE_DIR", str(cache))
+    assert _expand_e2(capsys, 6)[:2] == (0, want6)
+    assert _expand_e2(capsys, 8)[:2] == (0, want8)
+    assert {f.name: f.read_bytes() for f in cache.iterdir()} == files
 
 
 def test_dims_table_p3(capsys):
@@ -428,8 +439,7 @@ REFUSALS = [
 @pytest.mark.parametrize("argv, cached, reason", REFUSALS, ids=[
     " ".join(argv) + (" cached" if cached else "") for argv, cached, _ in REFUSALS])
 def test_every_refusal_is_one_error_line_and_exit_2(
-        tmp_path, capsys, monkeypatch, argv, cached, reason):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        tmp_path, capsys, argv, cached, reason):
     cache = ()
     if cached:  # a record that would serve the request by truncation
         cache = ("--cache-dir", str(tmp_path))
@@ -454,23 +464,22 @@ BELOW_FLOOR = [
 @pytest.mark.parametrize("argv", BELOW_FLOOR, ids=" ".join)
 def test_a_cached_request_refuses_what_a_cold_one_refuses(
         tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     cache = ("--cache-dir", str(tmp_path))
     assert run(capsys, *cache, "expand", "--form", "chi15", "--prec", "8")[0] == 0
     assert (tmp_path / "chi15.json").is_file()
+    lookups, read = [], cli.cache_lookup
+    monkeypatch.setattr(cli, "cache_lookup", lambda *a: lookups.append(a) or read(*a))
     cold, cached = run(capsys, *argv), run(capsys, *cache, *argv)
-    assert cold == cached
+    assert cold == cached and lookups == []  # refused before any lookup
     rc, out, err = cold
     assert (rc, out) == (2, "")
     assert err == "error: prec must be >= 5 (stage chi15)\n"
 
 
-def test_a_cached_request_above_the_ceiling_refuses_as_a_cold_one(
-        tmp_path, capsys, monkeypatch):
+def test_a_cached_request_above_the_ceiling_refuses_as_a_cold_one(tmp_path, capsys):
     # A self-consistent chi15 record at prec 79, one past the chi15 stage's
     # ceiling (its build needs grade 83); before check_prec owned the ceiling,
     # the cached run served its rows and exited 0.
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     vec = [1] + [0] * (position_count(79) - 1)
     cache_store(str(tmp_path), "chi15", FourierSeries.from_vector(15, 79, 1, vec))
     assert (tmp_path / "chi15.json").is_file()
@@ -536,8 +545,7 @@ FORGED = [("tables", "E6", _raise_last_coefficient),
 
 
 @pytest.mark.parametrize("suite, form, forge", FORGED, ids=[f[0] for f in FORGED])
-def test_verify_ignores_a_forged_cache(tmp_path, capsys, monkeypatch, suite, form, forge):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+def test_verify_ignores_a_forged_cache(tmp_path, capsys, suite, form, forge):
     cache = ("--cache-dir", str(tmp_path))
     assert run(capsys, *cache, "expand", "--form", "chi15", "--prec", "8")[0] == 0
     path = tmp_path / (form + ".json")

@@ -81,9 +81,9 @@ def test_genfun_satisfies_product_recurrence():
 
 
 def test_report_matches_generating_function():
-    report = dimension_report(100)
+    report = dimension_report()
     assert report.ok
-    assert len(report.rows) == 101
+    assert len(report.rows) == 245
     for k, ds, dm, gf, match in report.rows:
         assert match and dm == gf
         assert dm - ds == (1 if k % 2 == 0 else 0)

@@ -38,7 +38,6 @@ def fresh_python(code):
     """stdout of `code` run in a new interpreter on this checkout's src/."""
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.pop("QSIEGEL_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

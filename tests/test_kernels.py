@@ -102,13 +102,21 @@ def test_symmetric_multiply_matches_oracle(f, g):
     assert multiply(f, f) == oracles.multiply(f, f)
 
 
-@given(st.one_of(symmetric(), series()), st.one_of(perturbed(), series()),
-       st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_multiply_with_an_operand_of_no_parity_matches_oracle(f, g, swap):
-    if swap:
-        f, g = g, f
-    assert multiply(f, g) == oracles.multiply(f, g)
+def test_multiply_with_an_operand_of_no_parity_matches_oracle():
+    split = []
+
+    @given(st.one_of(symmetric(), series()), st.one_of(perturbed(), series()),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def check(f, g, swap):
+        if swap:
+            f, g = g, f
+        assert multiply(f, g) == oracles.multiply(f, g)
+        X = min(f.prec, g.prec)
+        split.append(not parity(f, X) or not parity(g, X))
+
+    check()
+    assert any(split)  # some draw had an operand with no parity
 
 
 @st.composite
@@ -194,13 +202,21 @@ def no_parity_bracket_argument():
         lambda prec: bracket_argument(prec, perturb=st.just(True)))
 
 
-@given(*[no_parity_bracket_argument() for _ in range(4)])
-@example(*NONZERO_BRACKET)
-@settings(max_examples=30, deadline=None)
-def test_bracket_matches_oracle(f1, f2, f3, f4):
+def test_bracket_matches_oracle():
     # every product of the bracket splits each operand with no parity into
     # its even and odd parts
-    assert bracket(f1, f2, f3, f4) == oracles.bracket(f1, f2, f3, f4)
+    nonzero = []
+
+    @given(*[no_parity_bracket_argument() for _ in range(4)])
+    @example(*NONZERO_BRACKET)
+    @settings(max_examples=30, deadline=None)
+    def check(f1, f2, f3, f4):
+        h = bracket(f1, f2, f3, f4)
+        assert h == oracles.bracket(f1, f2, f3, f4)
+        nonzero.append(any(h.vec) and (f1, f2, f3, f4) != NONZERO_BRACKET)
+
+    check()
+    assert any(nonzero)  # some drawn bracket, not just the example, was nonzero
 
 
 def test_bracket_example_is_nonzero_and_has_no_parity():
@@ -238,10 +254,17 @@ def symmetric_span(draw):
     return rows
 
 
-@given(symmetric_span())
-@settings(max_examples=80, deadline=None)
-def test_symmetric_rank_matches_oracle(forms):
-    assert rank_of_span(forms) == oracles.rank_of_span(forms)
+def test_symmetric_rank_matches_oracle():
+    mixed = []
+
+    @given(symmetric_span())
+    @settings(max_examples=80, deadline=None)
+    def check(forms):
+        assert rank_of_span(forms) == oracles.rank_of_span(forms)
+        mixed.append({parity(s) for s in forms if any(s.vec)} == {1, -1})
+
+    check()
+    assert any(mixed)  # some span had parity, with even and odd rows
 
 
 @st.composite
@@ -286,12 +309,19 @@ def divisor_and_quotient(draw):
     return lead, FourierSeries(5, prec, coeffs), h
 
 
-@given(divisor_and_quotient())
-@settings(max_examples=40, deadline=None)
-def test_divide_of_product_recovers_quotient(case):
-    lead, b, h = case
-    g = multiply(b, h)
-    assert divide_exact(g, b, lead) == h.truncate(g.prec - grade(lead))
+def test_divide_of_product_recovers_quotient():
+    negative = []
+
+    @given(divisor_and_quotient())
+    @settings(max_examples=40, deadline=None)
+    def check(case):
+        lead, b, h = case
+        g = multiply(b, h)
+        assert divide_exact(g, b, lead) == h.truncate(g.prec - grade(lead))
+        negative.append(b.coeff(lead) < 0)
+
+    check()
+    assert any(negative)  # some divisor took _solve's gcd sign fix
 
 
 @given(divisor_and_quotient(), st.data(), rationals.filter(bool))
@@ -317,15 +347,22 @@ def deficient_span(draw):
     return rows
 
 
-@given(deficient_span())
-@settings(max_examples=60, deadline=None)
-def test_rank_and_nullspace_match_oracle(forms):
-    assert rank_of_span(forms) == oracles.rank_of_span(forms)
-    null = relation_nullspace(forms)
-    assert null == oracles.relation_nullspace(forms)
-    assert len(null) == len(forms) - rank_of_span(forms)
-    for v in null:
-        assert not linear_combine(list(zip(v, forms))).coeffs
+def test_rank_and_nullspace_match_oracle():
+    general = []
+
+    @given(deficient_span())
+    @settings(max_examples=60, deadline=None)
+    def check(forms):
+        assert rank_of_span(forms) == oracles.rank_of_span(forms)
+        null = relation_nullspace(forms)
+        assert null == oracles.relation_nullspace(forms)
+        assert len(null) == len(forms) - rank_of_span(forms)
+        for v in null:
+            assert not linear_combine(list(zip(v, forms))).coeffs
+        general.append(bool(null) and not all(map(parity, forms)))
+
+    check()
+    assert any(general)  # some deficient span had a row with no parity
 
 
 @st.composite

@@ -1,6 +1,6 @@
-"""Checks on the package source itself: no asserts, a caller for every public
-name, a README Library example that runs and prints what it says, and a
-target for every committed mutant."""
+"""Checks on the package source itself: no asserts, no reads of the
+environment, a caller for every public name, a README Library example that
+runs and prints what it says, and a target for every committed mutant."""
 import ast
 import io
 import pathlib
@@ -22,6 +22,17 @@ def test_no_assert_statements():
              for path in files
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_reads_no_environment():
+    # Only the command line configures a run: a cache directory is trusted
+    # like the package, so no exported variable may name one.
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+             or isinstance(node, ast.Name) and node.id in ("environ", "getenv")]
     assert found == []
 
 
@@ -79,7 +90,7 @@ def test_readme_library_example_runs():
 def test_every_mutant_targets_one_place():
     # A refactor that moves a mutant's old text retires the mutant quietly;
     # tests/mutants.py applies each edit only where its text occurs once.
-    assert len(mutants.MUTANTS) == len({m[0] for m in mutants.MUTANTS}) == 8
+    assert len(mutants.MUTANTS) == len({m[0] for m in mutants.MUTANTS}) == 19
     for name, path, old, new, tests in mutants.MUTANTS:
         assert (PACKAGE / path).read_text().count(old) == 1, name
         assert old != new and tests, name
