@@ -17,7 +17,9 @@ a set at its deepest grade, and the set it returns keeps every one of them,
 truncated to its precision.  The polynomial identities are data, (name,
 lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so are the
 structure checks, (name, monomials, expected rank), each reported as a SpanRow
-with the rank and grade that one walk along the deeper() chain reached.
+with the rank and grade that one walk along the deeper() chain reached.  The
+weight-k row is weight_basis(k): M_* is free over A = Q[A_GENERATORS] (E2,
+E4, chi5a, E6) on UNITS (1, chi5b, chi15, chi5b*chi15).
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -43,8 +45,8 @@ E8_MONOMIALS = ((("E2", 4),), (("E2", 2), ("E4", 1)), (("E2", 1), ("E6", 1)),
 W10_MONOMIALS = ((("E10", 1),), (("E2", 5),), (("E2", 3), ("E4", 1)),
                  (("E2", 2), ("E6", 1)), (("E2", 1), ("E4", 2)),
                  (("E4", 1), ("E6", 1)))
-# Exponent tuples of monomial_exponents and five_generator_exponents.
-SIX_GENERATORS = ("E2", "E4", "chi5a", "E6", "chi5b", "chi15")
+A_GENERATORS = ("E2", "E4", "chi5a", "E6")
+UNITS = ((), (("chi5b", 1),), (("chi15", 1),), (("chi5b", 1), ("chi15", 1)))
 FIVE_GENERATORS = ("E2", "E4", "chi5a", "chi5b", "E6")
 
 # E8 as a polynomial in E2, E4, E6: coefficients of E8_MONOMIALS.
@@ -330,36 +332,33 @@ def verify_polynomial_relations(gens):
     return _check_relations(gens, _relations()[2:])
 
 
-def _exponents(weight, generators, caps=None):
-    """All exponent tuples of the named generators whose monomial has the
-    given weight; caps maps a generator to its largest exponent."""
+def monomials(weight, generators):
+    """All monomials of the given weight in the named generators, each a tuple
+    of one (form id, exponent) pair per generator; highest powers come first,
+    which rank_of_span eliminates about a fifth faster than ascending ones."""
     if not generators:
         return [()] if weight == 0 else []
     form, rest = generators[0], generators[1:]
-    top = min(weight // FORMS[form][1], (caps or {}).get(form, weight))
-    return [(n,) + tail for n in range(top + 1)
-            for tail in _exponents(weight - n * FORMS[form][1], rest, caps)]
+    w = FORMS[form][1]
+    return [((form, n),) + tail for n in range(weight // w, -1, -1)
+            for tail in monomials(weight - n * w, rest)]
 
 
-def monomial_exponents(weight):
-    """All (a, b, c, d, eps, delta) with 2a+4b+5c+6d+5*eps+15*delta = weight
-    and eps, delta in {0, 1}: exponents of SIX_GENERATORS, E2, E4, chi5a, E6,
-    chi5b, chi15.  The count equals genfun_coeff(weight)."""
-    return _exponents(weight, SIX_GENERATORS, {"chi5b": 1, "chi15": 1})
-
-
-def five_generator_exponents(weight):
-    """All (a, b, c, d, e) with 2a+4b+5c+5d+6e = weight: exponents of
-    FIVE_GENERATORS, E2, E4, chi5a, chi5b, E6, without any chi15 factor."""
-    return _exponents(weight, FIVE_GENERATORS)
+def weight_basis(k):
+    """The monomials E2^a E4^b chi5a^c E6^d * u of weight k, u in UNITS: each
+    A-monomial of weight k - w(u) times each unit u.  The count equals
+    genfun_coeff(k)."""
+    return [mon + unit for unit in UNITS
+            for mon in monomials(k - sum(FORMS[f][1] * n for f, n in unit),
+                                 A_GENERATORS)]
 
 
 def monomial_basis(weight, gens):
-    """Span rank of all weight-homogeneous monomials in the six generators
-    against the generating-function coefficient: the SpanRow "weight %2d"
-    of verify_structure, run by _span_rank."""
-    mons = [tuple(zip(SIX_GENERATORS, t)) for t in monomial_exponents(weight)]
-    return _span_rank("weight %2d" % weight, mons, genfun_coeff(weight), gens)
+    """Span rank of weight_basis(weight) against the generating-function
+    coefficient: the SpanRow "weight %2d" of verify_structure, run by
+    _span_rank."""
+    return _span_rank("weight %2d" % weight, weight_basis(weight),
+                      genfun_coeff(weight), gens)
 
 
 # delta20a = {E2, E4, chi5a, E6} spans one dimension, i.e. is nonzero.
@@ -372,8 +371,7 @@ def _span_checks():
     and chi5a*chi5b a 7th; the five-generator monomials span 12 of the 13
     dimensions in weight 15 (chi15 the 13th) and 26 of the 28 in weight 20
     (delta20a, delta20b the last two); then INDEPENDENCE."""
-    u15 = [tuple(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(15)]
-    v20 = [tuple(zip(FIVE_GENERATORS, t)) for t in five_generator_exponents(20)]
+    u15, v20 = monomials(15, FIVE_GENERATORS), monomials(20, FIVE_GENERATORS)
     return (("w10_products", W10_MONOMIALS, 6),
             ("w10_with_chi5ab", W10_MONOMIALS + ((("chi5a", 1), ("chi5b", 1)),), 7),
             ("w15_five_generators", u15, 12),

@@ -26,6 +26,7 @@ SEED = 0
 KERNEL_TESTS = ("tests/test_kernels.py", "tests/test_fourier.py", "tests/test_diffop.py")
 RANK_TESTS = ("tests/test_kernels.py", "tests/test_fourier.py")
 CLI_TESTS = ("tests/test_cli.py",)
+RING_TESTS = ("tests/test_ring.py",)
 
 # (name, file under src/qsiegel, exact old text, new text, test files)
 MUTANTS = (
@@ -72,6 +73,10 @@ MUTANTS = (
      "    check_prec(args.prec, FORMS[args.form][0])\n", CLI_TESTS),
     ("cache_store: overwrite a deeper record", "cli.py",
      "if not cache_dir or (old and old[0] >= s.prec):", "if not cache_dir:", CLI_TESTS),
+    ("monomials: drop the top exponent", "ring.py",
+     "range(weight // w, -1, -1)", "range(weight // w - 1, -1, -1)", RING_TESTS),
+    ("UNITS: drop chi5b*chi15", "ring.py",
+     ', (("chi5b", 1), ("chi15", 1)))', ")", RING_TESTS),
 )
 
 

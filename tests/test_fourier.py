@@ -12,7 +12,8 @@ from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine,
                              multiply, one, rank_of_span,
                              relation_nullspace, sqrt_monic)
-from qsiegel.lattice import ZERO, enumerate_cone, grade, is_positive, position_count
+from qsiegel.lattice import (ZERO, enumerate_cone, grade, is_positive, mirror,
+                             position_count)
 from qsiegel.ring import CHI5A_LEAD, CHI5B_LEAD, GeneratorSet
 
 
@@ -99,22 +100,45 @@ def weight0_series(draw):
     return FourierSeries(0, 4, coeffs)
 
 
-@given(weight0_series(), weight0_series(), weight0_series())
-@settings(max_examples=60, deadline=None)
-def test_ring_axioms(f, g, h):
-    assert multiply(f, g) == multiply(g, f)
-    assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
-    fg_h = multiply(linear_combine([(1, f), (1, g)]), h)
-    assert fg_h == linear_combine([(1, multiply(f, h)), (1, multiply(g, h))])
-    assert multiply(f, one(4)) == f
+def parity(s):
+    return fourier._parity(s.vec, mirror(s.prec))
 
 
-@given(weight0_series())
-@settings(max_examples=30, deadline=None)
-def test_cusp_products_stay_cuspidal(f):
-    c = linear_combine([(1, f), (-f.coeff(ZERO), one(4))])
-    assert c.coeff(ZERO) == 0
-    assert multiply(c, c).coeff(ZERO) == 0
+def test_ring_axioms():
+    split, paired = [], []
+
+    @given(weight0_series(), weight0_series(), weight0_series())
+    @settings(max_examples=60, deadline=None)
+    def check(f, g, h):
+        assert multiply(f, g) == multiply(g, f)
+        assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
+        fg_h = multiply(linear_combine([(1, f), (1, g)]), h)
+        assert fg_h == linear_combine([(1, multiply(f, h)), (1, multiply(g, h))])
+        assert multiply(f, one(4)) == f
+        split.append(not all(map(parity, (f, g, h))))
+        paired.append(bool(parity(f) and parity(g)))
+
+    check()
+    assert any(split)  # some operand had no parity, so product split it
+    assert any(paired)  # and some f * g multiplied two operands with one
+
+
+def test_cusp_products_stay_cuspidal():
+    constant, square = [], []
+
+    @given(weight0_series())
+    @settings(max_examples=30, deadline=None)
+    def check(f):
+        c = linear_combine([(1, f), (-f.coeff(ZERO), one(4))])
+        assert c.coeff(ZERO) == 0
+        cc = multiply(c, c)
+        assert cc.coeff(ZERO) == 0
+        constant.append(f.coeff(ZERO) != 0)
+        square.append(any(cc.vec))
+
+    check()
+    assert any(constant)  # some f had a constant term to remove
+    assert any(square)  # and some c * c was nonzero
 
 
 def test_sqrt_recovers_handmade_root():
@@ -284,10 +308,17 @@ def lowest_terms(s):
             and FourierSeries(s.weight, s.prec, s.coeffs) == s)
 
 
-@given(rational_series(), rational_series(), rationals)
-@settings(max_examples=60, deadline=None)
-def test_results_stay_in_lowest_terms(f, g, c):
-    fg = multiply(f, g)
-    for s in (f, fg, fg.truncate(3), linear_combine([(c, f), (1, g), (-c, f)]),
-              linear_combine([(c, f), (c, g)]).truncate(2)):
-        assert lowest_terms(s)
+def test_results_stay_in_lowest_terms():
+    reduced = []
+
+    @given(rational_series(), rational_series(), rationals)
+    @settings(max_examples=60, deadline=None)
+    def check(f, g, c):
+        fg = multiply(f, g)
+        for s in (f, fg, fg.truncate(3), linear_combine([(c, f), (1, g), (-c, f)]),
+                  linear_combine([(c, f), (c, g)]).truncate(2)):
+            assert lowest_terms(s)
+        reduced.append(fg.den < f.den * g.den)
+
+    check()
+    assert any(reduced)  # some product's denominator had a factor to divide out

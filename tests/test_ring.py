@@ -12,10 +12,12 @@ from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import FourierSeries, linear_combine, rank_of_span
 from qsiegel.lattice import ZERO, grade
 from qsiegel import ring
-from qsiegel.ring import (CHI5A_LEAD, GeneratorSet, five_generator_exponents,
-                          monomial_basis, monomial_exponents,
+from qsiegel.forms import FORMS
+from qsiegel.ring import (CHI5A_LEAD, FIVE_GENERATORS, GeneratorSet,
+                          monomial_basis, monomials,
                           verify_chi5_square_relations,
-                          verify_polynomial_relations, verify_structure)
+                          verify_polynomial_relations, verify_structure,
+                          weight_basis)
 
 ATTRS = ("e2", "e4", "e6", "e8", "e10", "phi2", "phi4", "phi6", "phi8",
          "phi10", "chi5a", "chi5b", "chi15", "delta20a", "delta20b")
@@ -115,17 +117,27 @@ def test_relation_right_hand_sides_are_not_squares():
         assert not _is_rational_square(value), value
 
 
-def test_monomial_exponent_count_matches_generating_function():
+def _weight(monomial):
+    return sum(FORMS[form][1] * n for form, n in monomial)
+
+
+def test_weight_basis_count_matches_generating_function():
     for k in range(31):
-        assert len(monomial_exponents(k)) == genfun_coeff(k), k
+        assert len(weight_basis(k)) == genfun_coeff(k), k
 
 
-def test_five_generator_exponent_examples():
-    assert five_generator_exponents(0) == [(0, 0, 0, 0, 0)]
-    assert len(five_generator_exponents(15)) == 14
-    assert len(five_generator_exponents(20)) == 34
-    for a, b, c, d, e in five_generator_exponents(20):
-        assert 2 * a + 4 * b + 5 * c + 5 * d + 6 * e == 20
+def test_weight_basis_monomials_are_distinct_and_of_weight_k():
+    for k in range(31):
+        basis = weight_basis(k)
+        keys = {tuple(sorted((f, n) for f, n in mon if n)) for mon in basis}
+        assert len(keys) == len(basis), k
+        assert all(_weight(mon) == k for mon in basis), k
+
+
+def test_five_generator_monomial_examples():
+    for k, count in ((0, 1), (15, 14), (20, 34)):
+        mons = monomials(k, FIVE_GENERATORS)
+        assert len(mons) == count and all(_weight(mon) == k for mon in mons), k
 
 
 def test_monomial_basis_small_weights(gens12):
