@@ -9,9 +9,9 @@ truncation parameter for series products.
 Positions number the indices of grade <= X as positions(X), the origin then
 enumerate_cone(X); the numbering for X is a prefix of the one for any X' > X,
 so a position never depends on the truncation.  The convolution table of
-grade x, `orbit_layer`, holds the positions (i, j) of the decompositions
-a + b = eta of one eta per orbit of the reflection iota (`mirror`) as two
-compact unsigned-short arrays; `fourier`'s integer kernel sums over it.
+grade x, `orbit_layer`, files the positions (i, j) of each decomposition
+a + b = t under t exactly when t <= iota t represents its orbit of the
+reflection iota (`mirror`), in unsigned-short arrays that `fourier` sums.
 Positions fit an unsigned short through grade MAX_GRADE = 82; a deeper
 table raises OverflowError.
 """
@@ -122,36 +122,34 @@ def mirror(X):
 @lru_cache(maxsize=None)
 def orbit_layer(x):
     """The grade-x convolution table by orbits of iota(x, y, z) = (x, y,
-    -x - z), which keeps grade and norm, as (moved, fixed): (t, iota t, A, B)
-    for each target t < iota t, A, B all its pairs, whose images are those
-    of iota t; (t, A, B, A2, B2) for each t = iota t, A, B its pairs (i, j)
-    with i = iota i, and A2, B2 the pair with i < iota i of each pair-orbit.
+    -x - z), which keeps grade and norm.  A pair (i, j) of a + b = t is
+    filed under t exactly when t represents its orbit, t <= iota t, as
+    (moved, fixed): (t, iota t, A, B) for each t < iota t, A, B all its
+    pairs, whose images are those of iota t; (t, A, B, A2, B2) for each
+    t = iota t, A, B its pairs with i = iota i, and A2, B2 the pair with
+    i < iota i of each pair-orbit.
 
-    iota keeps all of the position key (x, norm, y, z) but z, so the smaller
-    position of an orbit has the smaller s = x + 2z, additive and negated by
-    iota.  Only a with s(a) <= 0 is scanned; the cone is convex, so each
-    pair lands on a target t, filed as its image under iota t if s(t) > 0,
-    and skipped if s(a) = 0 < s(b), being the image of (a, iota b).
+    iota keeps all of the position key (x, norm, y, z) but z, so t <= iota t
+    exactly when s(t) = x + 2z <= 0, and s is additive and negated by iota.
+    With each layer's b sorted by s, the scan of a stops at the first b with
+    s(a) + s(b) > 0; at a fixed target s(a) < 0 marks i < iota i, and
+    s(a) > 0 the other pair of the orbit, dropped.
     """
     pos, mir = layer_positions(x), mirror(x)
     table = {t: ([], [], [], []) for t in pos.values() if t <= mir[t]}
     for x1 in range(x + 1):
-        right = [(b, j, b[0] + 2 * b[2]) for b, j in layer_positions(x - x1).items()]
-        for a, i in layer_positions(x1).items():
-            sa = a[0] + 2 * a[2]
-            if sa > 0:
-                continue
-            for b, j, sb in right if sa else [r for r in right if r[2] <= 0]:
-                t = pos[(a[0] + b[0], a[1] + b[1], a[2] + b[2])]
-                if sa + sb > 0:
-                    row = table[mir[t]]
-                    row[0].append(mir[i])
-                    row[1].append(mir[j])
-                else:
-                    row = table[t]
-                    k = 2 if sa and sa + sb == 0 else 0
-                    row[k].append(i)
-                    row[k + 1].append(j)
+        x2 = x - x1
+        right = sorted((x2 + 2 * z, j, y, z) for (_, y, z), j in layer_positions(x2).items())
+        for (_, ya, za), i in layer_positions(x1).items():
+            sa = x1 + 2 * za
+            for sb, j, y, z in right:
+                st = sa + sb
+                if st > 0 or st == 0 < sa:
+                    break
+                row = table[pos[(x, ya + y, za + z)]]
+                k = 2 if st == 0 > sa else 0
+                row[k].append(i)
+                row[k + 1].append(j)
     table = {t: tuple(array("H", r) for r in row) for t, row in table.items()}
     return (tuple((t, mir[t], A, B) for t, (A, B, _, _) in table.items() if t < mir[t]),
             tuple((t,) + row for t, row in table.items() if t == mir[t]))

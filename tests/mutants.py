@@ -27,6 +27,7 @@ KERNEL_TESTS = ("tests/test_kernels.py", "tests/test_fourier.py", "tests/test_di
 RANK_TESTS = ("tests/test_kernels.py", "tests/test_fourier.py")
 CLI_TESTS = ("tests/test_cli.py",)
 RING_TESTS = ("tests/test_ring.py",)
+LATTICE_TESTS = ("tests/test_lattice.py",)
 
 # (name, file under src/qsiegel, exact old text, new text, test files)
 MUTANTS = (
@@ -77,6 +78,10 @@ MUTANTS = (
      "range(weight // w, -1, -1)", "range(weight // w - 1, -1, -1)", RING_TESTS),
     ("UNITS: drop chi5b*chi15", "ring.py",
      ', (("chi5b", 1), ("chi15", 1)))', ")", RING_TESTS),
+    ("orbit_layer: keep both pairs of each pair-orbit", "lattice.py",
+     "if st > 0 or st == 0 < sa:", "if st > 0:", LATTICE_TESTS),
+    ("orbit_layer: drop the fixed-point pairs", "lattice.py",
+     "st == 0 < sa", "st == 0 <= sa", LATTICE_TESTS),
 )
 
 

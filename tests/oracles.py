@@ -1,7 +1,8 @@
 """Reference implementations the integer kernels are checked against.
 
 These are straightforward versions, mostly over `Fraction`, of the library's
-exact arithmetic: the product as a sum over `decompositions`, the bracket as the
+exact arithmetic: the product as a sum over `decompositions`, the convolution
+table as an all-pairs filing by orbit representatives, the bracket as the
 4-fold sum of 4x4 determinants, rank and relation space by Gauss-Jordan
 elimination, integer row echelon form by Bareiss's fraction-free
 elimination, generalized Bernoulli numbers as a sum of Bernoulli
@@ -21,7 +22,8 @@ from qsiegel.exactnum import (bernoulli_number, fundamental_discriminant_split,
                               is_fundamental_discriminant, kronecker_symbol,
                               p_valuation, prime_divisors)
 from qsiegel.fourier import FourierSeries
-from qsiegel.lattice import ZERO, decompositions, enumerate_cone, is_positive, norm_m
+from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, is_positive,
+                             layer_positions, mirror, norm_m)
 
 QuadInvariants = namedtuple("QuadInvariants", "a d f")
 
@@ -43,6 +45,22 @@ def multiply(f, g):
         if acc:
             out[eta] = acc
     return FourierSeries(f.weight + g.weight, prec, out)
+
+
+def orbit_pairs(x):
+    """{t: pairs} for the grade-x convolution table: every pair (i, j) of
+    positions of grades x1 and x - x1, filed under its target t when
+    t < iota t, and when t = iota t if i <= iota i; no scan order and no
+    early stop."""
+    pos, mir = layer_positions(x), mirror(x)
+    out = {}
+    for x1 in range(x + 1):
+        for a, i in layer_positions(x1).items():
+            for b, j in layer_positions(x - x1).items():
+                t = pos[(a[0] + b[0], a[1] + b[1], a[2] + b[2])]
+                if t < mir[t] or t == mir[t] and i <= mir[i]:
+                    out.setdefault(t, []).append((i, j))
+    return out
 
 
 def _det3(u, v, w):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quad_invariants
+from oracles import orbit_pairs, quad_invariants
 from qsiegel.exactnum import is_fundamental_discriminant
 from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, grade, index_key,
                              is_positive, layer, layer_positions, mirror, norm_m,
@@ -183,6 +183,19 @@ def test_orbit_layers_partition_the_convolution_pairs():
             assert all(grade(idx[i]) + grade(idx[j]) == x for i, j in pairs)
             want = [(idx[i], idx[j]) for i, j in pairs]
             assert sorted(want) == sorted(decompositions(idx[t]))
+
+
+def test_orbit_layers_match_the_all_pairs_filing():
+    # each target's stored pairs, as a multiset, against a filing that tests
+    # every pair of layers, to a grade past DECOMPOSITION_GRADE
+    mir = mirror(ORBIT_GRADE)
+    for x in range(ORBIT_GRADE + 1):
+        moved, fixed = orbit_layer(x)
+        got = {t: sorted(zip(A, B)) for t, _, A, B in moved}
+        for t, A, B, A2, B2 in fixed:
+            assert all(mir[i] == i for i in A) and all(i < mir[i] for i in A2)
+            got[t] = sorted(zip(A + A2, B + B2))
+        assert got == {t: sorted(pairs) for t, pairs in orbit_pairs(x).items()}
 
 
 def test_orbit_layers_halve_the_convolution_pairs():
