@@ -19,7 +19,7 @@ chi15, the exact quotient of a weight-20 bracket by a weight-5 root.
 for name, s in (("E2", gens.e2), ("E4", gens.e4), ("E6", gens.e6),
                 ("chi5a", gens.chi5a), ("chi5b", gens.chi5b),
                 ("chi15", gens.chi15)):
-    rows = s.sorted_items()
+    rows = list(s.coeffs.items())
     print("%s  (weight %d, %d nonzero coefficients to grade %d)"
           % (name, s.weight, len(rows), s.prec))
     for eta, v in rows[:6]:

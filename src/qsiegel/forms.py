@@ -1,8 +1,9 @@
 """The form table: every form id `expand` knows, with the build stage that
-makes it and its weight, and `check_prec`, the one precision range: the floor
-(4, and 5 for the chi15 stage, whose unit coefficient is at (5, 1, -2)) and
-the ceiling MAX_PREC.  It lives apart from `ring` so that the CLI's cache
-path can name and validate forms without loading the construction code.
+makes it and its weight, and `check_prec`, the one statement of the stage
+rules: each stage's floor (4, and 5 for the chi15 stage, whose unit
+coefficient is at (5, 1, -2)), its build grade and that grade's ceiling.  It
+lives apart from `ring` so that the CLI's cache path can name and validate
+forms without loading the construction code.
 """
 from .lattice import MAX_GRADE
 
@@ -14,17 +15,20 @@ FORMS = {"E2": ("phi", 2), "E4": ("phi", 4), "E6": ("phi", 6), "E8": ("phi", 8),
          "phi6": ("phi", 6), "phi8": ("phi", 8), "phi10": ("phi", 10),
          "chi5a": ("chi5", 5), "chi5b": ("chi5", 5), "chi15": ("chi15", 15),
          "delta20a": ("chi15", 20), "delta20b": ("chi15", 20)}
-# Stage -> the deepest prec it is built at (82, 80, 78): each stage after
-# "phi" works 2 grades deeper, and the kernel reaches lattice.MAX_GRADE.
-MAX_PREC = {stage: MAX_GRADE - 2 * i for i, stage in enumerate(STAGES)}
 
 
 def check_prec(prec, stage):
-    """Raise ValueError unless prec lies from the stage's floor to MAX_PREC."""
-    floor, ceiling = (5 if stage == "chi15" else 4), MAX_PREC[stage]
+    """The grade GeneratorSet.build works at to make the stage exact at prec:
+    each stage after "phi" works 2 grades deeper, the grade of the leading
+    index that its square roots or quotients lose.  Raises ValueError for an
+    unknown stage, a prec below the stage's floor or a grade past MAX_GRADE."""
+    if stage not in STAGES:
+        raise ValueError("unknown stage %r; known: %s" % (stage, " ".join(STAGES)))
+    floor = 5 if stage == "chi15" else 4
     if prec < floor:
         raise ValueError("prec must be >= %d (stage %s)" % (floor, stage))
-    if prec > ceiling:
+    grade = prec + 2 * STAGES.index(stage)
+    if grade > MAX_GRADE:
         raise ValueError("stage %s at prec %d needs grade %d; the convolution kernel "
-                         "reaches grade %d" % (stage, prec, prec + MAX_GRADE - ceiling,
-                                               MAX_GRADE))
+                         "reaches grade %d" % (stage, prec, grade, MAX_GRADE))
+    return grade

@@ -26,9 +26,9 @@ elimination, `_echelon`: division-free on integer rows, each row kept
 primitive, with Bareiss's pivots and entries no larger than his minors
 (Bareiss, Math. Comp. 22, 1968); `rank_of_span` ranks the even and the odd
 rows apart, on one position per orbit.  `Fraction` holds single values
-only: the validating constructor's input, `coeff`, `coeffs` and
-`sorted_items`, the scalars of `linear_combine` and the back-substitution
-of `relation_nullspace`.
+only: the validating constructor's input, `coeff` and `coeffs`, the
+scalars of `linear_combine` and the back-substitution of
+`relation_nullspace`.
 """
 from fractions import Fraction
 from math import gcd, lcm
@@ -86,19 +86,15 @@ class FourierSeries:
 
     @property
     def coeffs(self):
-        """A new {eta: Fraction} of the nonzero coefficients."""
-        return dict(self.sorted_items())
+        """A new {eta: Fraction} of the nonzero coefficients, in position
+        order, which is index_key order."""
+        return {eta: Fraction(v, self.den)
+                for eta, v in zip(positions(self.prec), self.vec) if v}
 
     def truncate(self, X):
         if X >= self.prec:
             return self
         return FourierSeries.from_vector(self.weight, X, self.den, self.vec)
-
-    def sorted_items(self):
-        """(eta, coefficient) pairs of the nonzero coefficients, in position
-        order, which is index_key order."""
-        return [(eta, Fraction(v, self.den))
-                for eta, v in zip(positions(self.prec), self.vec) if v]
 
     def __eq__(self, other):
         return (isinstance(other, FourierSeries)

@@ -147,9 +147,10 @@ def _stage_forms(stage):
 class GeneratorSet:
     """Constructed forms at one common precision, up to one stage.
 
-    GeneratorSet.build(prec, upto) runs the stages in order, each computing
-    the Eisenstein layer 2 grades deeper than the one before, so that every
-    member comes out exact at prec:
+    GeneratorSet.build(prec, upto) runs the stages in order from one
+    Eisenstein layer at grade X = forms.check_prec(prec, upto), 2 grades
+    deeper for each stage after "phi", so that every member comes out exact
+    at prec:
 
     - "phi": Eisenstein series E2..E10 (grade prec) -> phi2..phi10;
     - "chi5": the same from grade prec+2 -> chi5a/chi5b as formal square
@@ -161,9 +162,9 @@ class GeneratorSet:
       delta20b / chi5a, normalized the same way, is computed independently
       and build raises ValueError unless it equals chi15 exactly.
 
-    prec must lie in forms.check_prec's range for the stage, floor and
-    ceiling; build raises ValueError before any work otherwise.
-    build fills one set at the deepest grade a member at a time and forms
+    check_prec raises ValueError before any work for an unknown stage, a
+    prec below the stage's floor or an X past the kernel's deepest grade.
+    build fills one set at grade X a member at a time and forms
     the phi forms' products with its monomial, powers of phi2 under the id
     E2; the set it returns keeps every one of them, truncated to prec, in
     its product cache.  Each member is the attribute named by its form id in
@@ -175,10 +176,7 @@ class GeneratorSet:
 
     @classmethod
     def build(cls, prec, upto="chi15"):
-        if upto not in STAGES:
-            raise ValueError("unknown stage %r; known: %s" % (upto, " ".join(STAGES)))
-        check_prec(prec, upto)
-        X = prec + 2 * STAGES.index(upto)
+        X = check_prec(prec, upto)
         # One set at grade X, filled a member at a time, forms every product.
         deep = cls.__new__(cls)
         deep.prec, deep.stage, deep._products, deep._deeper = X, upto, {}, None
@@ -307,7 +305,7 @@ def _check_relations(gens, relations):
     for name, scale, lhs, terms in relations:
         residual = linear_combine([(c, gens.monomial(powers))
                                    for c, powers in [(-scale, lhs)] + terms])
-        bad = residual.sorted_items()
+        bad = list(residual.coeffs.items())
         reports.append(Report(name, not bad, bad))
     return reports
 

@@ -28,6 +28,7 @@ RANK_TESTS = ("tests/test_kernels.py", "tests/test_fourier.py")
 CLI_TESTS = ("tests/test_cli.py",)
 RING_TESTS = ("tests/test_ring.py",)
 LATTICE_TESTS = ("tests/test_lattice.py",)
+STAGE_TESTS = ("tests/test_ring.py", "tests/test_cli.py")
 
 # (name, file under src/qsiegel, exact old text, new text, test files)
 MUTANTS = (
@@ -82,6 +83,12 @@ MUTANTS = (
      "if st > 0 or st == 0 < sa:", "if st > 0:", LATTICE_TESTS),
     ("orbit_layer: drop the fixed-point pairs", "lattice.py",
      "st == 0 < sa", "st == 0 <= sa", LATTICE_TESTS),
+    ("check_prec: 3 grades per stage", "forms.py",
+     "prec + 2 * STAGES.index(stage)", "prec + 3 * STAGES.index(stage)", STAGE_TESTS),
+    ("check_prec: return prec, not the grade", "forms.py",
+     "return grade", "return prec", STAGE_TESTS),
+    ("check_prec: drop the unknown-stage check", "forms.py",
+     "if stage not in STAGES:", "if False:", STAGE_TESTS),
 )
 
 

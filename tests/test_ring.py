@@ -10,10 +10,10 @@ import pytest
 import oracles
 from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import FourierSeries, linear_combine, rank_of_span
-from qsiegel.lattice import ZERO, grade
+from qsiegel.lattice import MAX_GRADE, ZERO, grade
 from qsiegel import ring
-from qsiegel.forms import FORMS
-from qsiegel.ring import (CHI5A_LEAD, FIVE_GENERATORS, GeneratorSet,
+from qsiegel.forms import FORMS, STAGES, check_prec
+from qsiegel.ring import (CHI5A_LEAD, CHI5B_LEAD, FIVE_GENERATORS, GeneratorSet,
                           monomial_basis, monomials,
                           verify_chi5_square_relations,
                           verify_polynomial_relations, verify_structure,
@@ -329,3 +329,44 @@ def test_build_rejects_grades_past_the_kernel(monkeypatch):
         GeneratorSet.build(79)
     with pytest.raises(ValueError, match="grade 84"):
         GeneratorSet.build(82, upto="chi5")
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_build_works_at_the_grade_check_prec_returns(stage, monkeypatch):
+    grades, series = [], ring.eisenstein_series
+
+    def recording(params, X):
+        grades.append(X)
+        return series(params, X)
+
+    monkeypatch.setattr(ring, "eisenstein_series", recording)
+    assert GeneratorSet.build(6, stage).prec == 6
+    assert grades == [check_prec(6, stage)] * 5
+
+
+@pytest.mark.parametrize("prec", [5, 6, 12, 40, 78])
+def test_each_stage_works_as_deep_as_its_construction_loses(prec):
+    # the roots chi5a, chi5b lose the grade of their leading indices, and
+    # chi15, a quotient by chi5b, loses the grade of chi5b's
+    assert (check_prec(prec, "chi5") - check_prec(prec, "phi")
+            == grade(CHI5A_LEAD) == grade(CHI5B_LEAD))
+    assert check_prec(prec, "chi15") - check_prec(prec, "chi5") == grade(CHI5B_LEAD)
+
+
+@pytest.mark.parametrize("stage, deepest", [("phi", 82), ("chi5", 80), ("chi15", 78)])
+def test_each_stage_reaches_the_kernel_grade_and_no_further(stage, deepest, monkeypatch):
+    monkeypatch.setattr(ring, "eisenstein_series", lambda *args: pytest.fail("built"))
+    assert check_prec(deepest, stage) == MAX_GRADE
+    refusal = ("stage %s at prec %d needs grade %d; the convolution kernel reaches "
+               "grade %d" % (stage, deepest + 1, MAX_GRADE + 1, MAX_GRADE))
+    for refuse in (check_prec, GeneratorSet.build):
+        with pytest.raises(ValueError) as err:
+            refuse(deepest + 1, stage)
+        assert str(err.value) == refusal
+
+
+def test_an_unknown_stage_is_refused_by_name():
+    for refuse in (check_prec, GeneratorSet.build):
+        with pytest.raises(ValueError) as err:
+            refuse(8, "chi7")
+        assert str(err.value) == "unknown stage 'chi7'; known: phi chi5 chi15"
