@@ -6,20 +6,18 @@ of the expansion tables, polynomial relations, and span dimensions they
 satisfy.
 
 `GeneratorSet.build(prec, upto)` runs the construction in three stages
-("phi", "chi5", "chi15"), each on top of the ones before it;
-`GeneratorSet.from_records` makes the same object from finished series (build
-returns one, and so can a caller that brings its own series), and
-`GeneratorSet.monomial` is the one way to form a product of powers of its
-members.  It is also the one product cache: each set keeps every product it
-formed, partial products included, and the relation and span checks share
-them.  `build` forms its own products the same way, on
-a set at its deepest grade, and the set it returns keeps every one of them,
-truncated to its precision.  The polynomial identities are data, (name,
+("phi", "chi5", "chi15"), each on top of the ones before it, on one set at its
+deepest grade that forms every product, and returns `from_records` of that
+set's members truncated to prec: the one constructor, which a caller may also
+give its own series.  `GeneratorSet.monomial` is the one way to form a product
+of powers of a set's members and the one product cache, shared by the
+relation and span checks.  The polynomial identities are data, (name,
 lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so are the
 structure checks, (name, monomials, expected rank), each reported as a SpanRow
-with the rank and grade that one walk along the deeper() chain reached.  The
-weight-k row is weight_basis(k): M_* is free over A = Q[A_GENERATORS] (E2,
-E4, chi5a, E6) on UNITS (1, chi5b, chi15, chi5b*chi15).
+with the rank and grade that one walk along the deeper() chain reached, which
+stays on series that extend the caller's.  The weight-k row is
+weight_basis(k): M_* is free over A = Q[A_GENERATORS] (E2, E4, chi5a, E6) on
+UNITS (1, chi5b, chi15, chi5b*chi15).
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -164,11 +162,11 @@ class GeneratorSet:
 
     check_prec raises ValueError before any work for an unknown stage, a
     prec below the stage's floor or an X past the kernel's deepest grade.
-    build fills one set at grade X a member at a time and forms
-    the phi forms' products with its monomial, powers of phi2 under the id
-    E2; the set it returns keeps every one of them, truncated to prec, in
-    its product cache.  Each member is the attribute named by its form id in
-    lower case.
+    build fills one set at grade X a member at a time and forms the phi
+    forms' products with its monomial, powers of phi2 under the id E2; it
+    returns from_records of that set's members truncated to prec, with an
+    empty product cache.  Each member is the attribute named by its form id
+    in lower case.
     """
 
     __slots__ = ("prec", "stage", "_products", "_deeper") + tuple(
@@ -216,17 +214,13 @@ class GeneratorSet:
             if deep.chi15 != linear_combine([(1 / unit_b, q_b)]):
                 raise ValueError("chi15 differs from its companion quotient "
                                  "delta20b / chi5a")
-        # Each deep series truncated once: a member is its own product entry.
-        cut = {id(s): s for s in (*deep.members().values(), *deep._products.values())}
-        cut = {key: s.truncate(prec) for key, s in cut.items()}
-        self = cls.from_records(prec, {f: cut[id(s)] for f, s in deep.members().items()})
-        self._products = {key: cut[id(s)] for key, s in deep._products.items()}
-        return self
+        return cls.from_records(prec, {f: s.truncate(prec) for f, s in deep.members().items()})
 
     @classmethod
     def from_records(cls, prec, forms):
-        """The set whose members are the given {form id: series}: build's
-        result, or a set a caller makes from its own series.  Raises
+        """The set whose members are the given {form id: series}, with an
+        empty product cache: the one constructor, which build calls on its
+        truncated members and a caller on its own series.  Raises
         ValueError unless the ids are exactly the members of one stage, prec
         lies in that stage's range (forms.check_prec, as in build) and every
         series has its form's weight and precision prec."""
@@ -246,10 +240,13 @@ class GeneratorSet:
         return self
 
     def deeper(self):
-        """The generator set two grades deeper, built at most once per set, so
-        a chain of escalations builds each precision once."""
+        """The build two grades deeper, made at most once per set, if its
+        members truncated to prec are this set's; otherwise this set itself,
+        so that a walk never leaves the series it was given."""
         if self._deeper is None:
-            self._deeper = GeneratorSet.build(self.prec + 2, self.stage)
+            built = GeneratorSet.build(self.prec + 2, self.stage)
+            cut = {f: s.truncate(self.prec) for f, s in built.members().items()}
+            self._deeper = built if cut == self.members() else self
         return self._deeper
 
     def members(self):
@@ -261,7 +258,8 @@ class GeneratorSet:
         any order; one(prec) when every exponent is 0.  Each product is cached
         under its sorted nonzero pairs and formed by one multiply from cached
         factors: a power from the next lower power, any other product from
-        the one-generator-shorter prefix and the last generator's power."""
+        the one-generator-shorter prefix and the last generator's power.  A
+        miss raises ValueError for a pair other than (member id, int >= 0)."""
         key = tuple(sorted((f, n) for f, n in powers if n))
         mon = self._products.get(key)
         if mon is None:
@@ -271,6 +269,8 @@ class GeneratorSet:
                 mon = multiply(self.monomial(key[:-1]), self.monomial(key[-1:]))
             else:
                 (form, n), = key
+                if form not in _stage_forms(self.stage) or type(n) is not int or n < 0:
+                    raise ValueError("%r is not a power of a %s member" % (key[0], self.stage))
                 mon = getattr(self, form.lower())
                 if n > 1:
                     mon = multiply(self.monomial(((form, n - 1),)), mon)

@@ -79,6 +79,10 @@ MUTANTS = (
      "range(weight // w, -1, -1)", "range(weight // w - 1, -1, -1)", RING_TESTS),
     ("UNITS: drop chi5b*chi15", "ring.py",
      ', (("chi5b", 1), ("chi15", 1)))', ")", RING_TESTS),
+    ("deeper: step onto the build without the extension check", "ring.py",
+     "built if cut == self.members() else self", "built", RING_TESTS),
+    ("monomial: accept a negative exponent", "ring.py",
+     "type(n) is not int or n < 0", "type(n) is not int", RING_TESTS),
     ("orbit_layer: keep both pairs of each pair-orbit", "lattice.py",
      "if st > 0 or st == 0 < sa:", "if st > 0:", LATTICE_TESTS),
     ("orbit_layer: drop the fixed-point pairs", "lattice.py",

@@ -669,8 +669,6 @@ def test_verify_structure_reports_each_failing_row(capsys, gens12, monkeypatch):
     zero = GeneratorSet.from_records(
         12, {**gens12.members(), "delta20a": FourierSeries(20, 12, {})})
     monkeypatch.setattr(GeneratorSet, "build", lambda *args: zero)
-    # every grade of the forged set says the same: deeper() rebuilds nothing
-    monkeypatch.setattr(GeneratorSet, "deeper", lambda self: self)
     rc, out, _ = run(capsys, "verify", "--suite", "structure", "--prec", "12",
                      "--kmax", "0")
     assert rc == 1

@@ -2,8 +2,8 @@
 honest build, their sensitivity to forged inputs, and monomial span ranks."""
 from collections import Counter
 from fractions import Fraction as Fr
-from functools import reduce
 from math import isqrt, prod
+import re
 
 import pytest
 
@@ -176,16 +176,16 @@ def test_structure_at_prec_8_escalates_to_a_pass():
     assert report.ok
 
 
-def test_zero_delta20a_fails_the_independence_check(gens12, monkeypatch):
+def test_zero_delta20a_fails_the_independence_check(gens12):
     last = verify_structure(0, gens12).rows[-1]
     assert last.name == ring.INDEPENDENCE[0] and (last.prec, last.ok) == (12, True)
     zero = forged(gens12, delta20a=FourierSeries(20, 12, {}))
-    # every grade of the forged set says the same: deeper() rebuilds nothing
-    monkeypatch.setattr(GeneratorSet, "deeper", lambda self: self)
     report = verify_structure(0, zero)
     last = report.rows[-1]
     assert last.name == ring.INDEPENDENCE[0] and (last.prec, last.ok) == (12, False)
     assert not report.ok
+    # the build at grade 14 does not extend the forged set, so no row walks there
+    assert zero.deeper() is zero
 
 
 def test_structure_fails_on_the_independence_check_alone(gens12, monkeypatch):
@@ -201,10 +201,13 @@ def test_structure_fails_on_the_independence_check_alone(gens12, monkeypatch):
 
 
 def test_monomial_basis_walks_past_two_rebuilds():
-    # weight 26 first reaches full rank at grade 14, three rebuilds above 8
-    report = monomial_basis(26, GeneratorSet.build(8))
-    assert report.rank == report.expected == 53
-    assert report.prec == 14 and report.ok
+    # weight 26 first reaches full rank at grade 14, three rebuilds above 8;
+    # a caller's copy of genuine series walks the same builds
+    built = GeneratorSet.build(8)
+    for gens in (built, GeneratorSet.from_records(8, built.members())):
+        report = monomial_basis(26, gens)
+        assert report.rank == report.expected == 53
+        assert report.prec == 14 and report.ok
 
 
 def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
@@ -272,7 +275,7 @@ def test_structure_to_weight_30_passes(gens12):
     assert verify_structure(30, gens12).ok
 
 
-def test_build_keeps_every_product_it_forms(monkeypatch):
+def test_build_forms_each_of_its_products_once(monkeypatch):
     # keyed by content, as in test_structure_forms_each_monomial_once_per_grade
     operands = Counter()
     multiply = ring.multiply
@@ -283,20 +286,25 @@ def test_build_keeps_every_product_it_forms(monkeypatch):
 
     monkeypatch.setattr(ring, "multiply", counted)
     gens = GeneratorSet.build(6)
-    assert operands and max(operands.values()) == 1
-    # every multiply made a cache entry that is not a bare member
-    assert sum(operands.values()) == sum(len(key) > 1 or key[0][1] > 1
-                                         for key in gens._products)
-    members = gens.members()
-    for key, product in gens._products.items():
-        factors = [members[form] for form, n in key for _ in range(n)]
-        assert product == reduce(oracles.multiply, factors), key
-    assert {(("E2", n),) for n in range(1, 6)} <= set(gens._products)
+    # E2^2..E2^5, E2*phi4, E2^3*phi4, E2^2*phi6, phi4^2, E2*phi4^2, phi4*phi6
+    assert sum(operands.values()) == 10 and max(operands.values()) == 1
+    # the set build returns is from_records of its members: its cache is empty
+    assert gens._products == {}
     operands.clear()
     assert all(rep.ok for rep in verify_chi5_square_relations(gens)
                + verify_polynomial_relations(gens))
-    # 105 products, less E2^2 .. E2^5, which build kept
-    assert sum(operands.values()) == 101
+    assert sum(operands.values()) == 105 and max(operands.values()) == 1
+
+
+@pytest.mark.parametrize("upto, powers", [
+    ("chi15", (("E2", -1),)), ("chi15", (("E2", 1.5),)), ("chi15", (("e2", 1),)),
+    ("chi15", (("E3", 1),)), ("phi", (("chi5a", 1),))],
+    ids=["negative", "not an int", "lower case", "no such form", "later stage"])
+def test_monomial_refuses_what_is_not_a_power_of_a_member(upto, powers):
+    gens = GeneratorSet.build(6, upto)
+    with pytest.raises(ValueError, match=re.escape("%r is not a power" % (powers[0],))):
+        gens.monomial(powers)
+    assert gens._products == {}
 
 
 @pytest.mark.parametrize("upto", ["phi", "chi5", "chi15"])
