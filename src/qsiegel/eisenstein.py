@@ -27,9 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .exactnum import (bernoulli_number, fundamental_discriminant_split,
-                       generalized_bernoulli, kronecker_symbol, p_valuation,
-                       prime_divisors)
+from .exactnum import (bernoulli_number, factorize, fundamental_discriminant_split,
+                       generalized_bernoulli, kronecker_symbol)
 from .fourier import FourierSeries
 from .lattice import enumerate_cone, norm_m
 
@@ -54,7 +53,7 @@ class EisensteinParams:
 def _prefactor(k, d):
     pref = Fraction(4 * k) * generalized_bernoulli(k - 1, d) \
         / (bernoulli_number(k) * bernoulli_number(2 * k - 2))
-    for p in prime_divisors(D2):
+    for p in factorize(D2):
         pref *= Fraction(1, p ** (k - 1) - 1)
     return pref
 
@@ -62,10 +61,11 @@ def _prefactor(k, d):
 @lru_cache(maxsize=None)
 def _local_data(a, m):
     """(d, ((p, v_p(a), v_p(f), chi_d(p)) for each p | a*f*D2)) of content a
-    and norm m: the weight-free part of the coefficient."""
+    and norm m, in ascending p: the weight-free part of the coefficient."""
     d, f = fundamental_discriminant_split(-m // (a * a))
-    return d, tuple((p, p_valuation(p, a), p_valuation(p, f), kronecker_symbol(d, p))
-                    for p in prime_divisors(a * f * D2))
+    va, vf = factorize(a), factorize(f)
+    return d, tuple((p, va.get(p, 0), vf.get(p, 0), kronecker_symbol(d, p))
+                    for p in sorted({*va, *vf, *factorize(D2)}))
 
 
 @lru_cache(maxsize=None)

@@ -71,10 +71,6 @@ def factorize(n):
     return f
 
 
-def prime_divisors(n):
-    return sorted(factorize(n)) if n > 1 else []
-
-
 def fundamental_discriminant_split(N):
     """Write the negative integer N (0 or 1 mod 4) as N = d*f^2 with d a
     fundamental discriminant and f a positive integer; return (d, f)."""
@@ -132,14 +128,3 @@ def generalized_bernoulli(m, d):
     return Fraction(sum(comb(m, j) * b.numerator * (L // b.denominator) * D ** j
                         * _power_sum(d, m - j) for j, b in enumerate(B) if b), L * D)
 
-
-def p_valuation(p, n):
-    """Largest e with p^e dividing n (n nonzero)."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v

@@ -16,8 +16,9 @@ lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so are the
 structure checks, (name, monomials, expected rank), each reported as a SpanRow
 with the rank and grade that one walk along the deeper() chain reached, which
 stays on series that extend the caller's.  The weight-k row is
-weight_basis(k): M_* is free over A = Q[A_GENERATORS] (E2, E4, chi5a, E6) on
-UNITS (1, chi5b, chi15, chi5b*chi15).
+weight_basis(k): M_* is free over A = Q[A_GENERATORS] on UNITS (1, chi5b,
+chi15, chi5b*chi15), with A = Q[E2, phi4, chi5a, phi6], the same algebra as
+Q[E2, E4, chi5a, E6] in generators whose series are integral.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -43,9 +44,9 @@ E8_MONOMIALS = ((("E2", 4),), (("E2", 2), ("E4", 1)), (("E2", 1), ("E6", 1)),
 W10_MONOMIALS = ((("E10", 1),), (("E2", 5),), (("E2", 3), ("E4", 1)),
                  (("E2", 2), ("E6", 1)), (("E2", 1), ("E4", 2)),
                  (("E4", 1), ("E6", 1)))
-A_GENERATORS = ("E2", "E4", "chi5a", "E6")
+A_GENERATORS = ("E2", "phi4", "chi5a", "phi6")
 UNITS = ((), (("chi5b", 1),), (("chi15", 1),), (("chi5b", 1), ("chi15", 1)))
-FIVE_GENERATORS = ("E2", "E4", "chi5a", "chi5b", "E6")
+FIVE_GENERATORS = ("E2", "phi4", "chi5a", "chi5b", "phi6")
 
 # E8 as a polynomial in E2, E4, E6: coefficients of E8_MONOMIALS.
 E8_IN_LOWER = (Fraction(48860325, 18184241), Fraction(-107719950, 18184241),
@@ -332,8 +333,9 @@ def verify_polynomial_relations(gens):
 
 def monomials(weight, generators):
     """All monomials of the given weight in the named generators, each a tuple
-    of one (form id, exponent) pair per generator; highest powers come first,
-    which rank_of_span eliminates about a fifth faster than ascending ones."""
+    of one (form id, exponent) pair per generator, highest powers first.  On
+    the weight rows of weights 26-40 at grade 14, rank_of_span takes as long
+    over these as over ascending ones (0.111 against 0.110 s, medians of 9)."""
     if not generators:
         return [()] if weight == 0 else []
     form, rest = generators[0], generators[1:]
@@ -343,8 +345,8 @@ def monomials(weight, generators):
 
 
 def weight_basis(k):
-    """The monomials E2^a E4^b chi5a^c E6^d * u of weight k, u in UNITS: each
-    A-monomial of weight k - w(u) times each unit u.  The count equals
+    """The monomials E2^a phi4^b chi5a^c phi6^d * u of weight k, u in UNITS:
+    each A-monomial of weight k - w(u) times each unit u.  The count equals
     genfun_coeff(k)."""
     return [mon + unit for unit in UNITS
             for mon in monomials(k - sum(FORMS[f][1] * n for f, n in unit),
@@ -366,9 +368,10 @@ INDEPENDENCE = ("e2_e4_chi5a_e6_independent", ((("delta20a", 1),),), 1)
 def _span_checks():
     """The rows (name, monomials, expected rank) beside the weight rows, in
     name order: the weight-10 products of E2, E4, E6, E10 span 6 dimensions
-    and chi5a*chi5b a 7th; the five-generator monomials span 12 of the 13
-    dimensions in weight 15 (chi15 the 13th) and 26 of the 28 in weight 20
-    (delta20a, delta20b the last two); then INDEPENDENCE."""
+    and chi5a*chi5b a 7th; the monomials in FIVE_GENERATORS, A_GENERATORS
+    and chi5b, span 12 of the 13 dimensions in weight 15 (chi15 the 13th)
+    and 26 of the 28 in weight 20 (delta20a, delta20b the last two); then
+    INDEPENDENCE."""
     u15, v20 = monomials(15, FIVE_GENERATORS), monomials(20, FIVE_GENERATORS)
     return (("w10_products", W10_MONOMIALS, 6),
             ("w10_with_chi5ab", W10_MONOMIALS + ((("chi5a", 1), ("chi5b", 1)),), 7),

@@ -29,6 +29,7 @@ CLI_TESTS = ("tests/test_cli.py",)
 RING_TESTS = ("tests/test_ring.py",)
 LATTICE_TESTS = ("tests/test_lattice.py",)
 STAGE_TESTS = ("tests/test_ring.py", "tests/test_cli.py")
+EISENSTEIN_TESTS = ("tests/test_eisenstein.py",)
 
 # (name, file under src/qsiegel, exact old text, new text, test files)
 MUTANTS = (
@@ -83,6 +84,8 @@ MUTANTS = (
      "built if cut == self.members() else self", "built", RING_TESTS),
     ("monomial: accept a negative exponent", "ring.py",
      "type(n) is not int or n < 0", "type(n) is not int", RING_TESTS),
+    ("weight rows: E4 in place of phi4", "ring.py",
+     'A_GENERATORS = ("E2", "phi4",', 'A_GENERATORS = ("E2", "E4",', RING_TESTS),
     ("orbit_layer: keep both pairs of each pair-orbit", "lattice.py",
      "if st > 0 or st == 0 < sa:", "if st > 0:", LATTICE_TESTS),
     ("orbit_layer: drop the fixed-point pairs", "lattice.py",
@@ -93,6 +96,11 @@ MUTANTS = (
      "return grade", "return prec", STAGE_TESTS),
     ("check_prec: drop the unknown-stage check", "forms.py",
      "if stage not in STAGES:", "if False:", STAGE_TESTS),
+    ("local data: v_p(f) read from a", "eisenstein.py",
+     "vf.get(p, 0)", "va.get(p, 0)", EISENSTEIN_TESTS),
+    ("local factor: flip the sign of the D2 term", "eisenstein.py",
+     "- c * p ** (k - 2) * sum(q ** t for t in range(ap))",
+     "+ c * p ** (k - 2) * sum(q ** t for t in range(ap))", EISENSTEIN_TESTS),
 )
 
 

@@ -19,8 +19,7 @@ from math import comb, gcd, lcm
 
 from qsiegel import exactnum, fourier
 from qsiegel.exactnum import (bernoulli_number, fundamental_discriminant_split,
-                              is_fundamental_discriminant, kronecker_symbol,
-                              p_valuation, prime_divisors)
+                              is_fundamental_discriminant, kronecker_symbol)
 from qsiegel.fourier import FourierSeries
 from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, is_positive,
                              layer_positions, mirror, norm_m)
@@ -245,10 +244,22 @@ def quad_invariants(eta):
     return QuadInvariants(a, d, f)
 
 
+def _valuations(n):
+    """{p: v_p(n)} for each prime p | n >= 1, by dividing out each p from 2
+    up in turn."""
+    v, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            v[p] = v.get(p, 0) + 1
+            n //= p
+        p += 1
+    return v
+
+
 def _prefactor(k, d):
     pref = Fraction(4 * k) * exactnum.generalized_bernoulli(k - 1, d) \
         / (bernoulli_number(k) * bernoulli_number(2 * k - 2))
-    for p in prime_divisors(6):
+    for p in (2, 3):
         pref *= Fraction(1, p ** (k - 1) - 1)
     return pref
 
@@ -260,14 +271,15 @@ def eisenstein_coefficient(k, eta):
     which test_kernels.py checks against the generalized_bernoulli above."""
     a, d, f = quad_invariants(eta)
     val = _prefactor(k, d)
-    for p in prime_divisors(a * f * 6):
-        ap = p_valuation(p, a)
+    va, vf = _valuations(a), _valuations(f)
+    for p in _valuations(a * f * 6):
+        ap = va.get(p, 0)
         c = kronecker_symbol(d, p)
         if 6 % p == 0:
             Fp = sum(p ** ((2 * k - 3) * t) for t in range(ap + 1)) \
                 - c * sum(p ** ((2 * k - 3) * t + k - 2) for t in range(ap))
         else:
-            fp = p_valuation(p, f)
+            fp = vf.get(p, 0)
             Fp = 0
             for t in range(ap + 1):
                 Fp += sum(p ** ((2 * k - 3) * l + (k - 1) * t)

@@ -6,7 +6,7 @@ from oracles import bernoulli_poly_value
 from qsiegel.exactnum import (bernoulli_number, factorize,
                               fundamental_discriminant_split,
                               generalized_bernoulli, is_fundamental_discriminant,
-                              kronecker_symbol, p_valuation, prime_divisors)
+                              kronecker_symbol)
 
 
 class BernoulliTest(unittest.TestCase):
@@ -118,16 +118,6 @@ class FactorTest(unittest.TestCase):
         self.assertEqual(factorize(12), {2: 2, 3: 1})
         self.assertEqual(factorize(97), {97: 1})
         self.assertEqual(factorize(2 * 2 * 3 * 5 * 5 * 13), {2: 2, 3: 1, 5: 2, 13: 1})
-
-    def test_prime_divisors(self):
-        self.assertEqual(prime_divisors(360), [2, 3, 5])
-        self.assertEqual(prime_divisors(1), [])
-
-    def test_p_valuation(self):
-        self.assertEqual(p_valuation(2, 48), 4)
-        self.assertEqual(p_valuation(3, 48), 1)
-        self.assertEqual(p_valuation(5, 48), 0)
-        self.assertRaises(ValueError, p_valuation, 2, 0)
 
 
 if __name__ == "__main__":

@@ -134,6 +134,14 @@ def test_weight_basis_monomials_are_distinct_and_of_weight_k():
         assert all(_weight(mon) == k for mon in basis), k
 
 
+def test_weight_basis_series_are_integral(gens12):
+    # The ranks cannot tell two generator sets of one algebra apart; the
+    # heights can: over phi4 and phi6 every weight row is integral.
+    gens = GeneratorSet.from_records(8, {f: s.truncate(8) for f, s in gens12.members().items()})
+    for k in range(41):
+        assert all(gens.monomial(mon).den == 1 for mon in weight_basis(k)), k
+
+
 def test_five_generator_monomial_examples():
     for k, count in ((0, 1), (15, 14), (20, 34)):
         mons = monomials(k, FIVE_GENERATORS)
