@@ -1,9 +1,8 @@
 """Construction of the graded-ring generators — the Eisenstein series E2, E4,
 E6 (plus E8, E10 and their phi-normalizations), the two weight-5 cusp forms
 chi5a, chi5b obtained as formal square roots, and the weight-15 form chi15
-obtained as an exact bracket quotient — together with mechanical verification
-of the expansion tables, polynomial relations, and span dimensions they
-satisfy.
+obtained as an exact bracket quotient — with mechanical verification of the
+expansion tables, polynomial relations and span dimensions they satisfy.
 
 `GeneratorSet.build(prec, upto)` runs the construction in three stages
 ("phi", "chi5", "chi15"), each on top of the ones before it, on one set at its
@@ -15,10 +14,11 @@ relation and span checks.  The polynomial identities are data, (name,
 lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so are the
 structure checks, (name, monomials, expected rank), each reported as a SpanRow
 with the rank and grade that one walk along the deeper() chain reached, which
-stays on series that extend the caller's.  The weight-k row is
-weight_basis(k): M_* is free over A = Q[A_GENERATORS] on UNITS (1, chi5b,
-chi15, chi5b*chi15), with A = Q[E2, phi4, chi5a, phi6], the same algebra as
-Q[E2, E4, chi5a, E6] in generators whose series are integral.
+stays on series that extend the caller's.  M_* is free over A =
+Q[A_GENERATORS] = Q[E2, phi4, chi5a, phi6], Q[E2, E4, chi5a, E6] in integral
+generators, on UNITS (1, chi5b, chi15, chi5b*chi15): the weight-k row is
+weight_basis(k).  FIVE_GENERATORS is A and chi5b and the weight-10 rows are the
+weight-10 table's columns, so only the relations form products of E4, E6, E10.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -46,7 +46,7 @@ W10_MONOMIALS = ((("E10", 1),), (("E2", 5),), (("E2", 3), ("E4", 1)),
                  (("E4", 1), ("E6", 1)))
 A_GENERATORS = ("E2", "phi4", "chi5a", "phi6")
 UNITS = ((), (("chi5b", 1),), (("chi15", 1),), (("chi5b", 1), ("chi15", 1)))
-FIVE_GENERATORS = ("E2", "phi4", "chi5a", "chi5b", "phi6")
+FIVE_GENERATORS = A_GENERATORS + ("chi5b",)
 
 # E8 as a polynomial in E2, E4, E6: coefficients of E8_MONOMIALS.
 E8_IN_LOWER = (Fraction(48860325, 18184241), Fraction(-107719950, 18184241),
@@ -367,14 +367,14 @@ INDEPENDENCE = ("e2_e4_chi5a_e6_independent", ((("delta20a", 1),),), 1)
 
 def _span_checks():
     """The rows (name, monomials, expected rank) beside the weight rows, in
-    name order: the weight-10 products of E2, E4, E6, E10 span 6 dimensions
-    and chi5a*chi5b a 7th; the monomials in FIVE_GENERATORS, A_GENERATORS
-    and chi5b, span 12 of the 13 dimensions in weight 15 (chi15 the 13th)
-    and 26 of the 28 in weight 20 (delta20a, delta20b the last two); then
-    INDEPENDENCE."""
+    name order: the weight-10 product table's columns span 6 dimensions and
+    chi5a*chi5b a 7th; FIVE_GENERATORS' monomials span 12 of the 13 in weight
+    15 (chi15 the 13th) and 26 of the 28 in weight 20 (delta20a, delta20b the
+    last two); then INDEPENDENCE."""
+    w10 = monomials(10, ("E2", "phi4", "phi6")) + [(("phi10", 1),)]
     u15, v20 = monomials(15, FIVE_GENERATORS), monomials(20, FIVE_GENERATORS)
-    return (("w10_products", W10_MONOMIALS, 6),
-            ("w10_with_chi5ab", W10_MONOMIALS + ((("chi5a", 1), ("chi5b", 1)),), 7),
+    return (("w10_products", w10, 6),
+            ("w10_with_chi5ab", w10 + [(("chi5a", 1), ("chi5b", 1))], 7),
             ("w15_five_generators", u15, 12),
             ("w15_with_chi15", u15 + [(("chi15", 1),)], 13),
             ("w20_five_generators", v20, 26),

@@ -86,6 +86,13 @@ MUTANTS = (
      "type(n) is not int or n < 0", "type(n) is not int", RING_TESTS),
     ("weight rows: E4 in place of phi4", "ring.py",
      'A_GENERATORS = ("E2", "phi4",', 'A_GENERATORS = ("E2", "E4",', RING_TESTS),
+    ("w10 rows: drop phi10", "ring.py",
+     ' + [(("phi10", 1),)]', "", RING_TESTS),
+    ("FIVE_GENERATORS: drop chi5b", "ring.py",
+     'FIVE_GENERATORS = A_GENERATORS + ("chi5b",)', "FIVE_GENERATORS = A_GENERATORS",
+     RING_TESTS),
+    ("CHI5_QUINTIC: perturb a coefficient", "ring.py",
+     "Fraction(5005, 8149248)", "Fraction(5006, 8149248)", RING_TESTS),
     ("orbit_layer: keep both pairs of each pair-orbit", "lattice.py",
      "if st > 0 or st == 0 < sa:", "if st > 0:", LATTICE_TESTS),
     ("orbit_layer: drop the fixed-point pairs", "lattice.py",

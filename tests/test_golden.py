@@ -1,6 +1,8 @@
-"""`expand` stdout against sha256 digests: the benchmark's (perfbench/golden.json,
-read only) for every form at prec 8 in both formats, and golden_deep.json's
-for every form at prec 20 as CSV."""
+"""`expand` and `verify` stdout against sha256 digests: the benchmark's
+(perfbench/golden.json, read only) for every form at prec 8 in both formats,
+golden_deep.json's for every form at prec 20 as CSV, and golden_verify.json's
+"tier1" runs of every verify suite with their exit codes.  CI compares the
+structure suite to weight 40 against golden_verify.json's "deep" runs."""
 import hashlib
 import json
 import pathlib
@@ -42,3 +44,15 @@ def test_deep_expand_output_matches_golden_digest(tmp_path, capsys):
         if form == "chi15":
             assert len(list(cache.iterdir())) == len(FORMS)
     assert digests == json.loads(GOLDEN_DEEP.read_text())["sha256"]
+
+
+GOLDEN_VERIFY = json.loads(pathlib.Path(__file__).resolve().with_name(
+    "golden_verify.json").read_text())
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_VERIFY["tier1"]))
+def test_verify_output_matches_golden_digest(capsys, args):
+    want = GOLDEN_VERIFY["tier1"][args]
+    assert main(args.split()) == want["exit"]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]

@@ -2,19 +2,23 @@
 honest build, their sensitivity to forged inputs, and monomial span ranks."""
 from collections import Counter
 from fractions import Fraction as Fr
+import json
 from math import isqrt, prod
+import os
 import re
 
 import pytest
 
 import oracles
+from qsiegel.cli import FIXTURE_DIR, _descriptor_powers
 from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import FourierSeries, linear_combine, rank_of_span
 from qsiegel.lattice import MAX_GRADE, ZERO, grade
 from qsiegel import ring
 from qsiegel.forms import FORMS, STAGES, check_prec
-from qsiegel.ring import (CHI5A_LEAD, CHI5B_LEAD, FIVE_GENERATORS, GeneratorSet,
-                          monomial_basis, monomials,
+from qsiegel.ring import (CHI5_QUINTIC, CHI5A_LEAD, CHI5A_SQ_EXPANSION, CHI5B_LEAD,
+                          CHI5B_SQ_EXPANSION, FIVE_GENERATORS, W10_MONOMIALS,
+                          GeneratorSet, monomial_basis, monomials,
                           verify_chi5_square_relations,
                           verify_polynomial_relations, verify_structure,
                           weight_basis)
@@ -115,6 +119,14 @@ def test_relation_right_hand_sides_are_not_squares():
     assert p1 == Fr(12229573, 254664)
     for value in (p1, p2, p1 * p2):
         assert not _is_rational_square(value), value
+
+
+def test_weight_10_tables_agree_with_each_other():
+    # chi5a^2 and chi5b^2 share their E10 coefficient, and their difference
+    # on the other five W10_MONOMIALS is the quintic's coefficient there
+    assert CHI5A_SQ_EXPANSION[0] == CHI5B_SQ_EXPANSION[0], W10_MONOMIALS[0]
+    for i, mon in enumerate(W10_MONOMIALS[1:]):
+        assert CHI5_QUINTIC[i] == CHI5B_SQ_EXPANSION[i + 1] - CHI5A_SQ_EXPANSION[i + 1], mon
 
 
 def _weight(monomial):
@@ -235,6 +247,35 @@ def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
     assert all(rep.ok for rep in verify_chi5_square_relations(gens)
                + verify_polynomial_relations(gens))
     assert operands and max(operands.values()) == 1
+
+
+def test_structure_forms_products_of_one_generator_family():
+    # E4, E6 and E10 products belong to the relations suite, whose tables
+    # are indexed by them; every set the structure walk reaches forms none
+    gens = GeneratorSet.build(8)
+    assert verify_structure(20, gens).ok
+    chain = [gens]
+    while chain[-1]._deeper not in (None, chain[-1]):
+        chain.append(chain[-1]._deeper)
+    assert len(chain) > 1  # prec 8 walks deeper
+    for s in chain:
+        named = {form for key in s._products for form, _ in key}
+        assert named and not named & {"E4", "E6", "E10"}, (s.prec, named)
+
+
+def test_w10_rows_are_the_weight_10_table_columns(gens12):
+    # the same products as the paper's weight-10 table, in its order, and
+    # the same span as W10_MONOMIALS: the rows' ranks cannot tell them apart
+    (_, w10, six), (_, w10_ab, seven) = ring._span_checks()[:2]
+    with open(os.path.join(FIXTURE_DIR, "products_weight10.json")) as fh:
+        table = json.load(fh)
+    assert [gens12.monomial(m) for m in w10] == [
+        gens12.monomial(_descriptor_powers(d)) for d in table["columns"]]
+    both = [gens12.monomial(m) for m in W10_MONOMIALS + tuple(w10)]
+    assert rank_of_span(both) == six == 6
+    chi5ab = (("chi5a", 1), ("chi5b", 1))
+    assert w10_ab == w10 + [chi5ab]
+    assert rank_of_span(both + [gens12.monomial(chi5ab)]) == seven == 7
 
 
 def test_stages_build_on_each_other(gens12):
