@@ -17,10 +17,6 @@ def periodic_selector(values, k):
     return values[k % len(values)]
 
 
-def _is_odd_prime(p):
-    return p > 2 and p % 2 == 1 and factorize(p) == {p: 1}
-
-
 def _cusp_formula(k, p):
     """The dimension formula as an exact rational, no range checks.
 
@@ -54,9 +50,12 @@ def _cusp_formula(k, p):
 
 
 def dim_cusp(k, p):
-    """Dimension of the weight-k cusp space for the odd prime p; only valid
-    (and only accepted) for k >= 5."""
-    if not _is_odd_prime(p):
+    """Dimension of the weight-k cusp space for the odd prime p < 2^40, the
+    bound keeping factorize's trial division short; only valid (and only
+    accepted) for k >= 5."""
+    if p >= 2 ** 40:
+        raise ValueError("p must be below 2^40, got %r" % (p,))
+    if p < 3 or p % 2 == 0 or factorize(p) != {p: 1}:
         raise ValueError("p must be an odd prime, got %r" % (p,))
     if k <= 4:
         raise ValueError("the dimension formula needs k >= 5")

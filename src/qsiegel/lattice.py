@@ -7,7 +7,7 @@ addition and zero only at the origin, which is what makes it the right
 truncation parameter for series products.
 
 Positions number the indices of grade <= X as positions(X), the origin then
-enumerate_cone(X); the numbering for X is a prefix of the one for any X' > X,
+each layer in turn; the numbering for X is a prefix of the one for any X' > X,
 so a position never depends on the truncation.  The convolution table of
 grade x, `orbit_layer`, files the positions (i, j) of each decomposition
 a + b = t under t exactly when t <= iota t represents its orbit of the
@@ -68,13 +68,9 @@ def layer(x):
     return tuple(pts)
 
 
-@lru_cache(maxsize=None)
 def enumerate_cone(X):
     """All positive indices of grade <= X in canonical order."""
-    out = []
-    for x in range(1, X + 1):
-        out.extend(layer(x))
-    return tuple(out)
+    return positions(X)[1:]
 
 
 # Kept for perfbench/tracer.py, which reads its cache_info (ROADMAP item 1).
@@ -95,7 +91,7 @@ def decompositions(eta):
 @lru_cache(maxsize=None)
 def positions(X):
     """The indices of grade <= X in position order, the origin first."""
-    return (ZERO,) + enumerate_cone(X)
+    return positions(X - 1) + layer(X) if X > 0 else (ZERO,)
 
 
 def position_count(X):

@@ -9,10 +9,10 @@ expansion tables, polynomial relations and span dimensions they satisfy.
 deepest grade that forms every product, and returns `from_records` of that
 set's members truncated to prec: the one constructor, which a caller may also
 give its own series.  `GeneratorSet.monomial` is the one way to form a product
-of powers of a set's members and the one product cache, shared by the
-relation and span checks.  The polynomial identities are data, (name,
-lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so are the
-structure checks, (name, monomials, expected rank), each reported as a SpanRow
+of powers of a set's members and the one product cache, shared by all checks,
+with one id per series: phi2 is E2.  The polynomial identities are data,
+(name, lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so
+are the structure checks, (name, monomials, expected rank), each a SpanRow
 with the rank and grade that one walk along the deeper() chain reached, which
 stays on series that extend the caller's.  M_* is free over A =
 Q[A_GENERATORS] = Q[E2, phi4, chi5a, phi6], Q[E2, E4, chi5a, E6] in integral
@@ -164,10 +164,9 @@ class GeneratorSet:
     check_prec raises ValueError before any work for an unknown stage, a
     prec below the stage's floor or an X past the kernel's deepest grade.
     build fills one set at grade X a member at a time and forms the phi
-    forms' products with its monomial, powers of phi2 under the id E2; it
-    returns from_records of that set's members truncated to prec, with an
-    empty product cache.  Each member is the attribute named by its form id
-    in lower case.
+    forms' products with its monomial; it returns from_records of that set's
+    members truncated to prec, with an empty product cache.  Each member is
+    the attribute named by its form id in lower case.
     """
 
     __slots__ = ("prec", "stage", "_products", "_deeper") + tuple(
@@ -223,8 +222,8 @@ class GeneratorSet:
         empty product cache: the one constructor, which build calls on its
         truncated members and a caller on its own series.  Raises
         ValueError unless the ids are exactly the members of one stage, prec
-        lies in that stage's range (forms.check_prec, as in build) and every
-        series has its form's weight and precision prec."""
+        lies in that stage's range (forms.check_prec, as in build), every
+        series has its form's weight and precision prec and phi2 is E2."""
         stage = next((st for st in STAGES if set(forms) == set(_stage_forms(st))), None)
         if stage is None:
             raise ValueError("forms %s are not the members of one stage"
@@ -238,6 +237,8 @@ class GeneratorSet:
                                  "at prec %d" % (form, s.weight, s.prec,
                                                  FORMS[form][1], prec))
             setattr(self, form.lower(), s)
+        if self.phi2 != self.e2:
+            raise ValueError("phi2 differs from E2")
         return self
 
     def deeper(self):
@@ -257,11 +258,12 @@ class GeneratorSet:
     def monomial(self, powers):
         """The product of the members' powers for (form id, exponent) pairs, in
         any order; one(prec) when every exponent is 0.  Each product is cached
-        under its sorted nonzero pairs and formed by one multiply from cached
-        factors: a power from the next lower power, any other product from
-        the one-generator-shorter prefix and the last generator's power.  A
-        miss raises ValueError for a pair other than (member id, int >= 0)."""
-        key = tuple(sorted((f, n) for f, n in powers if n))
+        under its sorted nonzero pairs, phi2 read as E2 (from_records makes
+        them one series), and formed by one multiply from cached factors: a
+        power from the next lower power, any other product from the
+        one-generator-shorter prefix and the last generator's power.  A miss
+        raises ValueError for a pair other than (member id, int >= 0)."""
+        key = tuple(sorted(("E2" if f == "phi2" else f, n) for f, n in powers if n))
         mon = self._products.get(key)
         if mon is None:
             if not key:

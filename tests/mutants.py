@@ -84,6 +84,10 @@ MUTANTS = (
      "built if cut == self.members() else self", "built", RING_TESTS),
     ("monomial: accept a negative exponent", "ring.py",
      "type(n) is not int or n < 0", "type(n) is not int", RING_TESTS),
+    ("monomial: key phi2 apart from E2", "ring.py",
+     '("E2" if f == "phi2" else f, n)', "(f, n)", RING_TESTS),
+    ("from_records: accept a phi2 that is not E2", "ring.py",
+     "if self.phi2 != self.e2:", "if False:", RING_TESTS),
     ("weight rows: E4 in place of phi4", "ring.py",
      'A_GENERATORS = ("E2", "phi4",', 'A_GENERATORS = ("E2", "E4",', RING_TESTS),
     ("w10 rows: drop phi10", "ring.py",

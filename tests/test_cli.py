@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Fr
@@ -400,6 +401,15 @@ def test_dims_rejects_bad_p(capsys):
     assert rc == 2 and "odd prime" in err
     rc, _, err = run(capsys, "dims", "--p", "9", "--from", "5", "--to", "6")
     assert rc == 2 and "odd prime" in err
+
+
+def test_dims_refuses_a_large_p_before_testing_it(capsys):
+    # factorize would try about 5 * 10^8 divisors of this prime
+    p = 10 ** 18 + 3
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "dims", "--p", str(p), "--from", "5", "--to", "5")
+    assert time.perf_counter() - start < 1
+    assert (rc, out, err) == (2, "", "error: p must be below 2^40, got %d\n" % p)
 
 
 def test_dims_rejects_low_start_for_general_p(capsys):

@@ -43,6 +43,14 @@ def test_rejects():
         dim_cusp(5, 15)
 
 
+def test_primes_up_to_2_to_the_40():
+    # the largest prime below 2^40 is answered; 2^40 itself is refused
+    # before factorize runs, with its own reason
+    assert dim_cusp(5, 2 ** 40 - 87) > 0
+    with pytest.raises(ValueError, match=r"below 2\^40, got 1099511627776"):
+        dim_cusp(5, 2 ** 40)
+
+
 def test_integrality_and_nonnegativity():
     for p in FIRST_ODD_PRIMES:
         for k in range(5, 201):

@@ -10,7 +10,7 @@ import re
 import pytest
 
 import oracles
-from qsiegel.cli import FIXTURE_DIR, _descriptor_powers
+from qsiegel.cli import FIXTURE_DIR, _descriptor_powers, verify_suite
 from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import FourierSeries, linear_combine, rank_of_span
 from qsiegel.lattice import MAX_GRADE, ZERO, grade
@@ -241,11 +241,13 @@ def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
 
     monkeypatch.setattr(ring, "multiply", counted)
     gens = forged(gens12)  # the members of gens12 and an empty product cache
-    # weights 10, 15 and 20 share monomials with the augmentation rows and the
-    # relations, and every product shares its prefix with others
+    # weights 10, 15 and 20 share monomials with the augmentation rows, the
+    # relations and the tables, whose columns name phi2, and every product
+    # shares its prefix with others
     assert verify_structure(20, gens).ok
     assert all(rep.ok for rep in verify_chi5_square_relations(gens)
                + verify_polynomial_relations(gens))
+    assert verify_suite("tables", gens, 20)[1]
     assert operands and max(operands.values()) == 1
 
 
@@ -300,6 +302,12 @@ def test_from_records_validates(gens12):
     with pytest.raises(ValueError, match="prec must be >= 5"):
         GeneratorSet.from_records(4, {f: s.truncate(4)
                                       for f, s in gens12.members().items()})
+    # one coefficient of phi2 moved: monomial keys phi2 as E2, so the set
+    # must not hold two different series under those ids
+    moved = FourierSeries(2, 12, {**gens12.phi2.coeffs,
+                                  (2, 1, -1): gens12.phi2.coeff((2, 1, -1)) + 1})
+    with pytest.raises(ValueError, match="phi2"):
+        forged(gens12, phi2=moved)
 
 
 def test_monomial_skips_zero_exponents(gens12):
@@ -361,6 +369,7 @@ def test_built_members_are_their_own_product_entries(upto):
     gens = GeneratorSet.build(6, upto)
     for form in ("E2", "phi4", "phi6"):
         assert gens.monomial(((form, 1),)) is getattr(gens, form.lower())
+    assert gens.monomial((("phi2", 2),)) is gens.monomial((("E2", 2),))
 
 
 def test_structure_rows_start_where_the_row_before_reached_its_rank(monkeypatch):

@@ -84,13 +84,13 @@ def test_readme_library_example_runs():
             checked += 1
         else:
             exec(compile(ast.Module([stmt], []), "<README>", "exec"), scope)
-    assert checked == 4
+    assert checked == 5
 
 
 def test_every_mutant_targets_one_place():
     # A refactor that moves a mutant's old text retires the mutant quietly;
     # tests/mutants.py applies each edit only where its text occurs once.
-    assert len(mutants.MUTANTS) == len({m[0] for m in mutants.MUTANTS}) == 34
+    assert len(mutants.MUTANTS) == len({m[0] for m in mutants.MUTANTS}) == 36
     for name, path, old, new, tests in mutants.MUTANTS:
         assert (PACKAGE / path).read_text().count(old) == 1, name
         assert old != new and tests, name
