@@ -1,6 +1,6 @@
 """The Fourier index lattice: triples eta = (x, y, z) in Z^3 with the norm
-form m_eta, the positivity cone, grade-by-grade enumeration and additive
-decompositions (convolution support).
+form m_eta, the positivity cone, its layers (each grade's positive indices
+in a box that `layer` proves holds them) and additive decompositions.
 
 The "grade" of an index is its x-coordinate.  It is additive under index
 addition and zero only at the origin, which is what makes it the right
@@ -17,7 +17,6 @@ table raises OverflowError.
 """
 from array import array
 from functools import lru_cache
-from math import isqrt
 
 ZERO = (0, 0, 0)
 MAX_GRADE = 82  # position_count(82) = 64443 fits array("H"); grade 83 does not
@@ -45,27 +44,14 @@ def index_key(eta):
 def layer(x):
     """All positive indices of grade exactly x, canonically ordered.
 
-    Positivity forces 5z^2 + 5xz + x^2 < 0, which pins z to a short interval
-    strictly inside (-x, 0); for each such z the admissible y lie strictly
-    between the roots of 5y^2 - 2xy + (5x^2 + 24z^2 + 24zx).  Both intervals
-    are scanned with integer arithmetic only.
+    Completing the square, m_eta > 0 reads 24(z + x/2)^2 < x^2 + 2xy - 5y^2
+    = 6x^2/5 - 5(y - x/5)^2, so (z + x/2)^2 < x^2/20 and (y - x/5)^2 <
+    6x^2/25: every positive index of grade x has -3x/4 < z < -x/4 and
+    -x/3 < y < 3x/4.  The layer is the indices of that box that are positive.
     """
-    pts = []
-    for z in range(-x, 1):
-        if 5 * z * z + 5 * x * z + x * x >= 0:
-            continue
-        # a quarter of the y-quadratic's discriminant, > 0 by the z test above
-        Ry = -24 * x * x - 120 * z * z - 120 * x * z
-        ty = isqrt(Ry - 1)  # largest integer strictly below sqrt(Ry)
-        ylo = -((ty - x) // 5)
-        for y in range(ylo, (x + ty) // 5 + 1):
-            eta = (x, y, z)
-            if not is_positive(eta):
-                raise ValueError("layer scan produced the non-positive index %r"
-                                 % (eta,))
-            pts.append(eta)
-    pts.sort(key=index_key)
-    return tuple(pts)
+    box = ((x, y, z) for y in range(-x // 3, 3 * x // 4 + 1)
+           for z in range(-3 * x // 4, -x // 4 + 1))
+    return tuple(sorted(filter(is_positive, box), key=index_key))
 
 
 def enumerate_cone(X):

@@ -223,7 +223,8 @@ class GeneratorSet:
         truncated members and a caller on its own series.  Raises
         ValueError unless the ids are exactly the members of one stage, prec
         lies in that stage's range (forms.check_prec, as in build), every
-        series has its form's weight and precision prec and phi2 is E2."""
+        series has its form's weight and precision prec, phi2 is E2 and phi8
+        is 138811*E8, the multiples build defines them as."""
         stage = next((st for st in STAGES if set(forms) == set(_stage_forms(st))), None)
         if stage is None:
             raise ValueError("forms %s are not the members of one stage"
@@ -239,6 +240,8 @@ class GeneratorSet:
             setattr(self, form.lower(), s)
         if self.phi2 != self.e2:
             raise ValueError("phi2 differs from E2")
+        if self.phi8 != linear_combine([(138811, self.e8)]):
+            raise ValueError("phi8 differs from 138811*E8")
         return self
 
     def deeper(self):

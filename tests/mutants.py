@@ -88,6 +88,8 @@ MUTANTS = (
      '("E2" if f == "phi2" else f, n)', "(f, n)", RING_TESTS),
     ("from_records: accept a phi2 that is not E2", "ring.py",
      "if self.phi2 != self.e2:", "if False:", RING_TESTS),
+    ("from_records: accept a phi8 that is not 138811*E8", "ring.py",
+     "if self.phi8 != linear_combine([(138811, self.e8)]):", "if False:", RING_TESTS),
     ("weight rows: E4 in place of phi4", "ring.py",
      'A_GENERATORS = ("E2", "phi4",', 'A_GENERATORS = ("E2", "E4",', RING_TESTS),
     ("w10 rows: drop phi10", "ring.py",
@@ -97,6 +99,8 @@ MUTANTS = (
      RING_TESTS),
     ("CHI5_QUINTIC: perturb a coefficient", "ring.py",
      "Fraction(5005, 8149248)", "Fraction(5006, 8149248)", RING_TESTS),
+    ("layer: cut the box's y bound to x // 2", "lattice.py",
+     "3 * x // 4 + 1", "x // 2 + 1", LATTICE_TESTS),
     ("orbit_layer: keep both pairs of each pair-orbit", "lattice.py",
      "if st > 0 or st == 0 < sa:", "if st > 0:", LATTICE_TESTS),
     ("orbit_layer: drop the fixed-point pairs", "lattice.py",

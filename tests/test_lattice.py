@@ -26,7 +26,7 @@ def layer_brute(x):
 
 
 def test_layer_matches_brute_force():
-    for x in range(1, 11):
+    for x in range(1, 41):
         assert list(layer(x)) == layer_brute(x)
 
 

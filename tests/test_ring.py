@@ -308,6 +308,13 @@ def test_from_records_validates(gens12):
                                   (2, 1, -1): gens12.phi2.coeff((2, 1, -1)) + 1})
     with pytest.raises(ValueError, match="phi2"):
         forged(gens12, phi2=moved)
+    # one iota-pair of phi8 coefficients moved at grade 9: the tables stop
+    # at grade 8 and no other suite reads phi8, so only this check sees it
+    pair = ((9, 1, -3), (9, 1, -6))
+    moved = FourierSeries(8, 12, {**gens12.phi8.coeffs,
+                                  **{t: gens12.phi8.coeff(t) + 1 for t in pair}})
+    with pytest.raises(ValueError, match="phi8"):
+        forged(gens12, phi8=moved)
 
 
 def test_monomial_skips_zero_exponents(gens12):
