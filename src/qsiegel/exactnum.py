@@ -82,10 +82,9 @@ def fundamental_discriminant_split(N):
     s = N // (g * g)  # squarefree part, negative
     if s % 4 == 1:
         return s, g
-    # s = 2 or 3 mod 4: the discriminant is 4s, and N = 0 mod 4 forces g even
-    if g % 2:
-        raise ValueError("N = %r: square part %r of a non-1-mod-4 core must be even"
-                         % (N, g))
+    # s = 2 or 3 mod 4, so the discriminant is 4s and g is even: an odd g has
+    # g^2 = 1 mod 4, so N = s mod 4, and N = 0 or 1 mod 4 with s squarefree
+    # (never 0 mod 4) would give s = 1 mod 4, returned above.
     return 4 * s, g // 2
 
 

@@ -87,11 +87,9 @@ def position_count(X):
 
 @lru_cache(maxsize=None)
 def layer_positions(x):
-    """{eta: position} for the indices of grade x (x = 0 is the origin)."""
-    if x == 0:
-        return {ZERO: 0}
+    """{eta: position} for the grade-x tail of positions(x), the origin at x = 0."""
     start = position_count(x - 1)
-    return {eta: start + i for i, eta in enumerate(layer(x))}
+    return {eta: start + i for i, eta in enumerate(positions(x)[start:])}
 
 
 @lru_cache(maxsize=None)

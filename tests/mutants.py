@@ -30,6 +30,7 @@ RING_TESTS = ("tests/test_ring.py",)
 LATTICE_TESTS = ("tests/test_lattice.py",)
 STAGE_TESTS = ("tests/test_ring.py", "tests/test_cli.py")
 EISENSTEIN_TESTS = ("tests/test_eisenstein.py",)
+EXACTNUM_TESTS = ("tests/test_exactnum.py",)
 
 # (name, file under src/qsiegel, exact old text, new text, test files)
 MUTANTS = (
@@ -97,6 +98,9 @@ MUTANTS = (
     ("FIVE_GENERATORS: drop chi5b", "ring.py",
      'FIVE_GENERATORS = A_GENERATORS + ("chi5b",)', "FIVE_GENERATORS = A_GENERATORS",
      RING_TESTS),
+    ("W10_MONOMIALS: E10 last", "ring.py",
+     '((("E10", 1),),) + tuple(monomials(10, E_GENERATORS))',
+     'tuple(monomials(10, E_GENERATORS)) + ((("E10", 1),),)', RING_TESTS),
     ("CHI5_QUINTIC: perturb a coefficient", "ring.py",
      "Fraction(5005, 8149248)", "Fraction(5006, 8149248)", RING_TESTS),
     ("layer: cut the box's y bound to x // 2", "lattice.py",
@@ -116,6 +120,8 @@ MUTANTS = (
     ("local factor: flip the sign of the D2 term", "eisenstein.py",
      "- c * p ** (k - 2) * sum(q ** t for t in range(ap))",
      "+ c * p ** (k - 2) * sum(q ** t for t in range(ap))", EISENSTEIN_TESTS),
+    ("fundamental_discriminant_split: f = g", "exactnum.py",
+     "return 4 * s, g // 2", "return 4 * s, g", EXACTNUM_TESTS),
 )
 
 

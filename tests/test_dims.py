@@ -41,6 +41,8 @@ def test_rejects():
         dim_cusp(5, 9)
     with pytest.raises(ValueError):
         dim_cusp(5, 15)
+    with pytest.raises(ValueError, match="weight must be >= 0"):
+        genfun_coeff(-1)
 
 
 def test_primes_up_to_2_to_the_40():

@@ -1,6 +1,7 @@
 """Number-theory helpers: Bernoulli numbers, Kronecker symbols, discriminants."""
 import unittest
 from fractions import Fraction as Fr
+from math import isqrt
 
 from oracles import bernoulli_poly_value
 from qsiegel.exactnum import (bernoulli_number, factorize,
@@ -70,6 +71,13 @@ class KroneckerTest(unittest.TestCase):
                     self.assertEqual(kronecker_symbol(d, m * n),
                                      kronecker_symbol(d, m) * kronecker_symbol(d, n))
 
+    def test_negative_n(self):
+        # (d/-n) = (d/-1)(d/n), and (d/-1) is the sign of d
+        for d in range(-30, 31):
+            for n in range(1, 30):
+                self.assertEqual(kronecker_symbol(d, -n),
+                                 (-1 if d < 0 else 1) * kronecker_symbol(d, n), (d, n))
+
     def test_n_zero_and_one(self):
         self.assertEqual(kronecker_symbol(1, 0), 1)
         self.assertEqual(kronecker_symbol(-1, 0), 1)
@@ -83,6 +91,21 @@ class DiscriminantTest(unittest.TestCase):
             self.assertTrue(is_fundamental_discriminant(d), d)
             for f in range(1, 7):
                 self.assertEqual(fundamental_discriminant_split(d * f * f), (d, f))
+
+    def test_every_small_N_splits_into_a_fundamental_discriminant(self):
+        # d fundamental, tested without exactnum: d = 1 mod 4 and squarefree,
+        # or d = 4m with m = 2, 3 mod 4 and squarefree
+        squarefree = [True] * 20001
+        for p in range(2, isqrt(20000) + 1):
+            squarefree[p * p::p * p] = [False] * len(squarefree[p * p::p * p])
+        for N in range(-20000, 0):
+            if N % 4 not in (0, 1):
+                continue
+            d, f = fundamental_discriminant_split(N)
+            self.assertTrue(d * f * f == N and f >= 1, N)
+            m = d // 4
+            self.assertTrue(d % 4 == 1 and squarefree[-d]
+                            or d % 4 == 0 and m % 4 in (2, 3) and squarefree[-m], N)
 
     def test_rejects(self):
         self.assertRaises(ValueError, fundamental_discriminant_split, 5)

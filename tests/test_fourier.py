@@ -165,6 +165,18 @@ def test_sqrt_input_validation():
         sqrt_monic(FourierSeries(8, 6, {(2, 0, -1): 1}), (2, 0, -1))
 
 
+def test_refusals_name_their_reason():
+    with pytest.raises(ValueError, match="empty linear combination"):
+        linear_combine([])
+    # one(6) is the square of one: only the lead check refuses the origin
+    with pytest.raises(ValueError, match="leading index must be positive"):
+        sqrt_monic(one(6), ZERO)
+    e4 = eisenstein_series(EisensteinParams(4), 6)
+    for span in (rank_of_span, relation_nullspace):
+        with pytest.raises(ValueError, match="forms must share one precision"):
+            span([e4, e4.truncate(4)])
+
+
 def test_solver_rejects_short_inputs():
     with pytest.raises(ValueError):  # prec 3 below 2 * grade(lead) = 4
         sqrt_monic(FourierSeries(4, 3, {}), (2, 0, -1))
@@ -242,6 +254,8 @@ def test_divide_rejects_non_multiple():
         divide_exact(chi5a, chi5b, (2, 1, -1))
     with pytest.raises(ValueError):
         divide_exact(chi5b.truncate(6), chi5a.truncate(4), (2, 0, -1))
+    with pytest.raises(ValueError, match="dividend support below the leading grade"):
+        divide_exact(chi5.e4, chi5a, CHI5A_LEAD)
 
 
 def test_rank_duplicates_and_scaling():

@@ -12,7 +12,8 @@ import pytest
 import oracles
 from qsiegel.cli import FIXTURE_DIR, _descriptor_powers, verify_suite
 from qsiegel.dims import genfun_coeff
-from qsiegel.fourier import FourierSeries, linear_combine, rank_of_span
+from qsiegel.fourier import (FourierSeries, linear_combine, rank_of_span,
+                             relation_nullspace)
 from qsiegel.lattice import MAX_GRADE, ZERO, grade
 from qsiegel import ring
 from qsiegel.forms import FORMS, STAGES, check_prec
@@ -101,6 +102,20 @@ def test_polynomial_relation_sensitive_to_rescaling(gens12):
     assert not reports["chi15_sq_identity"].ok
     assert not reports["chi15_sq_tabulated_scale"].ok
     assert reports["e8_in_lower_generators"].ok  # untouched by the forgery
+
+
+def test_chi15_sq_table_is_pinned_only_from_prec_14(gens12):
+    # the identity's 47 weight-30 monomials in E2, E4, E6, chi5a have rank 41
+    # at grade 12 and 47 at grade 14: a table moved along any of their grade-12
+    # relations passes at verify's default prec 12 and fails at 14
+    mons = monomials(30, ring.E_GENERATORS + ("chi5a",))
+    null = relation_nullspace([gens12.monomial(m) for m in mons])
+    assert (len(mons), len(null)) == (47, 6)
+    name, scale, lhs, terms = ring._relations()[4]
+    assert name == "chi15_sq_identity"
+    record = [(name, scale, lhs, terms + list(zip(null[0], mons)))]
+    assert ring._check_relations(gens12, record)[0].ok
+    assert not ring._check_relations(GeneratorSet.build(14), record)[0].ok
 
 
 def _is_rational_square(q):
