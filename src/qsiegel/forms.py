@@ -21,9 +21,12 @@ def check_prec(prec, stage):
     """The grade GeneratorSet.build works at to make the stage exact at prec:
     each stage after "phi" works 2 grades deeper, the grade of the leading
     index that its square roots or quotients lose.  Raises ValueError for an
-    unknown stage, a prec below the stage's floor or a grade past MAX_GRADE."""
+    unknown stage, a prec that is not an int or is below the stage's floor,
+    or a grade past MAX_GRADE."""
     if stage not in STAGES:
         raise ValueError("unknown stage %r; known: %s" % (stage, " ".join(STAGES)))
+    if type(prec) is not int:
+        raise ValueError("prec must be an int, got %r" % (prec,))
     floor = 5 if stage == "chi15" else 4
     if prec < floor:
         raise ValueError("prec must be >= %d (stage %s)" % (floor, stage))

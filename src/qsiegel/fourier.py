@@ -101,8 +101,6 @@ class FourierSeries:
                 and (self.weight, self.prec, self.den, self.vec)
                 == (other.weight, other.prec, other.den, other.vec))
 
-    __hash__ = None
-
     def __repr__(self):
         return "FourierSeries(weight=%r, prec=%r, %d coefficients)" % (
             self.weight, self.prec, sum(map(bool, self.vec)))

@@ -144,9 +144,8 @@ CHI15_SQ_TABULATED = (
     (Fraction(40993977139200000, 19651489), 0, 0, 0, 6),
 )
 
-# (3621888/4433)^2; the tabulated chi15^2 coefficients are uniformly this
-# multiple of the exact ones.
-CHI15_SQ_SCALE = Fraction(13118072684544, 19651489)
+# The tabulated chi15^2 coefficients are uniformly this multiple of the exact ones.
+CHI15_SQ_SCALE = Fraction(3621888, 4433) ** 2
 
 
 def _stage_forms(stage):

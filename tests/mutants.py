@@ -31,6 +31,7 @@ LATTICE_TESTS = ("tests/test_lattice.py",)
 STAGE_TESTS = ("tests/test_ring.py", "tests/test_cli.py")
 EISENSTEIN_TESTS = ("tests/test_eisenstein.py",)
 EXACTNUM_TESTS = ("tests/test_exactnum.py",)
+DIMS_TESTS = ("tests/test_dims.py",)
 
 # (name, file under src/qsiegel, exact old text, new text, test files)
 MUTANTS = (
@@ -87,6 +88,8 @@ MUTANTS = (
      "type(n) is not int or n < 0", "type(n) is not int", RING_TESTS),
     ("monomial: key phi2 apart from E2", "ring.py",
      '("E2" if f == "phi2" else f, n)', "(f, n)", RING_TESTS),
+    ("build: drop the vanishing-unit check", "ring.py",
+     "if not unit_a or not unit_b:", "if False:", RING_TESTS),
     ("from_records: accept a phi2 that is not E2", "ring.py",
      "if self.phi2 != self.e2:", "if False:", RING_TESTS),
     ("from_records: accept a phi8 that is not 138811*E8", "ring.py",
@@ -115,6 +118,8 @@ MUTANTS = (
      "return grade", "return prec", STAGE_TESTS),
     ("check_prec: drop the unknown-stage check", "forms.py",
      "if stage not in STAGES:", "if False:", STAGE_TESTS),
+    ("check_prec: accept a prec of any type", "forms.py",
+     "type(prec) is not int", "False", STAGE_TESTS),
     ("local data: v_p(f) read from a", "eisenstein.py",
      "vf.get(p, 0)", "va.get(p, 0)", EISENSTEIN_TESTS),
     ("local factor: flip the sign of the D2 term", "eisenstein.py",
@@ -122,6 +127,8 @@ MUTANTS = (
      "+ c * p ** (k - 2) * sum(q ** t for t in range(ap))", EISENSTEIN_TESTS),
     ("fundamental_discriminant_split: f = g", "exactnum.py",
      "return 4 * s, g // 2", "return 4 * s, g", EXACTNUM_TESTS),
+    ("dim_cusp: drop the formula-output check", "dims.py",
+     "if val.denominator != 1 or val < 0:", "if False:", DIMS_TESTS),
 )
 
 

@@ -1,8 +1,9 @@
 """Reference implementations the integer kernels are checked against.
 
 These are straightforward versions, mostly over `Fraction`, of the library's
-exact arithmetic: the product as a sum over `decompositions`, the convolution
-table as an all-pairs filing by orbit representatives, the bracket as the
+exact arithmetic: the product as a sum over `decompositions`, each layer as
+a scan of a box that contains it, the convolution table as an all-pairs
+filing by orbit representatives, the bracket as the
 4-fold sum of 4x4 determinants, rank and relation space by Gauss-Jordan
 elimination, integer row echelon form by Bareiss's fraction-free
 elimination, generalized Bernoulli numbers as a sum of Bernoulli
@@ -21,8 +22,8 @@ from qsiegel import exactnum, fourier
 from qsiegel.exactnum import (bernoulli_number, fundamental_discriminant_split,
                               is_fundamental_discriminant, kronecker_symbol)
 from qsiegel.fourier import FourierSeries
-from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, is_positive,
-                             layer_positions, mirror, norm_m)
+from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, index_key,
+                             is_positive, layer_positions, mirror, norm_m)
 
 QuadInvariants = namedtuple("QuadInvariants", "a d f")
 
@@ -44,6 +45,15 @@ def multiply(f, g):
         if acc:
             out[eta] = acc
     return FourierSeries(f.weight + g.weight, prec, out)
+
+
+def layer_brute(x):
+    """Scan the box |y|, |z| <= 2x, which provably contains the layer."""
+    out = [(x, y, z)
+           for y in range(-2 * x, 2 * x + 1)
+           for z in range(-2 * x, 2 * x + 1)
+           if is_positive((x, y, z))]
+    return sorted(out, key=index_key)
 
 
 def orbit_pairs(x):

@@ -176,6 +176,15 @@ def test_cache_record_past_the_kernel_is_never_read(tmp_path, monkeypatch):
     assert cache_lookup(str(tmp_path), "E2", 6) is None
 
 
+def test_cache_record_with_a_nan_prec_is_never_read(tmp_path):
+    # every comparison with nan is false, so check_prec's bounds let it through,
+    # and position_count(nan) is 0, the length of an empty vec
+    rec = {"form": "E2", "weight": 2, "prec": float("nan"), "den": 1, "vec": [],
+           "version": 2}
+    (tmp_path / "E2.json").write_text(json.dumps(_seal(rec)))
+    assert cli._read_record(str(tmp_path), "E2") is None
+
+
 def test_cache_record_of_another_form_is_a_miss(tmp_path):
     cache = str(tmp_path / "c")
     cache_store(cache, "E4", eisenstein_series(EisensteinParams(4), 6))

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from qsiegel import dims
 from qsiegel.dims import (_cusp_formula, dim_cusp, dim_modular,
                           dimension_report, genfun_coeff, periodic_selector)
 
@@ -43,6 +44,13 @@ def test_rejects():
         dim_cusp(5, 15)
     with pytest.raises(ValueError, match="weight must be >= 0"):
         genfun_coeff(-1)
+
+
+@pytest.mark.parametrize("value", [Fr(1, 2), Fr(-1)])
+def test_dim_cusp_refuses_a_formula_value_that_is_no_dimension(value, monkeypatch):
+    monkeypatch.setattr(dims, "_cusp_formula", lambda k, p: value)
+    with pytest.raises(ValueError, match="dimension formula gave %s at k=7, p=5" % value):
+        dim_cusp(7, 5)
 
 
 def test_primes_up_to_2_to_the_40():

@@ -53,6 +53,8 @@ def test_constructor_validation():
         FourierSeries(0, 4, {(6, 0, -3): 1})  # beyond prec
     s = FourierSeries(0, 4, {(2, 1, -1): 0, ZERO: "3/2"})
     assert s.coeffs == {ZERO: Fr(3, 2)}
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(s)  # __eq__ compares coefficients, so a series has no hash
 
 
 def test_from_vector_needs_positive_den():

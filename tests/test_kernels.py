@@ -426,7 +426,6 @@ def test_integer_bernoulli_values_match_polynomial_values():
             assert Fr(v, L * D ** m) == oracles.bernoulli_poly_value(m, Fr(a, D)), (m, a)
 
 
-@pytest.mark.deep
 def test_generalized_bernoulli_matches_oracle():
     discriminants = [d for d in range(-200, 0) if is_fundamental_discriminant(d)]
     assert len(discriminants) == 62

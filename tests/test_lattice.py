@@ -1,28 +1,20 @@
 """Index cone: layer enumeration, decompositions, quadratic invariants, and
 the reflection iota with its orbit tables."""
+from array import array
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import orbit_pairs, quad_invariants
+from oracles import layer_brute, orbit_pairs, quad_invariants
 from qsiegel.exactnum import is_fundamental_discriminant
-from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, grade, index_key,
-                             is_positive, layer, layer_positions, mirror, norm_m,
-                             orbit_layer, position_count, positions)
+from qsiegel.lattice import (MAX_GRADE, ZERO, decompositions, enumerate_cone, grade,
+                             index_key, is_positive, layer, layer_positions, mirror,
+                             norm_m, orbit_layer, position_count, positions)
 
 # number of positive indices at each grade x = 1 .. 16
 LAYER_SIZES = [0, 2, 4, 4, 10, 14, 16, 20, 30, 37, 40, 50, 58, 70, 74, 90]
-
-
-def layer_brute(x):
-    """Scan the box |y|, |z| <= 2x, which provably contains the layer."""
-    out = [(x, y, z)
-           for y in range(-2 * x, 2 * x + 1)
-           for z in range(-2 * x, 2 * x + 1)
-           if is_positive((x, y, z))]
-    return sorted(out, key=index_key)
 
 
 def test_layer_matches_brute_force():
@@ -53,6 +45,13 @@ def test_positions_put_the_origin_first_and_agree_with_the_layers():
         assert position_count(X) == len(positions(X))
         assert positions(X) == positions(X + 1)[:position_count(X)]
         assert all(positions(X)[n] == eta for eta, n in layer_positions(X).items())
+
+
+def test_max_grade_is_the_deepest_grade_whose_positions_fit_the_table_arrays():
+    # orbit_layer stores positions in array("H"), so it holds position numbers
+    # below 2^16: 64443 positions to grade 82, 66811 to grade 83
+    fits = 2 ** (8 * array("H").itemsize)
+    assert position_count(MAX_GRADE) <= fits < position_count(MAX_GRADE + 1)
 
 
 def test_norm_examples():

@@ -1,29 +1,17 @@
 """High-precision uniqueness of the weight-30 expression for chi15^2.
 
 chi15^2 is a polynomial in E2, E4, E6, chi5a alone, even in chi5a.  There are
-47 candidate monomials E2^a E4^b E6^c chi5a^e (2a+4b+6c+5e = 30, e even); at
-grade precision 14 they have full rank 47, so the expansion of chi15^2 over
-them is unique and must coincide with the corrected tabulated coefficients.
+47 candidate monomials E2^a E4^b E6^c chi5a^e (2a+4b+6c+5e = 30, so e is
+even); at grade precision 14 they have full rank 47, so the expansion of
+chi15^2 over them is unique and must coincide with the corrected tabulated
+coefficients.
 Slower than the rest of the suite.
 """
 import pytest
 
 from qsiegel.fourier import multiply, rank_of_span, relation_nullspace
-from qsiegel.ring import CHI15_SQ_SCALE, CHI15_SQ_TABULATED, GeneratorSet
-
-pytestmark = pytest.mark.deep
-
-
-def pure_exponents(weight):
-    """(a, b, c, e) with 2a+4b+6c+5e = weight and e even."""
-    out = []
-    for e in range(0, weight // 5 + 1, 2):
-        for c in range((weight - 5 * e) // 6 + 1):
-            for b in range((weight - 5 * e - 6 * c) // 4 + 1):
-                rem = weight - 5 * e - 6 * c - 4 * b
-                if rem % 2 == 0:
-                    out.append((rem // 2, b, c, e))
-    return out
+from qsiegel.ring import (CHI15_SQ_SCALE, CHI15_SQ_TABULATED, E_GENERATORS, GeneratorSet,
+                          monomials)
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +20,11 @@ def gens14():
 
 
 def test_chi15_square_expansion_is_unique(gens14):
-    expos = pure_exponents(30)
-    assert len(expos) == 47
+    powers = monomials(30, E_GENERATORS + ("chi5a",))
+    assert len(powers) == 47
+    expos = [tuple(n for _, n in m) for m in powers]
 
-    mons = [gens14.monomial(zip(("E2", "E4", "E6", "chi5a"), t)) for t in expos]
+    mons = [gens14.monomial(m) for m in powers]
     assert rank_of_span(mons) == 47
 
     chi15_sq = multiply(gens14.chi15, gens14.chi15)

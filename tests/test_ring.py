@@ -49,6 +49,19 @@ def test_phi_prec_validation():
         GeneratorSet.build(3, upto="phi")
     with pytest.raises(ValueError):
         GeneratorSet.build(4)
+    for prec in (8.0, float("nan")):
+        with pytest.raises(ValueError, match="prec must be an int, got"):
+            GeneratorSet.build(prec)
+    for prec in (12.0, float("nan"), True):
+        with pytest.raises(ValueError, match="prec must be an int, got"):
+            check_prec(prec, "chi15")
+
+
+def test_chi15_floor_is_the_grade_of_its_unit_index():
+    floor = grade(ring.CHI15_UNIT_INDEX)
+    assert check_prec(floor, "chi15") == floor + 4
+    with pytest.raises(ValueError, match="prec must be >= %d " % floor):
+        check_prec(floor - 1, "chi15")
 
 
 def test_chi5_normalization_and_low_grades():
@@ -204,6 +217,14 @@ def test_build_rejects_companion_mismatch(monkeypatch):
         GeneratorSet.build(6)
 
 
+def test_build_rejects_a_quotient_vanishing_at_the_unit_index(monkeypatch):
+    exact = ring.divide_exact
+    monkeypatch.setattr(ring, "divide_exact",
+                        lambda g, b, lead: linear_combine([(0, exact(g, b, lead))]))
+    with pytest.raises(ValueError, match="bracket quotient vanishes at the unit index"):
+        GeneratorSet.build(6)
+
+
 def test_structure_at_prec_8_escalates_to_a_pass():
     report = verify_structure(20, GeneratorSet.build(8))
     row = next(r for r in report.rows if r.name == "w20_five_generators")
@@ -349,7 +370,6 @@ def test_monomial_ignores_order_and_caches():
     assert mon == want and mon.weight == 13
 
 
-@pytest.mark.deep
 def test_structure_to_weight_30_passes(gens12):
     assert verify_structure(30, gens12).ok
 
