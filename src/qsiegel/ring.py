@@ -147,6 +147,24 @@ CHI15_SQ_TABULATED = (
 # The tabulated chi15^2 coefficients are uniformly this multiple of the exact ones.
 CHI15_SQ_SCALE = Fraction(3621888, 4433) ** 2
 
+# build's definitions in build order: (form, lead, [(coefficient, powers)]).
+C10 = Fraction(31513745731, 416023384089600)
+DEFINITIONS = (
+    ("phi2", None, [(1, (("E2", 1),))]),
+    ("phi4", None, [(Fraction(-13, 288), (("E4", 1),)), (Fraction(13, 288), (("E2", 2),))]),
+    ("phi6", None, [(Fraction(-341, 113184), (("E6", 1),)),
+                    (Fraction(341, 113184), (("E2", 3),)),
+                    (Fraction(-109, 262), (("E2", 1), ("phi4", 1)))]),
+    ("phi10", None, [(C10, (("E10", 1),)), (-C10, (("E2", 5),)),
+                     (Fraction(52522796831, 2889051278400), (("E2", 3), ("phi4", 1))),
+                     (Fraction(21884309761, 481508546400), (("E2", 2), ("phi6", 1))),
+                     (Fraction(-829232949, 1671904675), (("E2", 1), ("phi4", 2))),
+                     (Fraction(318067693, 1671904675), (("phi4", 1), ("phi6", 1)))]),
+    ("phi8", None, [(138811, (("E8", 1),))]),
+    ("chi5a", CHI5A_LEAD, [(1, (("phi10", 1),)), (-1, (("phi4", 1), ("phi6", 1)))]),
+    ("chi5b", CHI5B_LEAD, [(1, (("E2", 1), ("phi4", 2))), (1, (("phi4", 1), ("phi6", 1))),
+                           (1, (("phi10", 1),))]))
+
 
 def _stage_forms(stage):
     """Form ids of the members of a set built up to `stage`."""
@@ -164,8 +182,7 @@ class GeneratorSet:
 
     - "phi": Eisenstein series E2..E10 (grade prec) -> phi2..phi10;
     - "chi5": the same from grade prec+2 -> chi5a/chi5b as formal square
-      roots of phi10 - phi4*phi6 and phi2*phi4^2 + phi4*phi6 + phi10, with
-      unit leading coefficients at (2,0,-1) and (2,1,-1);
+      roots with unit leading coefficients;
     - "chi15": the same from grade prec+4 -> the weight-20 brackets delta20a,
       delta20b (prec+2) -> chi15 as the exact quotient delta20a / chi5b,
       rescaled to have coefficient 1 at (5,1,-2).  The companion quotient
@@ -174,10 +191,9 @@ class GeneratorSet:
 
     check_prec raises ValueError before any work for an unknown stage, a
     prec below the stage's floor or an X past the kernel's deepest grade.
-    build fills one set at grade X a member at a time and forms the phi
-    forms' products with its monomial; it returns from_records of that set's
-    members truncated to prec, with an empty product cache.  Each member is
-    the attribute named by its form id in lower case.
+    build fills one set at grade X a member at a time, the phi forms and
+    roots from DEFINITIONS, and returns from_records of its members cut to
+    prec.  Each member is the attribute named by its form id in lower case.
     """
 
     __slots__ = ("prec", "stage", "_products", "_deeper") + tuple(
@@ -191,28 +207,10 @@ class GeneratorSet:
         deep.prec, deep.stage, deep._products, deep._deeper = X, upto, {}, None
         for k in (2, 4, 6, 8, 10):
             setattr(deep, "e%d" % k, eisenstein_series(EisensteinParams(k), X))
-        mon = deep.monomial
-        deep.phi2 = deep.e2
-        deep.phi4 = linear_combine([(Fraction(-13, 288), deep.e4),
-                                    (Fraction(13, 288), mon((("E2", 2),)))])
-        deep.phi6 = linear_combine([
-            (Fraction(-341, 113184), deep.e6), (Fraction(341, 113184), mon((("E2", 3),))),
-            (Fraction(-109, 262), mon((("E2", 1), ("phi4", 1))))])
-        c10 = Fraction(31513745731, 416023384089600)
-        deep.phi10 = linear_combine([
-            (c10, deep.e10), (-c10, mon((("E2", 5),))),
-            (Fraction(52522796831, 2889051278400), mon((("E2", 3), ("phi4", 1)))),
-            (Fraction(21884309761, 481508546400), mon((("E2", 2), ("phi6", 1)))),
-            (Fraction(-829232949, 1671904675), mon((("E2", 1), ("phi4", 2)))),
-            (Fraction(318067693, 1671904675), mon((("phi4", 1), ("phi6", 1)))),
-        ])
-        deep.phi8 = linear_combine([(Fraction(138811), deep.e8)])
-        if upto != "phi":
-            deep.chi5a = sqrt_monic(linear_combine(
-                [(1, deep.phi10), (-1, mon((("phi4", 1), ("phi6", 1))))]), CHI5A_LEAD)
-            deep.chi5b = sqrt_monic(linear_combine(
-                [(1, mon((("E2", 1), ("phi4", 2)))),
-                 (1, mon((("phi4", 1), ("phi6", 1)))), (1, deep.phi10)]), CHI5B_LEAD)
+        for form, lead, terms in DEFINITIONS:
+            if form in _stage_forms(upto):
+                s = linear_combine([(c, deep.monomial(p)) for c, p in terms])
+                setattr(deep, form.lower(), s if lead is None else sqrt_monic(s, lead))
         if upto == "chi15":  # chi5a, chi5b at prec + 2
             deep.delta20a = bracket(deep.e2, deep.e4, deep.chi5a, deep.e6)  # prec + 2
             deep.delta20b = bracket(deep.e2, deep.e4, deep.chi5b, deep.e6)
@@ -223,19 +221,21 @@ class GeneratorSet:
                 raise ValueError("bracket quotient vanishes at the unit index")
             deep.chi15 = linear_combine([(1 / unit_a, q_a)])
             if deep.chi15 != linear_combine([(1 / unit_b, q_b)]):
-                raise ValueError("chi15 differs from its companion quotient "
-                                 "delta20b / chi5a")
+                raise ValueError("chi15 differs from its companion quotient delta20b / chi5a")
         return cls.from_records(prec, {f: s.truncate(prec) for f, s in deep.members().items()})
 
     @classmethod
     def from_records(cls, prec, forms):
-        """The set whose members are the given {form id: series}, with an
-        empty product cache: the one constructor, which build calls on its
-        truncated members and a caller on its own series.  Raises
-        ValueError unless the ids are exactly the members of one stage, prec
-        lies in that stage's range (forms.check_prec, as in build), every
-        series has its form's weight and precision prec, phi2 is E2 and phi8
-        is 138811*E8, the multiples build defines them as."""
+        """The set whose members are the given {form id: series}: the one
+        constructor, which build calls on its truncated members and a caller
+        on its own series.  Raises ValueError unless the ids are one stage's
+        members, prec is in its range (forms.check_prec, as in build), every
+        series has its form's weight and precision prec, each member of
+        DEFINITIONS (a root: its square) equals its terms, and delta20a,
+        delta20b are chi5b*chi15, chi5a*chi15 times their coefficient where
+        that product is 1.  These read a root or chi15 at prec only to
+        prec - 2, the grade of a root's lead, so not in its top two grades.
+        The products they form stay in the set's cache."""
         stage = next((st for st in STAGES if set(forms) == set(_stage_forms(st))), None)
         if stage is None:
             raise ValueError("forms %s are not the members of one stage"
@@ -249,10 +249,16 @@ class GeneratorSet:
                                  "at prec %d" % (form, s.weight, s.prec,
                                                  FORMS[form][1], prec))
             setattr(self, form.lower(), s)
-        if self.phi2 != self.e2:
-            raise ValueError("phi2 differs from E2")
-        if self.phi8 != linear_combine([(138811, self.e8)]):
-            raise ValueError("phi8 differs from 138811*E8")
+        for form, lead, terms in DEFINITIONS:
+            if form in forms and linear_combine([(c, self.monomial(p)) for c, p in terms]) != (
+                    forms[form] if lead is None else self.monomial(((form, 2),))):
+                raise ValueError("%s differs from its definition in build" % form)
+        for delta, root, lead in (("delta20a", "chi5b", CHI5B_LEAD),
+                                  ("delta20b", "chi5a", CHI5A_LEAD)):
+            at = tuple(a + b for a, b in zip(lead, CHI15_UNIT_INDEX))  # root * chi15 is 1 there
+            if delta in forms and forms[delta] != linear_combine(
+                    [(forms[delta].coeff(at), self.monomial(((root, 1), ("chi15", 1))))]):
+                raise ValueError("%s differs from a multiple of %s*chi15" % (delta, root))
         return self
 
     def deeper(self):

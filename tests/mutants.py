@@ -91,9 +91,18 @@ MUTANTS = (
     ("build: drop the vanishing-unit check", "ring.py",
      "if not unit_a or not unit_b:", "if False:", RING_TESTS),
     ("from_records: accept a phi2 that is not E2", "ring.py",
-     "if self.phi2 != self.e2:", "if False:", RING_TESTS),
+     "if form in forms and linear_combine(",
+     'if form in forms and form != "phi2" and linear_combine(', RING_TESTS),
     ("from_records: accept a phi8 that is not 138811*E8", "ring.py",
-     "if self.phi8 != linear_combine([(138811, self.e8)]):", "if False:", RING_TESTS),
+     "if form in forms and linear_combine(",
+     'if form in forms and form != "phi8" and linear_combine(', RING_TESTS),
+    ("from_records: check only the phi rows", "ring.py",
+     "if form in forms and linear_combine(",
+     "if form in forms and lead is None and linear_combine(", RING_TESTS),
+    ("from_records: drop the delta20b check", "ring.py",
+     '("delta20a", "chi5b", CHI5B_LEAD),\n                                  '
+     '("delta20b", "chi5a", CHI5A_LEAD)):',
+     '("delta20a", "chi5b", CHI5B_LEAD),):', RING_TESTS),
     ("weight rows: E4 in place of phi4", "ring.py",
      'A_GENERATORS = ("E2", "phi4",', 'A_GENERATORS = ("E2", "E4",', RING_TESTS),
     ("w10 rows: drop phi10", "ring.py",

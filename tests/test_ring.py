@@ -14,7 +14,7 @@ from qsiegel.cli import FIXTURE_DIR, _descriptor_powers, verify_suite
 from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import (FourierSeries, linear_combine, rank_of_span,
                              relation_nullspace)
-from qsiegel.lattice import MAX_GRADE, ZERO, grade
+from qsiegel.lattice import MAX_GRADE, ZERO, grade, layer
 from qsiegel import ring
 from qsiegel.forms import FORMS, STAGES, check_prec
 from qsiegel.ring import (CHI5_QUINTIC, CHI5A_LEAD, CHI5A_SQ_EXPANSION, CHI5B_LEAD,
@@ -100,18 +100,29 @@ def test_verification_reports_pass(gens12):
 
 
 def test_square_relation_sensitive_to_perturbation(gens12):
+    # from_records refuses a chi5a moved at grade 4, so the relation is
+    # shown its table moved instead: the E4*E6 coefficient doubled
     bump = dict(gens12.chi5a.coeffs)
     bump[(4, 0, -2)] = bump.get((4, 0, -2), Fr(0)) + 1
-    bad_gens = forged(gens12, chi5a=FourierSeries(5, 12, bump))
-    rep = verify_chi5_square_relations(bad_gens)[0]
-    assert rep.name == "chi5a_sq_expansion" and not rep.ok
-    assert rep.mismatches
-    assert min(grade(e) for e, _ in rep.mismatches) == 6
+    with pytest.raises(ValueError, match="chi5a differs from its definition"):
+        forged(gens12, chi5a=FourierSeries(5, 12, bump))
+    name, scale, lhs, terms = ring._relations()[0]
+    assert name == "chi5a_sq_expansion"
+    assert [(f, n) for f, n in terms[-1][1] if n] == [("E4", 1), ("E6", 1)]
+    moved = terms[:-1] + [(2 * terms[-1][0], terms[-1][1])]
+    rep, = ring._check_relations(gens12, [(name, scale, lhs, moved)])
+    assert rep.name == name and not rep.ok and rep.mismatches
+    assert min(grade(e) for e, _ in rep.mismatches) == 0
 
 
 def test_polynomial_relation_sensitive_to_rescaling(gens12):
-    bad_gens = forged(gens12, chi15=linear_combine([(2, gens12.chi15)]))
-    reports = {r.name: r for r in verify_polynomial_relations(bad_gens)}
+    # from_records refuses chi15 doubled, since delta20a is then no multiple
+    # of chi5b*chi15; the relations are shown chi15^2 scaled by 4 instead
+    with pytest.raises(ValueError, match="chi5b[*]chi15"):
+        forged(gens12, chi15=linear_combine([(2, gens12.chi15)]))
+    records = [(name, 4 * scale if lhs == (("chi15", 2),) else scale, lhs, terms)
+               for name, scale, lhs, terms in ring._relations()[2:]]
+    reports = {r.name: r for r in ring._check_relations(gens12, records)}
     assert not reports["chi15_sq_identity"].ok
     assert not reports["chi15_sq_tabulated_scale"].ok
     assert reports["e8_in_lower_generators"].ok  # untouched by the forgery
@@ -276,7 +287,7 @@ def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
         return multiply(a, b)
 
     monkeypatch.setattr(ring, "multiply", counted)
-    gens = forged(gens12)  # the members of gens12 and an empty product cache
+    gens = forged(gens12)  # gens12's members; its check's products count too
     # weights 10, 15 and 20 share monomials with the augmentation rows, the
     # relations and the tables, whose columns name phi2, and every product
     # shares its prefix with others
@@ -297,7 +308,10 @@ def test_structure_forms_products_of_one_generator_family():
         chain.append(chain[-1]._deeper)
     assert len(chain) > 1  # prec 8 walks deeper
     for s in chain:
-        named = {form for key in s._products for form, _ in key}
+        # from_records leaves E4, E6 and E10 themselves in the cache, as the
+        # one-factor terms of build's definitions; no product names them
+        named = {form for key in s._products if sum(n for _, n in key) > 1
+                 for form, _ in key}
         assert named and not named & {"E4", "E6", "E10"}, (s.prec, named)
 
 
@@ -338,19 +352,48 @@ def test_from_records_validates(gens12):
     with pytest.raises(ValueError, match="prec must be >= 5"):
         GeneratorSet.from_records(4, {f: s.truncate(4)
                                       for f, s in gens12.members().items()})
-    # one coefficient of phi2 moved: monomial keys phi2 as E2, so the set
-    # must not hold two different series under those ids
-    moved = FourierSeries(2, 12, {**gens12.phi2.coeffs,
-                                  (2, 1, -1): gens12.phi2.coeff((2, 1, -1)) + 1})
-    with pytest.raises(ValueError, match="phi2"):
-        forged(gens12, phi2=moved)
-    # one iota-pair of phi8 coefficients moved at grade 9: the tables stop
-    # at grade 8 and no other suite reads phi8, so only this check sees it
-    pair = ((9, 1, -3), (9, 1, -6))
-    moved = FourierSeries(8, 12, {**gens12.phi8.coeffs,
-                                  **{t: gens12.phi8.coeff(t) + 1 for t in pair}})
-    with pytest.raises(ValueError, match="phi8"):
-        forged(gens12, phi8=moved)
+
+
+def iota(eta):
+    x, y, z = eta
+    return (x, y, -x - z)
+
+
+def moved_pair(s, x):
+    """s with 1 added at the first position t of grade x that iota moves and
+    its iota-parity sign, +1 or -1, added at iota t, so that s keeps it."""
+    t = next(t for t in layer(x) if iota(t) != t)
+    sign = next(s.coeff(iota(u)) / s.coeff(u) for u in layer(x) if s.coeff(u))
+    return FourierSeries(s.weight, s.prec, {**s.coeffs, t: s.coeff(t) + 1,
+                                            iota(t): s.coeff(iota(t)) + sign})
+
+
+@pytest.mark.parametrize("form, x, refusal", [
+    ("phi2", 3, "phi2 differs from its definition in build"),
+    ("phi8", 9, "phi8 differs from its definition in build"),
+    ("phi4", 12, "phi4 differs from its definition in build"),
+    ("phi6", 12, "phi6 differs from its definition in build"),
+    ("phi10", 9, "phi10 differs from its definition in build"),
+    ("chi5a", 10, "chi5a differs from its definition in build"),
+    ("chi15", 9, "delta20a differs from a multiple of chi5b*chi15"),
+    ("delta20a", 9, "delta20a differs from a multiple of chi5b*chi15"),
+    ("delta20b", 9, "delta20b differs from a multiple of chi5a*chi15")],
+    ids=["phi2", "phi8", "phi4", "phi6", "phi10", "chi5a", "chi15", "delta20a", "delta20b"])
+def test_from_records_refuses_a_member_off_its_definition(gens12, form, x, refusal):
+    # monomial keys phi2 as E2, so a set must not hold two series under
+    # those ids; the tables stop at grade 8 and no suite reads phi8; the
+    # other sets but chi5a's pass tables, relations and structure (--kmax
+    # 20) when from_records takes them
+    with pytest.raises(ValueError) as err:
+        forged(gens12, **{form: moved_pair(gens12.members()[form], x)})
+    assert str(err.value) == refusal and form in refusal
+
+
+@pytest.mark.parametrize("form, x", [("chi5a", 11), ("chi5b", 12), ("chi15", 11)])
+def test_from_records_reads_the_roots_and_chi15_to_prec_minus_2(gens12, form, x):
+    # their squares and the deltas at grade 12 read them only to grade 10,
+    # and these sets pass every verify suite too (ROADMAP items 2 and 12)
+    forged(gens12, **{form: moved_pair(gens12.members()[form], x)})
 
 
 def test_monomial_skips_zero_exponents(gens12):
@@ -386,13 +429,25 @@ def test_build_forms_each_of_its_products_once(monkeypatch):
     monkeypatch.setattr(ring, "multiply", counted)
     gens = GeneratorSet.build(6)
     # E2^2..E2^5, E2*phi4, E2^3*phi4, E2^2*phi6, phi4^2, E2*phi4^2, phi4*phi6
-    assert sum(operands.values()) == 10 and max(operands.values()) == 1
-    # the set build returns is from_records of its members: its cache is empty
-    assert gens._products == {}
+    # at grade 10, then from_records' check of the set at grade 6: the same
+    # ten, chi5a^2, chi5b^2, chi5b*chi15 and chi5a*chi15
+    checked = {(("E2", 2),), (("E2", 3),), (("E2", 4),), (("E2", 5),),
+               (("E2", 1), ("phi4", 1)), (("E2", 3), ("phi4", 1)), (("E2", 2), ("phi6", 1)),
+               (("phi4", 2),), (("E2", 1), ("phi4", 2)), (("phi4", 1), ("phi6", 1)),
+               (("chi5a", 2),), (("chi5b", 2),),
+               (("chi15", 1), ("chi5b", 1)), (("chi15", 1), ("chi5a", 1))}
+    assert Counter(a[1] for a, _ in operands) == Counter({10: 10, 6: 14})
+    assert max(operands.values()) == 1
+    # the set build returns holds exactly the check's products, each formed
+    # once, and the members those products and the one-factor terms read
+    products = {key for key in gens._products if sum(n for _, n in key) > 1}
+    assert products == checked
+    assert all(gens._products[key] is gens.members()[key[0][0]]
+               for key in set(gens._products) - products)
     operands.clear()
     assert all(rep.ok for rep in verify_chi5_square_relations(gens)
                + verify_polynomial_relations(gens))
-    assert sum(operands.values()) == 105 and max(operands.values()) == 1
+    assert sum(operands.values()) == 99 and max(operands.values()) == 1
 
 
 @pytest.mark.parametrize("upto, powers", [
@@ -401,9 +456,10 @@ def test_build_forms_each_of_its_products_once(monkeypatch):
     ids=["negative", "not an int", "lower case", "no such form", "later stage"])
 def test_monomial_refuses_what_is_not_a_power_of_a_member(upto, powers):
     gens = GeneratorSet.build(6, upto)
+    before = dict(gens._products)
     with pytest.raises(ValueError, match=re.escape("%r is not a power" % (powers[0],))):
         gens.monomial(powers)
-    assert gens._products == {}
+    assert gens._products == before
 
 
 @pytest.mark.parametrize("upto", ["phi", "chi5", "chi15"])
