@@ -6,15 +6,16 @@ expansion tables, polynomial relations and span dimensions they satisfy.
 
 `GeneratorSet.build(prec, upto)` runs the construction in three stages
 ("phi", "chi5", "chi15"), each on top of the ones before it, on one set at its
-deepest grade that forms every product, and returns `from_records` of that
-set's members truncated to prec: the one constructor, which a caller may also
-give its own series.  `GeneratorSet.monomial` is the one way to form a product
-of powers of a set's members and the one product cache, shared by all checks,
-with one id per series: phi2 is E2.  The polynomial identities are data,
+deepest grade that forms every product, and returns a set of that set's
+members truncated to prec: the one source of sets, whose series
+`from_records` accepts from a caller exactly when they are its own.
+`GeneratorSet.monomial` is the one way to form a product of powers of a set's
+members and the one product cache, shared by all checks, with one id per
+series: phi2 is E2.  The polynomial identities are data,
 (name, lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so
 are the structure checks, (name, monomials, expected rank), each a SpanRow
-with the rank and grade that one walk along the deeper() chain reached, which
-stays on series that extend the caller's.  M_* is free over A =
+with the rank and grade that one walk along the deeper() chain of builds
+reached.  M_* is free over A =
 Q[A_GENERATORS] = Q[E2, phi4, chi5a, phi6], Q[E2, E4, chi5a, E6] in integral
 generators, on UNITS (1, chi5b, chi15, chi5b*chi15): the weight-k row is
 weight_basis(k).  FIVE_GENERATORS is A and chi5b and the weight-10 rows are the
@@ -192,8 +193,9 @@ class GeneratorSet:
     check_prec raises ValueError before any work for an unknown stage, a
     prec below the stage's floor or an X past the kernel's deepest grade.
     build fills one set at grade X a member at a time, the phi forms and
-    roots from DEFINITIONS, and returns from_records of its members cut to
-    prec.  Each member is the attribute named by its form id in lower case.
+    roots from DEFINITIONS, and returns a set of its members cut to prec.
+    Every set is build's; from_records returns it for a copy of its members.
+    Each member is the attribute named by its form id in lower case.
     """
 
     __slots__ = ("prec", "stage", "_products", "_deeper") + tuple(
@@ -203,8 +205,7 @@ class GeneratorSet:
     def build(cls, prec, upto="chi15"):
         X = check_prec(prec, upto)
         # One set at grade X, filled a member at a time, forms every product.
-        deep = cls.__new__(cls)
-        deep.prec, deep.stage, deep._products, deep._deeper = X, upto, {}, None
+        deep = cls._assemble(X, upto, {})
         for k in (2, 4, 6, 8, 10):
             setattr(deep, "e%d" % k, eisenstein_series(EisensteinParams(k), X))
         for form, lead, terms in DEFINITIONS:
@@ -222,53 +223,46 @@ class GeneratorSet:
             deep.chi15 = linear_combine([(1 / unit_a, q_a)])
             if deep.chi15 != linear_combine([(1 / unit_b, q_b)]):
                 raise ValueError("chi15 differs from its companion quotient delta20b / chi5a")
-        return cls.from_records(prec, {f: s.truncate(prec) for f, s in deep.members().items()})
+        return cls._assemble(prec, upto, {f: s.truncate(prec) for f, s in deep.members().items()})
+
+    @classmethod
+    def _assemble(cls, prec, stage, forms):
+        """The unchecked set of the given {form id: series}, its cache empty."""
+        self = cls.__new__(cls)
+        self.prec, self.stage, self._products, self._deeper = prec, stage, {}, None
+        for form, s in forms.items():
+            setattr(self, form.lower(), s)
+        return self
 
     @classmethod
     def from_records(cls, prec, forms):
-        """The set whose members are the given {form id: series}: the one
-        constructor, which build calls on its truncated members and a caller
-        on its own series.  Raises ValueError unless the ids are one stage's
-        members, prec is in its range (forms.check_prec, as in build), every
-        series has its form's weight and precision prec, each member of
-        DEFINITIONS (a root: its square) equals its terms, and delta20a,
-        delta20b are chi5b*chi15, chi5a*chi15 times their coefficient where
-        that product is 1.  These read a root or chi15 at prec only to
-        prec - 2, the grade of a root's lead, so not in its top two grades.
-        The products they form stay in the set's cache."""
+        """build(prec, stage)'s set if the given {form id: series} are its
+        members.  Raises ValueError unless the ids are one stage's members,
+        prec is in its range (forms.check_prec, as in build), every series
+        has its form's weight and precision prec, and every series equals
+        build's, naming the first that differs.  Every member has a fixed
+        normalization, so build's is the one correct set at prec."""
         stage = next((st for st in STAGES if set(forms) == set(_stage_forms(st))), None)
         if stage is None:
             raise ValueError("forms %s are not the members of one stage"
                              % " ".join(sorted(forms)))
         check_prec(prec, stage)
-        self = cls.__new__(cls)
-        self.prec, self.stage, self._products, self._deeper = prec, stage, {}, None
         for form, s in forms.items():
             if (s.weight, s.prec) != (FORMS[form][1], prec):
                 raise ValueError("%s has weight %d at prec %d, want weight %d "
                                  "at prec %d" % (form, s.weight, s.prec,
                                                  FORMS[form][1], prec))
-            setattr(self, form.lower(), s)
-        for form, lead, terms in DEFINITIONS:
-            if form in forms and linear_combine([(c, self.monomial(p)) for c, p in terms]) != (
-                    forms[form] if lead is None else self.monomial(((form, 2),))):
-                raise ValueError("%s differs from its definition in build" % form)
-        for delta, root, lead in (("delta20a", "chi5b", CHI5B_LEAD),
-                                  ("delta20b", "chi5a", CHI5A_LEAD)):
-            at = tuple(a + b for a, b in zip(lead, CHI15_UNIT_INDEX))  # root * chi15 is 1 there
-            if delta in forms and forms[delta] != linear_combine(
-                    [(forms[delta].coeff(at), self.monomial(((root, 1), ("chi15", 1))))]):
-                raise ValueError("%s differs from a multiple of %s*chi15" % (delta, root))
-        return self
+        built = cls.build(prec, stage)
+        for form in _stage_forms(stage):
+            if forms[form] != getattr(built, form.lower()):
+                raise ValueError("%s differs from the build at prec %d" % (form, prec))
+        return built
 
     def deeper(self):
-        """The build two grades deeper, made at most once per set, if its
-        members truncated to prec are this set's; otherwise this set itself,
-        so that a walk never leaves the series it was given."""
+        """build(prec + 2, stage), made at most once per set; its members cut
+        to prec are build(prec, stage)'s, this set's."""
         if self._deeper is None:
-            built = GeneratorSet.build(self.prec + 2, self.stage)
-            cut = {f: s.truncate(self.prec) for f, s in built.members().items()}
-            self._deeper = built if cut == self.members() else self
+            self._deeper = GeneratorSet.build(self.prec + 2, self.stage)
         return self._deeper
 
     def members(self):
@@ -278,8 +272,8 @@ class GeneratorSet:
     def monomial(self, powers):
         """The product of the members' powers for (form id, exponent) pairs, in
         any order; one(prec) when every exponent is 0.  Each product is cached
-        under its sorted nonzero pairs, phi2 read as E2 (from_records makes
-        them one series), and formed by one multiply from cached factors: a
+        under its sorted nonzero pairs, phi2 read as E2 (build makes them
+        one series), and formed by one multiply from cached factors: a
         power from the next lower power, any other product from the
         one-generator-shorter prefix and the last generator's power.  A miss
         raises ValueError for a pair other than (member id, int >= 0)."""

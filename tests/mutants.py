@@ -82,27 +82,18 @@ MUTANTS = (
      "range(weight // w, -1, -1)", "range(weight // w - 1, -1, -1)", RING_TESTS),
     ("UNITS: drop chi5b*chi15", "ring.py",
      ', (("chi5b", 1), ("chi15", 1)))', ")", RING_TESTS),
-    ("deeper: step onto the build without the extension check", "ring.py",
-     "built if cut == self.members() else self", "built", RING_TESTS),
     ("monomial: accept a negative exponent", "ring.py",
      "type(n) is not int or n < 0", "type(n) is not int", RING_TESTS),
     ("monomial: key phi2 apart from E2", "ring.py",
      '("E2" if f == "phi2" else f, n)', "(f, n)", RING_TESTS),
     ("build: drop the vanishing-unit check", "ring.py",
      "if not unit_a or not unit_b:", "if False:", RING_TESTS),
-    ("from_records: accept a phi2 that is not E2", "ring.py",
-     "if form in forms and linear_combine(",
-     'if form in forms and form != "phi2" and linear_combine(', RING_TESTS),
-    ("from_records: accept a phi8 that is not 138811*E8", "ring.py",
-     "if form in forms and linear_combine(",
-     'if form in forms and form != "phi8" and linear_combine(', RING_TESTS),
-    ("from_records: check only the phi rows", "ring.py",
-     "if form in forms and linear_combine(",
-     "if form in forms and lead is None and linear_combine(", RING_TESTS),
-    ("from_records: drop the delta20b check", "ring.py",
-     '("delta20a", "chi5b", CHI5B_LEAD),\n                                  '
-     '("delta20b", "chi5a", CHI5A_LEAD)):',
-     '("delta20a", "chi5b", CHI5B_LEAD),):', RING_TESTS),
+    ("from_records: compare members only to prec - 2", "ring.py",
+     "if forms[form] != getattr(built, form.lower()):",
+     "if forms[form].truncate(prec - 2) != getattr(built, form.lower()).truncate(prec - 2):",
+     RING_TESTS),
+    ("from_records: compare only the phi-stage members", "ring.py",
+     "for form in _stage_forms(stage):", 'for form in _stage_forms("phi"):', RING_TESTS),
     ("weight rows: E4 in place of phi4", "ring.py",
      'A_GENERATORS = ("E2", "phi4",', 'A_GENERATORS = ("E2", "E4",', RING_TESTS),
     ("w10 rows: drop phi10", "ring.py",

@@ -685,8 +685,9 @@ def test_verify_structure_suite_at_prec_5_walks_to_a_pass(capsys, tmp_path):
 
 
 def test_verify_structure_reports_each_failing_row(capsys, gens12, monkeypatch):
-    zero = GeneratorSet.from_records(
-        12, {**gens12.members(), "delta20a": FourierSeries(20, 12, {})})
+    # unchecked, and every deeper() step builds this set again
+    zero = GeneratorSet._assemble(
+        12, "chi15", {**gens12.members(), "delta20a": FourierSeries(20, 12, {})})
     monkeypatch.setattr(GeneratorSet, "build", lambda *args: zero)
     rc, out, _ = run(capsys, "verify", "--suite", "structure", "--prec", "12",
                      "--kmax", "0")
