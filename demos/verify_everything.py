@@ -12,7 +12,7 @@ from qsiegel.cli import verify_suite
 from qsiegel.ring import GeneratorSet
 
 t0 = time.time()
-PREC = 12
+PREC = 14
 
 gens = GeneratorSet.build(PREC)
 print("[build] all generators to grade %d  (%.1fs)" % (PREC, time.time() - t0))

@@ -7,8 +7,7 @@ expansion tables, polynomial relations and span dimensions they satisfy.
 `GeneratorSet.build(prec, upto)` runs the construction in three stages
 ("phi", "chi5", "chi15"), each on top of the ones before it, on one set at its
 deepest grade that forms every product, and returns a set of that set's
-members truncated to prec: the one source of sets, whose series
-`from_records` accepts from a caller exactly when they are its own.
+members truncated to prec: the one source of sets.
 `GeneratorSet.monomial` is the one way to form a product of powers of a set's
 members and the one product cache, shared by all checks, with one id per
 series: phi2 is E2.  The polynomial identities are data,
@@ -194,7 +193,7 @@ class GeneratorSet:
     prec below the stage's floor or an X past the kernel's deepest grade.
     build fills one set at grade X a member at a time, the phi forms and
     roots from DEFINITIONS, and returns a set of its members cut to prec.
-    Every set is build's; from_records returns it for a copy of its members.
+    Every set is build's.
     Each member is the attribute named by its form id in lower case.
     """
 
@@ -233,30 +232,6 @@ class GeneratorSet:
         for form, s in forms.items():
             setattr(self, form.lower(), s)
         return self
-
-    @classmethod
-    def from_records(cls, prec, forms):
-        """build(prec, stage)'s set if the given {form id: series} are its
-        members.  Raises ValueError unless the ids are one stage's members,
-        prec is in its range (forms.check_prec, as in build), every series
-        has its form's weight and precision prec, and every series equals
-        build's, naming the first that differs.  Every member has a fixed
-        normalization, so build's is the one correct set at prec."""
-        stage = next((st for st in STAGES if set(forms) == set(_stage_forms(st))), None)
-        if stage is None:
-            raise ValueError("forms %s are not the members of one stage"
-                             % " ".join(sorted(forms)))
-        check_prec(prec, stage)
-        for form, s in forms.items():
-            if (s.weight, s.prec) != (FORMS[form][1], prec):
-                raise ValueError("%s has weight %d at prec %d, want weight %d "
-                                 "at prec %d" % (form, s.weight, s.prec,
-                                                 FORMS[form][1], prec))
-        built = cls.build(prec, stage)
-        for form in _stage_forms(stage):
-            if forms[form] != getattr(built, form.lower()):
-                raise ValueError("%s differs from the build at prec %d" % (form, prec))
-        return built
 
     def deeper(self):
         """build(prec + 2, stage), made at most once per set; its members cut

@@ -88,12 +88,6 @@ MUTANTS = (
      '("E2" if f == "phi2" else f, n)', "(f, n)", RING_TESTS),
     ("build: drop the vanishing-unit check", "ring.py",
      "if not unit_a or not unit_b:", "if False:", RING_TESTS),
-    ("from_records: compare members only to prec - 2", "ring.py",
-     "if forms[form] != getattr(built, form.lower()):",
-     "if forms[form].truncate(prec - 2) != getattr(built, form.lower()).truncate(prec - 2):",
-     RING_TESTS),
-    ("from_records: compare only the phi-stage members", "ring.py",
-     "for form in _stage_forms(stage):", 'for form in _stage_forms("phi"):', RING_TESTS),
     ("weight rows: E4 in place of phi4", "ring.py",
      'A_GENERATORS = ("E2", "phi4",', 'A_GENERATORS = ("E2", "E4",', RING_TESTS),
     ("w10 rows: drop phi10", "ring.py",

@@ -648,7 +648,7 @@ def test_verify_relations_suite(capsys, tmp_path):
 
 def test_the_demo_prints_what_verify_prints(capsys):
     # verify_everything.py prints each suite's lines behind "[suite] ", on the
-    # one set it builds at prec 12; the CLI prints them before its verdict.
+    # one set it builds at prec 14; the CLI prints them before its verdict.
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / "verify_everything.py")],
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
@@ -657,7 +657,7 @@ def test_the_demo_prints_what_verify_prints(capsys):
     for suite in ("tables", "relations", "structure", "dims"):
         tag = "[%s] " % suite
         demo = [ln[len(tag):] for ln in proc.stdout.splitlines() if ln.startswith(tag)]
-        rc, out, _ = run(capsys, "verify", "--suite", suite, "--prec", "12")
+        rc, out, _ = run(capsys, "verify", "--suite", suite, "--prec", "14")
         assert rc == 0 and demo == out.splitlines()[:-1] and demo
 
 

@@ -14,7 +14,7 @@ from qsiegel.cli import FIXTURE_DIR, _descriptor_powers, verify_suite
 from qsiegel.dims import genfun_coeff
 from qsiegel.fourier import (FourierSeries, linear_combine, rank_of_span,
                              relation_nullspace)
-from qsiegel.lattice import MAX_GRADE, ZERO, grade, layer
+from qsiegel.lattice import MAX_GRADE, ZERO, grade
 from qsiegel import ring
 from qsiegel.forms import FORMS, STAGES, check_prec
 from qsiegel.ring import (CHI5_QUINTIC, CHI5A_LEAD, CHI5A_SQ_EXPANSION, CHI5B_LEAD,
@@ -26,10 +26,6 @@ from qsiegel.ring import (CHI5_QUINTIC, CHI5A_LEAD, CHI5A_SQ_EXPANSION, CHI5B_LE
 
 ATTRS = ("e2", "e4", "e6", "e8", "e10", "phi2", "phi4", "phi6", "phi8",
          "phi10", "chi5a", "chi5b", "chi15", "delta20a", "delta20b")
-
-
-def forged(gens, **replacements):
-    return GeneratorSet.from_records(gens.prec, {**gens.members(), **replacements})
 
 
 def assembled(gens, **replacements):
@@ -180,10 +176,10 @@ def test_weight_basis_monomials_are_distinct_and_of_weight_k():
         assert all(_weight(mon) == k for mon in basis), k
 
 
-def test_weight_basis_series_are_integral(gens12):
+def test_weight_basis_series_are_integral():
     # The ranks cannot tell two generator sets of one algebra apart; the
     # heights can: over phi4 and phi6 every weight row is integral.
-    gens = GeneratorSet.from_records(8, {f: s.truncate(8) for f, s in gens12.members().items()})
+    gens = GeneratorSet.build(8)
     for k in range(41):
         assert all(gens.monomial(mon).den == 1 for mon in weight_basis(k)), k
 
@@ -260,13 +256,10 @@ def test_structure_fails_on_the_independence_check_alone(gens12, monkeypatch):
 
 
 def test_monomial_basis_walks_past_two_rebuilds():
-    # weight 26 first reaches full rank at grade 14, three rebuilds above 8;
-    # a caller's copy of genuine series walks the same builds
-    built = GeneratorSet.build(8)
-    for gens in (built, GeneratorSet.from_records(8, built.members())):
-        report = monomial_basis(26, gens)
-        assert report.rank == report.expected == 53
-        assert report.prec == 14 and report.ok
+    # weight 26 first reaches full rank at grade 14, three rebuilds above 8
+    report = monomial_basis(26, GeneratorSet.build(8))
+    assert report.rank == report.expected == 53
+    assert report.prec == 14 and report.ok
 
 
 def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
@@ -327,78 +320,6 @@ def test_stages_build_on_each_other(gens12):
                               if f in chi5.members()}
     with pytest.raises(ValueError, match="stage"):
         GeneratorSet.build(8, upto="chi7")
-
-
-def test_from_records_validates(gens12):
-    forms = gens12.members()
-    assert GeneratorSet.from_records(12, forms).members() == forms
-    del forms["delta20b"]
-    with pytest.raises(ValueError, match="one stage"):
-        GeneratorSet.from_records(12, forms)
-    with pytest.raises(ValueError, match="prec"):
-        forged(gens12, chi15=gens12.chi15.truncate(10))
-    with pytest.raises(ValueError, match="weight"):
-        forged(gens12, E4=gens12.e6)
-    with pytest.raises(ValueError, match="prec must be >= 5"):
-        GeneratorSet.from_records(4, {f: s.truncate(4)
-                                      for f, s in gens12.members().items()})
-
-
-def iota(eta):
-    x, y, z = eta
-    return (x, y, -x - z)
-
-
-def moved_pair(s, x):
-    """s with 1 added at the first position t of grade x that iota moves and
-    its iota-parity sign, +1 or -1, added at iota t, so that s keeps it."""
-    t = next(t for t in layer(x) if iota(t) != t)
-    sign = next(s.coeff(iota(u)) / s.coeff(u) for u in layer(x) if s.coeff(u))
-    return FourierSeries(s.weight, s.prec, {**s.coeffs, t: s.coeff(t) + 1,
-                                            iota(t): s.coeff(iota(t)) + sign})
-
-
-@pytest.mark.parametrize("form, x", [
-    ("phi2", 3), ("phi8", 9), ("phi4", 12), ("phi6", 12), ("phi10", 9), ("chi5a", 10),
-    ("chi15", 9), ("delta20a", 9), ("delta20b", 9),
-    ("chi5a", 11), ("chi5b", 12), ("chi15", 11), ("chi15", 12)],
-    ids=["phi2", "phi8", "phi4", "phi6", "phi10", "chi5a", "chi15", "delta20a", "delta20b",
-         "chi5a-11", "chi5b-12", "chi15-11", "chi15-12"])
-def test_from_records_refuses_a_member_off_its_definition(gens12, form, x):
-    # monomial keys phi2 as E2, so a set must not hold two series under
-    # those ids; the tables stop at grade 8 and no suite reads phi8; a
-    # square or product at grade 12 reads a root or chi15 only to grade 10,
-    # so no identity among the set's own series sees the last four moves;
-    # every set but chi5a's at grade 10 passes tables, relations and
-    # structure (--kmax 20) unchecked
-    with pytest.raises(ValueError) as err:
-        forged(gens12, **{form: moved_pair(gens12.members()[form], x)})
-    assert str(err.value) == "%s differs from the build at prec 12" % form
-
-
-def test_from_records_refuses_eisenstein_members_moved_in_their_top_grade(gens12):
-    # one iota-orbit at grade 12 that no bundled table lists, moved in E2, E4
-    # and E6 along a direction that every identity, linear in a member's top
-    # grade, misses; with the phi forms made again by build's definitions the
-    # set passes tables, relations and structure (--kmax 20) when unchecked
-    orbit = ((12, -3, -7), (12, -3, -5))
-    assert iota(orbit[0]) == orbit[1] and grade(orbit[0]) == 12
-    forms = gens12.members()
-    for form, d in (("E2", 4520926428121961), ("E4", 5914954039706800),
-                    ("E6", 306997411366880)):
-        s = forms[form]
-        forms[form] = FourierSeries(s.weight, 12, {**s.coeffs, **{t: s.coeff(t) + d
-                                                                  for t in orbit}})
-    remade = GeneratorSet._assemble(12, "chi15", forms)
-    for form, lead, terms in ring.DEFINITIONS:
-        if lead is None:
-            forms[form] = linear_combine([(c, remade.monomial(p)) for c, p in terms])
-            setattr(remade, form.lower(), forms[form])
-    changed = [f for f, s in forms.items() if s != gens12.members()[f]]
-    assert changed == ["E2", "E4", "E6", "phi2", "phi4", "phi6"]
-    with pytest.raises(ValueError) as err:
-        GeneratorSet.from_records(12, forms)
-    assert str(err.value) == "E2 differs from the build at prec 12"
 
 
 @pytest.mark.parametrize("stage", STAGES)
