@@ -18,8 +18,9 @@ coefficient 48 at (2,1,-1); every other table value then serves as a check.
 A coefficient depends on eta only through its content a and norm m_eta,
 and everything but the weight is shared: the local data of such a class, d
 and (p, v_p(a), v_p(f), chi_d(p)) for each p | a*f*D2, is computed once
-for all weights, and the prefactor once per (k, d).  So a coefficient is
-the rational prefactor of its discriminant times the integer F = prod F_p,
+for all weights; a series forms its factor that depends on k alone once,
+and B_{k-1,chi_d} once per distinct d.  So a coefficient is the
+rational prefactor of its discriminant times the integer F = prod F_p,
 evaluated once per class, and a series is assembled in integers over the
 lcm of its prefactors' denominators.
 """
@@ -50,15 +51,6 @@ class EisensteinParams:
 
 
 @lru_cache(maxsize=None)
-def _prefactor(k, d):
-    pref = Fraction(4 * k) * generalized_bernoulli(k - 1, d) \
-        / (bernoulli_number(k) * bernoulli_number(2 * k - 2))
-    for p in factorize(D2):
-        pref *= Fraction(1, p ** (k - 1) - 1)
-    return pref
-
-
-@lru_cache(maxsize=None)
 def _local_data(a, m):
     """(d, ((p, v_p(a), v_p(f), chi_d(p)) for each p | a*f*D2)) of content a
     and norm m, in ascending p: the weight-free part of the coefficient."""
@@ -86,15 +78,17 @@ def _local_factor(k, p, ap, fp, c):
 def eisenstein_series(params, X):
     """The weight-k Eisenstein series to grade X: constant term 1 and C(eta)
     at every positive index, over one common denominator; C(eta) = SIGN *
-    _prefactor(k, d) * F, with d and the integer F fixed by the content and
-    norm of eta."""
+    factor * B_{k-1,chi_d} * F, factor fixed by k, d and F by eta's class."""
     k = params.k
+    factor = Fraction(4 * k, bernoulli_number(k) * bernoulli_number(2 * k - 2)
+                      * prod(p ** (k - 1) - 1 for p in factorize(D2)))
     classes = [(gcd(*eta), norm_m(eta)) for eta in enumerate_cone(X)]
     parts = {}
     for cls in dict.fromkeys(classes):
         d, local = _local_data(*cls)
         parts[cls] = d, prod(_local_factor(k, *data) for data in local)
-    prefs = {d: _prefactor(k, d) for d, _ in parts.values()}
+    prefs = {d: factor * generalized_bernoulli(k - 1, d)
+             for d in {d for d, _ in parts.values()}}
     den = lcm(*(pref.denominator for pref in prefs.values()))
     scale = {d: SIGN * pref.numerator * (den // pref.denominator)
              for d, pref in prefs.items()}

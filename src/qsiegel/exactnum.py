@@ -2,10 +2,10 @@
 numbers attached to Kronecker characters, the Kronecker symbol, and the
 fundamental-discriminant decomposition behind the quadratic-field invariants.
 Generalized Bernoulli numbers come from integer character power sums
-S_i(d) = sum_a chi_d(a) a^i: the support of chi_d is tabulated once per
-discriminant d and each S_i(d) is cached per (d, i), so B_{m,chi_d} for
-m = 1, 3, 5, 7, 9 (the Eisenstein weights 2..10) share the ten sums
-S_0(d)..S_9(d).
+S_i(d) = sum_a chi_d(a) a^i over half a period, 1 <= a < |d|/2: the support
+of chi_d there is tabulated once per discriminant d and each S_i(d) is
+cached per (d, i), so B_{m,chi_d} for m = 1, 3, 5, 7, 9 (the Eisenstein
+weights 2..10) share the ten sums S_0(d)..S_9(d).
 
 All values are `fractions.Fraction` (arbitrary precision, always reduced);
 nothing here ever rounds.
@@ -94,13 +94,13 @@ def is_fundamental_discriminant(d):
 
 @lru_cache(maxsize=None)
 def _character_support(d):
-    """(a, chi_d(a)) for the residues 1 <= a <= |d| with chi_d(a) != 0."""
-    return tuple((a, c) for a in range(1, abs(d) + 1) if (c := kronecker_symbol(d, a)))
+    """(a, chi_d(a)) for the residues 1 <= a < |d|/2 with chi_d(a) != 0."""
+    return tuple((a, c) for a in range(1, (abs(d) + 1) // 2) if (c := kronecker_symbol(d, a)))
 
 
 @lru_cache(maxsize=None)
 def _power_sum(d, i):
-    """The character power sum S_i(d) = sum_{a=1}^{|d|} chi_d(a) a^i."""
+    """The character power sum S_i(d) = sum_{1 <= a < |d|/2} chi_d(a) a^i."""
     return sum(c * a ** i for a, c in _character_support(d))
 
 
@@ -111,11 +111,14 @@ def generalized_bernoulli(m, d):
 
         B_{m,chi} = |d|^(m-1) * sum_{a=1}^{|d|} chi(a) B_m(a/|d|).
 
-    Expanding B_m(t) = sum_j C(m,j) B_j t^(m-j) gives
+    chi is odd and B_m(1 - t) = (-1)^m B_m(t), so the terms at a and |d| - a
+    are equal for odd m and cancel for even m, and chi(|d|/2) = 0 for even
+    |d|: the sum is (1 - (-1)^m) times its half over 1 <= a < |d|/2.
+    Expanding B_m(t) = sum_j C(m,j) B_j t^(m-j) there gives
 
-        B_{m,chi} = |d|^(-1) * sum_j C(m,j) B_j |d|^j S_{m-j}(d),
+        B_{m,chi} = (1 - (-1)^m) |d|^(-1) * sum_j C(m,j) B_j |d|^j S_{m-j}(d),
 
-    with the integer character power sums S_i(d) (_power_sum), shared by
+    with the integer half-period power sums S_i(d) (_power_sum), shared by
     every m for the same d.  The sum runs in integers over the lcm L of the
     Bernoulli denominators, so one Fraction is formed at the end.
     """
@@ -124,6 +127,7 @@ def generalized_bernoulli(m, d):
     D = abs(d)
     B = [bernoulli_number(j) for j in range(m + 1)]
     L = lcm(*(b.denominator for b in B))
-    return Fraction(sum(comb(m, j) * b.numerator * (L // b.denominator) * D ** j
-                        * _power_sum(d, m - j) for j, b in enumerate(B) if b), L * D)
+    s = sum(comb(m, j) * b.numerator * (L // b.denominator) * D ** j * _power_sum(d, m - j)
+            for j, b in enumerate(B) if b)
+    return Fraction((1 - (-1) ** m) * s, L * D)
 

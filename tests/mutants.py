@@ -119,8 +119,14 @@ MUTANTS = (
     ("local factor: flip the sign of the D2 term", "eisenstein.py",
      "- c * p ** (k - 2) * sum(q ** t for t in range(ap))",
      "+ c * p ** (k - 2) * sum(q ** t for t in range(ap))", EISENSTEIN_TESTS),
+    ("weight factor: drop the D2 local factors", "eisenstein.py",
+     "* prod(p ** (k - 1) - 1 for p in factorize(D2))", "", EISENSTEIN_TESTS),
     ("fundamental_discriminant_split: f = g", "exactnum.py",
      "return 4 * s, g // 2", "return 4 * s, g", EXACTNUM_TESTS),
+    ("generalized_bernoulli: drop the 1 - (-1)^m factor", "exactnum.py",
+     "(1 - (-1) ** m) * s", "s", EXACTNUM_TESTS),
+    ("_character_support: include a = ceil(|d|/2)", "exactnum.py",
+     "range(1, (abs(d) + 1) // 2)", "range(1, (abs(d) + 1) // 2 + 1)", EXACTNUM_TESTS),
     ("dim_cusp: drop the formula-output check", "dims.py",
      "if val.denominator != 1 or val < 0:", "if False:", DIMS_TESTS),
 )

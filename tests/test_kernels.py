@@ -246,17 +246,20 @@ def test_product_splits_an_operand_with_no_parity(parity_reads):
 
 @st.composite
 def symmetric_span(draw):
-    """Even and odd rows, each a combination of basis series of its own
-    parity (rank deficient), and sometimes one perturbed row, which makes
-    the rank take the full elimination."""
-    basis = {sign: [draw(symmetric(sign=sign, prec=4, weight=0, max_size=8))
+    """Even and odd rows, each a combination of nonzero basis series of its
+    own parity (rank deficient), a basis series of each parity among them,
+    and in a minority of draws a perturbed row, which makes the rank take
+    the full elimination."""
+    basis = {sign: [draw(symmetric(sign=sign, prec=4, weight=0, max_size=8)
+                         .filter(lambda s: any(s.vec)))
                     for _ in range(draw(st.integers(1, 3)))]
              for sign in (1, -1)}
-    rows = []
-    for _ in range(draw(st.integers(1, 7))):
+    rows = [basis[1][0], basis[-1][0]]
+    for _ in range(draw(st.integers(0, 5))):
         sign = draw(st.sampled_from((1, -1)))
         rows.append(linear_combine([(draw(rationals), s) for s in basis[sign]]))
-    if draw(st.booleans()):
+    rows = draw(st.permutations(rows))
+    if draw(st.integers(0, 3)) == 2:  # not a bound: hypothesis favours those
         rows.insert(draw(st.integers(0, len(rows))), draw(perturbed(prec=4, weight=0)))
     return rows
 
@@ -434,8 +437,10 @@ def test_integer_bernoulli_values_match_polynomial_values():
 
 
 def test_generalized_bernoulli_matches_oracle():
-    discriminants = [d for d in range(-200, 0) if is_fundamental_discriminant(d)]
-    assert len(discriminants) == 62
+    # to |d| = 400, past the 388 of build(14) at grade 18; the library sums
+    # half of each period, odd and even |d| alike, the oracle all of it
+    discriminants = [d for d in range(-400, 0) if is_fundamental_discriminant(d)]
+    assert len(discriminants) == 122
     for d in discriminants:
         for m in range(21):
             assert generalized_bernoulli(m, d) == oracles.generalized_bernoulli(m, d), (m, d)
