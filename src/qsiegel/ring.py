@@ -12,9 +12,9 @@ members truncated to prec: the one source of sets.
 members and the one product cache, shared by all checks, with one id per
 series: phi2 is E2.  The polynomial identities are data,
 (name, lhs_scale, lhs, [(coefficient, powers)]), checked by one function; so
-are the structure checks, (name, monomials, expected rank), each a SpanRow
-with the rank and grade that one walk along the deeper() chain of builds
-reached.  M_* is free over A =
+are the structure checks, (name, monomials, expected rank, stated grade),
+each a SpanRow ranked once at the least prec + 2j at or above its grade, on
+cuts of at most one build per run.  M_* is free over A =
 Q[A_GENERATORS] = Q[E2, phi4, chi5a, phi6], Q[E2, E4, chi5a, E6] in integral
 generators, on UNITS (1, chi5b, chi15, chi5b*chi15): the weight-k row is
 weight_basis(k).  FIVE_GENERATORS is A and chi5b and the weight-10 rows are the
@@ -29,6 +29,7 @@ from .eisenstein import EisensteinParams, eisenstein_series
 from .forms import FORMS, STAGES, check_prec
 from .fourier import (divide_exact, linear_combine, multiply, one, rank_of_span,
                       sqrt_monic)
+from .lattice import grade
 
 Report = namedtuple("Report", "name ok mismatches")
 SpanRow = namedtuple("SpanRow", "name rank expected prec ok")
@@ -193,11 +194,11 @@ class GeneratorSet:
     prec below the stage's floor or an X past the kernel's deepest grade.
     build fills one set at grade X a member at a time, the phi forms and
     roots from DEFINITIONS, and returns a set of its members cut to prec.
-    Every set is build's.
+    Every set is build's, or build's members cut to a lower grade.
     Each member is the attribute named by its form id in lower case.
     """
 
-    __slots__ = ("prec", "stage", "_products", "_deeper") + tuple(
+    __slots__ = ("prec", "stage", "_products") + tuple(
         form.lower() for form in FORMS)
 
     @classmethod
@@ -222,23 +223,21 @@ class GeneratorSet:
             deep.chi15 = linear_combine([(1 / unit_a, q_a)])
             if deep.chi15 != linear_combine([(1 / unit_b, q_b)]):
                 raise ValueError("chi15 differs from its companion quotient delta20b / chi5a")
-        return cls._assemble(prec, upto, {f: s.truncate(prec) for f, s in deep.members().items()})
+        return deep._cut(prec)
 
     @classmethod
     def _assemble(cls, prec, stage, forms):
         """The unchecked set of the given {form id: series}, its cache empty."""
         self = cls.__new__(cls)
-        self.prec, self.stage, self._products, self._deeper = prec, stage, {}, None
+        self.prec, self.stage, self._products = prec, stage, {}
         for form, s in forms.items():
             setattr(self, form.lower(), s)
         return self
 
-    def deeper(self):
-        """build(prec + 2, stage), made at most once per set; its members cut
-        to prec are build(prec, stage)'s, this set's."""
-        if self._deeper is None:
-            self._deeper = GeneratorSet.build(self.prec + 2, self.stage)
-        return self._deeper
+    def _cut(self, prec):
+        """The unchecked set of this set's members cut to prec, its cache empty."""
+        return self._assemble(prec, self.stage,
+                              {f: s.truncate(prec) for f, s in self.members().items()})
 
     def members(self):
         """{form id: series} of every member."""
@@ -331,68 +330,68 @@ def weight_basis(k):
                                  A_GENERATORS)]
 
 
+def _stated_grade(weight):
+    """The grade a row of this weight states: where weight_basis(k) first
+    has full rank, for each k <= 40 (on cuts of build(20))."""
+    return max(5, weight // 2)
+
+
 def monomial_basis(weight, gens):
-    """Span rank of weight_basis(weight) against the generating-function
-    coefficient: the SpanRow "weight %2d" of verify_structure, run by
-    _span_rank."""
+    """Span rank of weight_basis(weight) on gens against the generating-function
+    coefficient: the SpanRow "weight %2d" of verify_structure."""
     return _span_rank("weight %2d" % weight, weight_basis(weight),
                       genfun_coeff(weight), gens)
 
 
-# delta20a = {E2, E4, chi5a, E6} spans one dimension, i.e. is nonzero.
-INDEPENDENCE = ("e2_e4_chi5a_e6_independent", ((("delta20a", 1),),), 1)
+# delta20a = {E2, E4, chi5a, E6} spans one dimension, i.e. is nonzero; its
+# lowest term is chi5b's leading index plus chi15's unit index.
+INDEPENDENCE = ("e2_e4_chi5a_e6_independent", ((("delta20a", 1),),), 1,
+                grade(CHI5B_LEAD) + grade(CHI15_UNIT_INDEX))
 
 
 def _span_checks():
-    """The rows (name, monomials, expected rank) beside the weight rows, in
-    name order: the weight-10 product table's columns span 6 dimensions and
-    chi5a*chi5b a 7th; FIVE_GENERATORS' monomials span 12 of the 13 in weight
-    15 (chi15 the 13th) and 26 of the 28 in weight 20 (delta20a, delta20b the
-    last two); then INDEPENDENCE."""
+    """The rows (name, monomials, expected rank, stated grade) beside the
+    weight rows, in name order: the weight-10 product table's columns span 6
+    dimensions and chi5a*chi5b a 7th; FIVE_GENERATORS' monomials span 12 of
+    the 13 in weight 15 (chi15 the 13th) and 26 of the 28 in weight 20
+    (delta20a, delta20b the last two); then INDEPENDENCE."""
     w10 = monomials(10, ("E2", "phi4", "phi6")) + [(("phi10", 1),)]
     u15, v20 = monomials(15, FIVE_GENERATORS), monomials(20, FIVE_GENERATORS)
-    return (("w10_products", w10, 6),
-            ("w10_with_chi5ab", w10 + [(("chi5a", 1), ("chi5b", 1))], 7),
-            ("w15_five_generators", u15, 12),
-            ("w15_with_chi15", u15 + [(("chi15", 1),)], 13),
-            ("w20_five_generators", v20, 26),
-            ("w20_with_deltas", v20 + [(("delta20a", 1),), (("delta20b", 1),)], 28),
+    return (("w10_products", w10, 6, _stated_grade(10)),
+            ("w10_with_chi5ab", w10 + [(("chi5a", 1), ("chi5b", 1))], 7, _stated_grade(10)),
+            ("w15_five_generators", u15, 12, _stated_grade(15)),
+            ("w15_with_chi15", u15 + [(("chi15", 1),)], 13, _stated_grade(15)),
+            ("w20_five_generators", v20, 26, _stated_grade(20)),
+            ("w20_with_deltas", v20 + [(("delta20a", 1),), (("delta20b", 1),)], 28,
+             _stated_grade(20)),
             INDEPENDENCE)
 
 
 def _span_rank(name, monomials, expected, gens):
-    """The monomials' SpanRow: while the rank is below expected and rose at
-    the last step, walk the gens.deeper() chain; prec is the grade of the set
-    where the rank was reached.  Truncation only loses rank, so going deeper
-    cannot create a false pass; each step gains at least 1 and the rank is at
-    most len(monomials), so the walk ends.  Each set's monomial cache forms
-    every product once across all rows."""
+    """The monomials' SpanRow: their one exact rank on gens, at gens.prec."""
     rank = rank_of_span([gens.monomial(p) for p in monomials])
-    while rank < expected:
-        deeper = rank_of_span([gens.deeper().monomial(p) for p in monomials])
-        if deeper <= rank:
-            break
-        rank, gens = deeper, gens.deeper()
     return SpanRow(name, rank, expected, gens.prec, rank == expected)
 
 
 def verify_structure(k_max, gens):
-    """StructureReport(rows, ok) of every structure check, one SpanRow each
-    from _span_rank, in print order: the monomial_basis row of every weight
-    <= k_max, each from the deeper() set where the row before reached its
-    rank, then the _span_checks rows from gens; ok if every row is.
+    """StructureReport(rows, ok) of every structure check, in print order:
+    the monomial_basis row of every weight <= k_max, then the _span_checks
+    rows; ok if every row is.  Each row is ranked once, on the set at the
+    least gens.prec + 2j at or above its stated grade: gens, one build at
+    the deepest such grade, or that build cut to the grade, one set per
+    grade.  Truncation only loses rank, so a stated grade that is too low
+    gives a FAIL, never a false PASS.
 
     INDEPENDENCE is the algebraic independence of E2, E4, chi5a, E6: if four
     forms satisfy a polynomial relation, their bracket, a weighted Jacobian
     determinant, vanishes identically (the Jacobian criterion; Aoki and
     Ibukiyama, Internat. J. Math. 16, 2005), so one nonzero coefficient of
-    delta20a proves independence.  delta20a has no coefficient below grade
-    7, so a set below that grade walks deeper.
+    delta20a proves independence.
     """
-    rows, start = [], gens
-    for k in range(k_max + 1):
-        rows.append(monomial_basis(k, start))
-        while start.prec < rows[-1].prec:
-            start = start.deeper()
-    rows += [_span_rank(*check, gens) for check in _span_checks()]
+    stated = [(_stated_grade(k), monomial_basis, (k,)) for k in range(k_max + 1)] + [
+        (g, _span_rank, (name, mons, expected)) for name, mons, expected, g in _span_checks()]
+    grades = [gens.prec + max(0, g - gens.prec + 1) // 2 * 2 for g, _, _ in stated]
+    deep = GeneratorSet.build(max(grades), gens.stage) if max(grades) > gens.prec else gens
+    sets = {p: gens if p == gens.prec else deep._cut(p) for p in set(grades)}
+    rows = [rank(*args, sets[p]) for p, (_, rank, args) in zip(grades, stated)]
     return StructureReport(rows, all(row.ok for row in rows))

@@ -50,6 +50,8 @@ MUTANTS = (
      "for V, W in ((F, G), (G, F)):", "for V, W in ((F, G),):", KERNEL_TESTS),
     ("_parity: 'neither' reads as odd", "fourier.py",
      "list(map(neg, head)) else 0", "list(map(neg, head)) else -1", KERNEL_TESTS),
+    ("_lead: refuse a lead at the series' top grade", "fourier.py",
+     "if 0 <= x <= s.prec else None", "if 0 <= x < s.prec else None", KERNEL_TESTS),
     ("_solve: drop the gcd sign fix", "fourier.py",
      "k = k if c > 0 else -k", "k = k", KERNEL_TESTS),
     ("rank_of_span: never take the general path", "fourier.py",
@@ -82,6 +84,13 @@ MUTANTS = (
      "range(weight // w, -1, -1)", "range(weight // w - 1, -1, -1)", RING_TESTS),
     ("UNITS: drop chi5b*chi15", "ring.py",
      ', (("chi5b", 1), ("chi15", 1)))', ")", RING_TESTS),
+    ("verify_structure: weight rows one grade below their stated grade", "ring.py",
+     "[(_stated_grade(k), monomial_basis, (k,))",
+     "[(_stated_grade(k) - 1, monomial_basis, (k,))", STAGE_TESTS),
+    ("INDEPENDENCE: stated at its weight's grade", "ring.py",
+     "grade(CHI5B_LEAD) + grade(CHI15_UNIT_INDEX))", "_stated_grade(20))", STAGE_TESTS),
+    ("verify_structure: cut from gens, not the one build", "ring.py",
+     "else deep._cut(p)", "else gens._cut(p)", STAGE_TESTS),
     ("monomial: accept a negative exponent", "ring.py",
      "type(n) is not int or n < 0", "type(n) is not int", RING_TESTS),
     ("monomial: key phi2 apart from E2", "ring.py",

@@ -11,8 +11,10 @@ polynomial values over the residues (each by Horner's rule in integers),
 and each Eisenstein coefficient as its own product of `Fraction` local
 factors, from the invariants (a, d, f) of `quad_invariants`.  They are
 slow and obviously correct; tests compare the library with them on random
-inputs.  `power`, `bernoulli_poly_value` and `series_from_record` are test
-helpers that the library itself never calls.
+inputs.  At deep grades, where those are too slow, `image` maps a series
+mod IMAGE_PRIME at one point, a ring map that tests compare products with.
+`power`, `bernoulli_poly_value` and `series_from_record` are test helpers
+that the library itself never calls.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -23,7 +25,7 @@ from qsiegel.exactnum import (bernoulli_number, fundamental_discriminant_split,
                               is_fundamental_discriminant, kronecker_symbol)
 from qsiegel.fourier import FourierSeries
 from qsiegel.lattice import (ZERO, decompositions, enumerate_cone, index_key,
-                             is_positive, layer_positions, mirror, norm_m)
+                             is_positive, layer_positions, mirror, norm_m, positions)
 
 QuadInvariants = namedtuple("QuadInvariants", "a d f")
 
@@ -45,6 +47,30 @@ def multiply(f, g):
         if acc:
             out[eta] = acc
     return FourierSeries(f.weight + g.weight, prec, out)
+
+
+IMAGE_PRIME = 2 ** 61 - 1
+
+
+def image(s, point):
+    """phi(s) at point = (r, u): one residue mod IMAGE_PRIME per grade x <=
+    s.prec, the sum of C_s(x, y, z) * r^y * u^z over the grade-x indices,
+    negative powers through the inverse.  phi(q^(x, y, z)) = t^x r^y u^z
+    adds x, y and z, so it is a ring map on series cut at a grade:
+    image(f * g) is image_product(image(f), image(g)) slice by slice."""
+    r, u = point
+    out = [0] * (s.prec + 1)
+    for (x, y, z), v in zip(positions(s.prec), s.vec):
+        out[x] += v * pow(r, y, IMAGE_PRIME) * pow(u, z, IMAGE_PRIME)
+    inverse = pow(s.den, -1, IMAGE_PRIME)
+    return [v * inverse % IMAGE_PRIME for v in out]
+
+
+def image_product(a, b):
+    """The product of two images cut to the shorter: slice x is the sum of
+    a[i] * b[x - i]."""
+    return [sum(a[i] * b[x - i] for i in range(x + 1)) % IMAGE_PRIME
+            for x in range(min(len(a), len(b)))]
 
 
 def layer_brute(x):

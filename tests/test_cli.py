@@ -667,7 +667,8 @@ def test_verify_structure_rejects_negative_kmax(capsys):
 
 
 def test_verify_structure_suite_at_prec_5_walks_to_a_pass(capsys, tmp_path):
-    # from grade 5, weight 20 reaches full rank at grade 11, three rebuilds on
+    # weight 20 states grade 10, so it is ranked on the one build, at grade
+    # 11; the independence row states 7, a cut of that build
     rc, out, _ = run(capsys, "--cache-dir", str(tmp_path / "s"),
                      "verify", "--suite", "structure", "--prec", "5")
     assert rc == 0
@@ -685,7 +686,7 @@ def test_verify_structure_suite_at_prec_5_walks_to_a_pass(capsys, tmp_path):
 
 
 def test_verify_structure_reports_each_failing_row(capsys, gens12, monkeypatch):
-    # unchecked, and every deeper() step builds this set again
+    # unchecked; every row states a grade <= 12, so no build replaces it
     zero = GeneratorSet._assemble(
         12, "chi15", {**gens12.members(), "delta20a": FourierSeries(20, 12, {})})
     monkeypatch.setattr(GeneratorSet, "build", lambda *args: zero)

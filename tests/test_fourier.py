@@ -2,11 +2,13 @@
 formal square roots, exact division, and the rational linear algebra."""
 from fractions import Fraction as Fr
 from math import gcd
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qsiegel import fourier
 from qsiegel.eisenstein import EisensteinParams, eisenstein_series
 from qsiegel.fourier import (FourierSeries, divide_exact, linear_combine,
@@ -35,6 +37,40 @@ def test_multiply_matches_brute_force():
     assert multiply(e2, e2) == mult_brute(e2, e2)
     assert multiply(e2, e4) == mult_brute(e2, e4)
     assert multiply(e4, e4) == mult_brute(e4, e4)
+
+
+def deep_series(rng, weight, X, parity, bits):
+    """A series at grade X with random entries of up to `bits` bits over a
+    random den: iota-even for parity 1, iota-odd for -1, neither for 0."""
+    mir = mirror(X)
+    vec = [rng.getrandbits(bits) - (1 << bits - 1) for _ in mir]
+    if parity:  # each orbit's later entry from its first; odd ones 0 on fixed points
+        vec = [vec[n] if n < m else parity * vec[m] if n > m else vec[n] * (parity > 0)
+               for n, m in enumerate(mir)]
+    return FourierSeries.from_vector(weight, X, rng.randrange(1, 1 << 20), vec)
+
+
+def test_multiply_commutes_with_the_image_map_at_deep_grades():
+    parities = []
+
+    # the examples pair every parity with another
+    @example(30, 1, -1, 300, 0, (3, 5))
+    @example(24, -1, 0, 300, 1, (7, 2))
+    @example(22, 0, 1, 300, 2, (oracles.IMAGE_PRIME - 1, 11))
+    @given(st.integers(20, 30), st.sampled_from((1, -1, 0)), st.sampled_from((1, -1, 0)),
+           st.integers(200, 300), st.integers(0, 2 ** 64),
+           st.tuples(*[st.integers(2, oracles.IMAGE_PRIME - 1)] * 2))
+    @settings(max_examples=5, deadline=None)
+    def check(X, pf, pg, bits, seed, point):
+        rng = random.Random(seed)
+        f = deep_series(rng, 5, X, pf, bits)
+        g = deep_series(rng, 6, X - rng.randrange(3), pg, bits)
+        parities.append((parity(f), parity(g)))
+        want = oracles.image_product(oracles.image(f, point), oracles.image(g, point))
+        assert oracles.image(multiply(f, g), point) == want
+
+    check()
+    assert {(1, -1), (-1, 0), (0, 1)} <= set(parities)
 
 
 def test_square_of_weight_two(gens12):
@@ -186,6 +222,12 @@ def test_solver_rejects_short_inputs():
         sqrt_monic(FourierSeries(4, 3, {}), (2, 0, -1))
     with pytest.raises(ValueError):  # divisor prec 1 below grade(lead) = 2
         divide_exact(FourierSeries(5, 1, {}), FourierSeries(5, 1, {}), (2, 1, -1))
+
+
+def test_sqrt_reads_a_lead_at_the_square_s_top_grade(gens12):
+    # grade 4 is 2 * grade(CHI5A_LEAD): the square's top slice holds the lead
+    square = multiply(gens12.chi5a, gens12.chi5a).truncate(4)
+    assert sqrt_monic(square, CHI5A_LEAD) == gens12.chi5a.truncate(2)
 
 
 def test_solver_runs_its_re_expansion_check(gens12, monkeypatch):

@@ -29,11 +29,8 @@ ATTRS = ("e2", "e4", "e6", "e8", "e10", "phi2", "phi4", "phi6", "phi8",
 
 
 def assembled(gens, **replacements):
-    """gens with members replaced, unchecked, its deeper() pinned to itself:
-    a rank walk would otherwise step onto the build and its true members."""
-    s = GeneratorSet._assemble(gens.prec, gens.stage, {**gens.members(), **replacements})
-    s._deeper = s
-    return s
+    """gens with members replaced, unchecked."""
+    return GeneratorSet._assemble(gens.prec, gens.stage, {**gens.members(), **replacements})
 
 
 def test_phi_normalizations():
@@ -195,7 +192,7 @@ def test_monomial_basis_small_weights(gens12):
     assert monomial_basis(1, gens12).rank == 0
     r10 = monomial_basis(10, gens12)
     assert r10.rank == r10.expected == 7
-    assert r10.prec == 12  # no escalation was needed
+    assert r10.prec == 12  # ranked on the set it is given
 
 
 def test_weight6_span(gens12):
@@ -246,8 +243,8 @@ def test_zero_delta20a_fails_the_independence_check(gens12):
 def test_structure_fails_on_the_independence_check_alone(gens12, monkeypatch):
     # the zero delta20a above also shortens w20_with_deltas; here every rank
     # matches and only the independence row, left with nothing to span, is short
-    name, _, expected = ring.INDEPENDENCE
-    monkeypatch.setattr(ring, "INDEPENDENCE", (name, (), expected))
+    name, _, expected, stated = ring.INDEPENDENCE
+    monkeypatch.setattr(ring, "INDEPENDENCE", (name, (), expected, stated))
     report = verify_structure(5, gens12)
     *rows, last = report.rows
     assert all(row.ok for row in rows) and all(r.rank == r.expected for r in rows)
@@ -255,11 +252,12 @@ def test_structure_fails_on_the_independence_check_alone(gens12, monkeypatch):
     assert not report.ok
 
 
-def test_monomial_basis_walks_past_two_rebuilds():
-    # weight 26 first reaches full rank at grade 14, three rebuilds above 8
-    report = monomial_basis(26, GeneratorSet.build(8))
-    assert report.rank == report.expected == 53
-    assert report.prec == 14 and report.ok
+def test_weight_rows_are_full_at_their_stated_grade_and_short_below():
+    # the stated grades are tight: weight 26 has rank 53 at grade 13 and 52 at 12
+    gens = GeneratorSet.build(13)
+    assert ring._stated_grade(26) == 13
+    assert monomial_basis(26, gens) == ring.SpanRow("weight 26", 53, 53, 13, True)
+    assert monomial_basis(26, gens._cut(12)) == ring.SpanRow("weight 26", 52, 53, 12, False)
 
 
 def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
@@ -283,17 +281,20 @@ def test_structure_forms_each_monomial_once_per_grade(gens12, monkeypatch):
     assert operands and max(operands.values()) == 1
 
 
-def test_structure_forms_products_of_one_generator_family():
+def test_structure_forms_products_of_one_generator_family(monkeypatch):
     # E4, E6 and E10 products belong to the relations suite, whose tables
-    # are indexed by them; every set the structure walk reaches forms none
-    gens = GeneratorSet.build(8)
-    assert verify_structure(20, gens).ok
-    chain = [gens]
-    while chain[-1]._deeper not in (None, chain[-1]):
-        chain.append(chain[-1]._deeper)
-    assert len(chain) > 1  # prec 8 walks deeper
-    for s in chain:
-        # build returns each set with an empty cache, so every key is the walk's
+    # are indexed by them; no set the structure suite ranks on forms any
+    ranked_on, span_rank = {}, ring._span_rank
+
+    def recording(name, monomials, expected, gens):
+        ranked_on[id(gens)] = gens
+        return span_rank(name, monomials, expected, gens)
+
+    monkeypatch.setattr(ring, "_span_rank", recording)
+    assert verify_structure(20, GeneratorSet.build(8)).ok
+    assert sorted(s.prec for s in ranked_on.values()) == [8, 10]
+    for s in ranked_on.values():
+        # build and _cut return each set with an empty cache, so every key is the suite's
         named = {form for key in s._products for form, _ in key}
         assert named and not named & {"E4", "E6", "E10"}, (s.prec, named)
 
@@ -301,7 +302,7 @@ def test_structure_forms_products_of_one_generator_family():
 def test_w10_rows_are_the_weight_10_table_columns(gens12):
     # the same products as the paper's weight-10 table, in its order, and
     # the same span as W10_MONOMIALS: the rows' ranks cannot tell them apart
-    (_, w10, six), (_, w10_ab, seven) = ring._span_checks()[:2]
+    (_, w10, six, _), (_, w10_ab, seven, _) = ring._span_checks()[:2]
     with open(os.path.join(FIXTURE_DIR, "products_weight10.json")) as fh:
         table = json.load(fh)
     assert [gens12.monomial(m) for m in w10] == [
@@ -323,14 +324,14 @@ def test_stages_build_on_each_other(gens12):
 
 
 @pytest.mark.parametrize("stage", STAGES)
-def test_every_deeper_set_extends_its_parent(stage):
-    # _span_rank's "truncation only loses rank" reads a deeper() set as its
-    # parent's series continued two grades
+def test_a_deeper_build_cut_to_prec_is_the_build_at_prec(stage):
+    # verify_structure ranks rows on cuts of one deeper build, and reads
+    # each as the build at the cut's grade
     for prec in (6, 11):
-        gens = GeneratorSet.build(prec, stage)
-        deeper = gens.deeper()
-        assert deeper.prec == prec + 2 and gens.deeper() is deeper
-        assert {f: s.truncate(prec) for f, s in deeper.members().items()} == gens.members()
+        deeper = GeneratorSet.build(prec + 2, stage)
+        cut = deeper._cut(prec)
+        assert (cut.prec, cut.stage, cut._products) == (prec, stage, {})
+        assert cut.members() == GeneratorSet.build(prec, stage).members()
 
 
 def test_monomial_skips_zero_exponents(gens12):
@@ -395,7 +396,7 @@ def test_built_members_are_their_own_product_entries(upto):
     assert gens.monomial((("phi2", 2),)) is gens.monomial((("E2", 2),))
 
 
-def test_structure_rows_start_where_the_row_before_reached_its_rank(monkeypatch):
+def test_each_structure_row_is_ranked_at_the_least_grade_covering_its_own(monkeypatch):
     gens = GeneratorSet.build(8)
     formed = Counter()
     multiply = ring.multiply
@@ -407,9 +408,36 @@ def test_structure_rows_start_where_the_row_before_reached_its_rank(monkeypatch)
 
     monkeypatch.setattr(ring, "multiply", counted)
     report = verify_structure(20, gens)
-    # weight 18 first reaches its rank at grade 10, so weight 19 starts there
-    assert report.ok and report.rows[18].prec == report.rows[19].prec == 10
+    # weights 0-17 state grades up to 8 and weights 18-20 state 9, 9 and 10;
+    # the checks state 5, 5, 7, 7, 10 and 10, the independence row 7
+    assert report.ok
+    assert [row.prec for row in report.rows] == [8] * 18 + [10] * 3 + [8] * 4 + [10] * 2 + [8]
     assert formed[19, 8] == 0 and formed[19, 10] > 0
+
+
+@pytest.mark.parametrize("prec, kmax, builds", [(5, 24, [13]), (12, 24, []), (12, 26, [14])])
+def test_structure_makes_at_most_one_build_and_ranks_each_row_once(prec, kmax, builds,
+                                                                  monkeypatch):
+    gens = GeneratorSet.build(prec)
+    made, ranked = [], []
+    build, rank = GeneratorSet.build, ring.rank_of_span
+
+    def counted_build(cls, prec, upto="chi15"):
+        made.append(prec)
+        return build(prec, upto)
+
+    def counted_rank(forms):
+        ranked.append(forms[0].prec if forms else None)
+        return rank(forms)
+
+    monkeypatch.setattr(GeneratorSet, "build", classmethod(counted_build))
+    monkeypatch.setattr(ring, "rank_of_span", counted_rank)
+    report = verify_structure(kmax, gens)
+    assert report.ok and made == builds
+    # one rank per row, in row order, at the row's grade; weights 1 and 3
+    # have no monomial, and rank_of_span ranks none
+    assert len(report.rows) == kmax + 1 + len(ring._span_checks())
+    assert ranked == [row.prec if row.expected else None for row in report.rows]
 
 
 def test_build_rejects_grades_past_the_kernel(monkeypatch):

@@ -52,12 +52,14 @@ def test_tracer_sees_each_structure_row_and_its_rebuilds(tmp_path, capsys):
     names = [name for name, _, _, _ in spans]
     assert names.count("ring.monomial_basis") == 21
 
-    def under_monomial_basis(i):
+    def under(i, name):
         parent = spans[i][3]
-        while parent >= 0 and spans[parent][0] != "ring.monomial_basis":
+        while parent >= 0 and spans[parent][0] != name:
             parent = spans[parent][3]
         return parent >= 0
 
-    # the weight rows walk from grade 8 to grade 10 inside monomial_basis
-    assert any(name == "ring.build" and under_monomial_basis(i)
-               for i, name in enumerate(names))
+    # weights 18-20 state grades 9-10: one build at grade 10, made by
+    # verify_structure before any row is ranked
+    builds = [i for i, name in enumerate(names) if name == "ring.build"]
+    assert [under(i, "ring.verify_structure") for i in builds].count(True) == 1
+    assert not any(under(i, "ring.monomial_basis") for i in builds)
